@@ -91,11 +91,16 @@ def _parse_cset(args, base, qctx, uni):
     if sel == "cq0":
         return ddt.c_line_biv(q)
     if sel.startswith("sample:"):
-        return ddt.c_sample_biv(q, int(sel.split(":", 1)[1]), args.seed)
+        n = sel.split(":", 1)[1]
+        if not n.isdigit():
+            raise CduError(f"--c sample:N needs a count N, got {sel!r}")
+        return ddt.c_sample_biv(q, int(n), args.seed)
     out = []
     for pair in sel.split(";"):
         if not pair:
             continue
+        if pair.count(",") != 1:
+            raise CduError(f"--c expects pairs c1,c2 separated by ';', got {pair!r}")
         c1s, c2s = pair.split(",")
         out.append(ddt.CParam.biv(base.parse_elem(c1s), base.parse_elem(c2s)))
     return out
@@ -151,7 +156,7 @@ def _spectrum_str(spectrum):
     return " ".join(f"{v}:{n}" for v, n in sorted(spectrum.items()))
 
 
-def _emit(out, args, base, qctx, header, columns, rows, json_rows):
+def _emit(out, args, header, columns, rows, json_rows):
     if args.format == "json":
         doc = {"config": dict(header), "columns": columns, "rows": json_rows}
         out.write(json.dumps(doc, indent=1, sort_keys=True))
@@ -206,7 +211,7 @@ def cmd_ddt_or_sweep(args, out, with_spectrum):
             jrow["spectrum"] = {str(k): v for k, v in rep.spectrum.items()}
         rows.append(row)
         json_rows.append(jrow)
-    _emit(out, args, base, qctx, header, columns, rows, json_rows)
+    _emit(out, args, header, columns, rows, json_rows)
     return 0
 
 
@@ -226,7 +231,7 @@ def cmd_verify(args, out):
         json_rows.append({"c1": c1s, "c2": c2s,
                           "predicted": r.prediction.describe(),
                           "observed": r.observed, "verdict": r.verdict})
-    _emit(out, args, base, qctx, header, columns, rows, json_rows)
+    _emit(out, args, header, columns, rows, json_rows)
     if not result.ok:
         for r in result.rows:
             if r.verdict == "VIOLATION":

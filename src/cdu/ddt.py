@@ -5,12 +5,28 @@ The bivariate c-derivative of F = (G, H) at c = (c1, c2), a = (a1, a2) is
     D1 = G(x+a1, y+a2) - c1*G(x,y) + t*c2*H(x,y)
     D2 = H(x+a1, y+a2) - (c1-c2)*H(x,y) - c2*G(x,y)
 
-and the DDT entry at (a, b) counts domain points with (D1, D2) = b.  The
-engine iterates the domain once per (c, a) and buckets the derivative, which
-is O(q^2) per row instead of solving systems; rows are processed in blocks
-as numpy arrays.  Univariate functions use Definition-style F(z+a) - c*F(z).
+and the DDT entry at (a, b) counts domain points with (D1, D2) = b.
+Univariate functions use Definition-style F(z+a) - c*F(z).  Every domain
+shape (pair plane, F_{q^2} with pair output, a field to itself) goes through
+one row kernel, ``_row_blocks``, which histograms the domain once per (c, a):
 
-Every sweep asserts row mass conservation (each row sums to the domain size).
+* Key packing.  Each value of F is one intp key, g*q + h for pair output or
+  the field index, and so is the per-c term -c*F(x).  Row a histograms
+  F(x+a) + (-c*F(x)) over x; the key is also the reported b.
+* Addition.  Points and keys are base-p digit vectors, pair points x*q + y
+  and F_{q^2} indices alike, so an index splits into a high and a low half
+  that add separately in one table of the smaller field (XOR for p = 2).
+  The shift x + a is a row gather by the high digit of a, once per slab of
+  a values sharing it, then a column gather by the low digit.  The key sum
+  is one XOR for p = 2 and two lookups in that table for odd p.
+* Blocks.  Rows are bincounted about 2^16 points at a time, so keys and bins
+  stay in cache.
+* Memory.  Besides the block buffers and the field addition tables that gf
+  caps, no array is larger than a small multiple of the domain (q^2
+  points).  There is no table of point+a over all (a, x): one c at q = 125
+  runs in ~35 MB.
+
+Every report asserts row mass conservation (each row sums to the domain size).
 """
 
 from __future__ import annotations
@@ -21,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import CduError, FieldCtx
+from .gf import CduError
 from .quadext import BivElem, QuadExtCtx
 from .funcs import (BIV, G_PLUS_BETA_H, FuncSpec, PairTables, UniTable,
                     DomainMismatch, tables_for, univariate_lift)
@@ -72,138 +88,117 @@ def classify(uniformity):
 
 
 # ---------------------------------------------------------------------------
-# shift machinery: index arrays for point + a over each domain shape
+# the row kernel
 # ---------------------------------------------------------------------------
 
-class _Shifts:
-    """Produces [block, N] index arrays of point+a for a range of a."""
+_BLOCK = 1 << 16  # points bincounted at once: keys and bins stay in cache
 
-    def __init__(self, field: FieldCtx, pair: bool):
-        self.pair = pair
-        self.field = field
-        q = field.q
-        self.n = q * q if pair else q
-        self._table = None
-        if field.p != 2 and field._add_table is not None:
-            if pair:
-                add = field._add_table
-                a1 = (add.astype(np.int64) * q)
-                # broadcast to axes [ax, ay, x, y], then flatten to [a_pt, pt]
-                t = a1[:, None, :, None] + add[None, :, None, :].astype(np.int64)
-                self._table = t.reshape(self.n, self.n).astype(np.int32)
+
+def _row_blocks(field, key, trans):
+    """Yield (a0, bins) with bins[i, b] = #{x : key[x + a0 + i] + trans[x] = b}.
+
+    Domain and codomain have n = p^M elements and add digitwise, as indices
+    of ``field`` do.  An index splits into high and low halves, both below
+    hi = p^ceil(M/2) <= field.q, that add in one hi x hi table.
+    """
+    key = np.asarray(key, dtype=np.intp)
+    trans = np.asarray(trans, dtype=np.intp)
+    n, p = len(key), field.p
+    lo_n = 1
+    while (lo_n * p) ** 2 <= n:
+        lo_n *= p
+    hi = n // lo_n  # an index is x_hi * lo_n + x_lo, both halves below hi
+    i = np.arange(hi)
+    add = field.add_vec(i[:, None], i[None, :]).astype(np.intp)
+    # a block is s slabs (values of a_hi) of l values of a_lo each: whole
+    # slabs when they fit in the budget, else part of one
+    s = l = 1
+    while l < lo_n and l * p * n <= _BLOCK:
+        l *= p
+    while l == lo_n and s < hi and s * p * lo_n * n <= _BLOCK:
+        s *= p
+    # points are laid out [x_lo, x_hi]; a block is [a_lo, x_lo, a_hi, x_hi]
+    off = ((np.arange(s) * lo_n)[None, :] + np.arange(l)[:, None]) * n
+    off = off.reshape(l, 1, s, 1)
+
+    def layout(v):
+        return np.ascontiguousarray(v.reshape(hi, lo_n).T)
+
+    if p == 2:
+        srcs = [layout(key)]
+        # key + trans is XOR, and the row offset is a bit field above it
+        toff = np.bitwise_xor(layout(trans)[None, :, None, :], off)
+    else:
+        srcs = [layout(key // lo_n * hi), layout(key % lo_n * hi)]
+        t_hi, t_lo = layout(trans // lo_n), layout(trans % lo_n)
+        add_hi, add_lo = (add * lo_n).ravel(), add.ravel()
+    bufs = [np.empty((l, lo_n, s, hi), dtype=np.intp) for _ in srcs]
+    out = np.empty_like(bufs[0])
+    for a_hi in range(0, hi, s):
+        # row gather: the hi digit of every point moves by each slab's a_hi
+        slabs = [np.take(v, add[a_hi:a_hi + s], axis=1) for v in srcs]
+        for a_lo in range(0, lo_n, l):
+            # column gather inside the slabs: the lo digit moves by a_lo
+            idx = add[a_lo:a_lo + l, :lo_n]
+            for v, buf in zip(slabs, bufs):
+                np.take(v, idx, axis=0, out=buf, mode="clip")
+            if p == 2:
+                np.bitwise_xor(bufs[0], toff, out=out)
             else:
-                self._table = field._add_table
-
-    def block(self, a0, a1):
-        if self._table is not None:
-            return self._table[a0:a1]
-        a = np.arange(a0, a1, dtype=np.int32)
-        pts = np.arange(self.n, dtype=np.int32)
-        if self.field.p == 2:
-            # index addition is XOR, and pair bit fields align with x*q+y
-            return np.bitwise_xor.outer(a, pts)
-        if self.pair:
-            q = self.field.q
-            hi = self.field.add_vec(a[:, None] // q, pts[None, :] // q)
-            lo = self.field.add_vec(a[:, None] % q, pts[None, :] % q)
-            return (hi.astype(np.int64) * q + lo).astype(np.int32)
-        return self.field.add_vec(a[:, None], pts[None, :])
+                g, h = bufs
+                g += t_hi[:, None, :]
+                h += t_lo[:, None, :]
+                np.take(add_hi, g, out=out, mode="clip")
+                out += np.take(add_lo, h, out=g, mode="clip")
+                out += off
+            # a key past the block's bins is dropped here and then fails
+            # the row mass check
+            bins = np.bincount(out.ravel(), minlength=s * l * n)
+            yield a_hi * lo_n + a_lo, bins[:s * l * n].reshape(s * l, n)
 
 
-_shift_cache = {}
-
-
-def _shifts_for(field, pair):
-    key = (field, pair)
-    out = _shift_cache.get(key)
-    if out is None:
-        out = _Shifts(field, pair)
-        _shift_cache[key] = out
-    return out
-
-
-def _block_size(n):
-    return max(1, min(n, (1 << 22) // n))
-
-
-# ---------------------------------------------------------------------------
-# core histogram passes
-# ---------------------------------------------------------------------------
-
-def _scan_rows(shifts, n_b, rows_fn, skip_a0):
-    """Shared row loop: max entry, spectrum, lexicographically first witness."""
-    n = shifts.n
+def _report(blocks, n, c):
+    """Max entry, spectrum and lexicographically first witness over all rows."""
     best = (-1, -1, -1)
     spectrum = np.zeros(n + 1, dtype=np.int64)
-    blk = _block_size(n)
-    for a0 in range(0, n, blk):
-        a1 = min(n, a0 + blk)
-        bins = rows_fn(a0, a1)
+    for a0, bins in blocks:
         if not (bins.sum(axis=1) == n).all():
             raise CduError("row mass conservation violated (engine bug)")
-        start = 1 if (skip_a0 and a0 == 0) else 0
+        start = 1 if (c.is_identity and a0 == 0) else 0
         sub = bins[start:]
         if sub.size == 0:
             continue
-        spectrum += np.bincount(sub.ravel(), minlength=n + 1)
-        bm = int(sub.max())
+        hist = np.bincount(sub.ravel())
+        spectrum[:len(hist)] += hist
+        bm = len(hist) - 1
         if bm > best[0]:
             flat = int(np.argmax(sub == bm))
-            best = (bm, a0 + start + flat // n_b, flat % n_b)
-    return best, {int(v): int(c) for v, c in enumerate(spectrum) if c}
+            best = (bm, a0 + start + flat // n, flat % n)
+    spectrum = {int(v): int(k) for v, k in enumerate(spectrum) if k}
+    return CDdtReport(c, best[0], spectrum, best[1:], classify(best[0]))
 
 
-def _pair_rows_fn(qctx, tabs, c1, c2):
+def _pair_blocks(qctx, tabs, c):
     base = qctx.base
-    field = qctx.base if tabs.domain == BIV else qctx.ext
-    shifts = _shifts_for(field, pair=(tabs.domain == BIV))
-    q = base.q
-    gt, ht = tabs.g, tabs.h
-    u = base.add_vec(base.mul_row(base.neg(c1))[gt],
-                     base.mul_row(base.mul(qctx.t, c2))[ht])
-    v = base.add_vec(base.mul_row(base.neg(base.sub(c1, c2)))[ht],
-                     base.mul_row(base.neg(c2))[gt])
-    n_b = q * q
-
-    def rows(a0, a1):
-        sh = shifts.block(a0, a1)
-        d1 = base.add_vec(gt[sh], u[None, :])
-        d2 = base.add_vec(ht[sh], v[None, :])
-        out = d1.astype(np.int64) * q + d2
-        off = np.arange(a1 - a0, dtype=np.int64)[:, None] * n_b
-        return np.bincount((out + off).ravel(),
-                           minlength=(a1 - a0) * n_b).reshape(a1 - a0, n_b)
-
-    return shifts, n_b, rows
+    g, h = tabs.g, tabs.h
+    u = base.add_vec(base.mul_row(base.neg(c.c1))[g],
+                     base.mul_row(base.mul(qctx.t, c.c2))[h])
+    v = base.add_vec(base.mul_row(base.neg(base.sub(c.c1, c.c2)))[h],
+                     base.mul_row(base.neg(c.c2))[g])
+    # an F_{q^2} index is a digit vector too, so its halves add in F_q
+    return _row_blocks(base, tabs.key, u.astype(np.intp) * base.q + v)
 
 
-def _uni_rows_fn(field, table, c):
-    shifts = _shifts_for(field, pair=False)
-    u = field.mul_row(field.neg(c))[table]
-    n_b = field.q
-
-    def rows(a0, a1):
-        sh = shifts.block(a0, a1)
-        d = field.add_vec(table[sh], u[None, :]).astype(np.int64)
-        off = np.arange(a1 - a0, dtype=np.int64)[:, None] * n_b
-        return np.bincount((d + off).ravel(),
-                           minlength=(a1 - a0) * n_b).reshape(a1 - a0, n_b)
-
-    return shifts, n_b, rows
+def _uni_blocks(field, table, c):
+    return _row_blocks(field, table, field.mul_row(field.neg(c.c))[table])
 
 
 def pair_report(qctx, tabs: PairTables, c: CParam) -> CDdtReport:
-    shifts, n_b, rows = _pair_rows_fn(qctx, tabs, c.c1, c.c2)
-    best, spectrum = _scan_rows(shifts, n_b, rows, c.is_identity)
-    return CDdtReport(c, best[0], spectrum, (best[1], best[2]),
-                      classify(best[0]))
+    return _report(_pair_blocks(qctx, tabs, c), len(tabs.g), c)
 
 
 def uni_report(field, table, c: CParam) -> CDdtReport:
-    shifts, n_b, rows = _uni_rows_fn(field, table, c.c)
-    best, spectrum = _scan_rows(shifts, n_b, rows, c.is_identity)
-    return CDdtReport(c, best[0], spectrum, (best[1], best[2]),
-                      classify(best[0]))
+    return _report(_uni_blocks(field, table, c), len(table), c)
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +236,13 @@ def c_row_spectrum(spec: FuncSpec, qctx: QuadExtCtx, c: CParam, a_index):
     """Histogram over the codomain for one (c, a); a_index is the domain index."""
     tabs = tables_for(spec, qctx)
     if isinstance(tabs, UniTable):
-        _, _, rows = _uni_rows_fn(qctx.ext, tabs.f, c.c)
+        blocks = _uni_blocks(qctx.ext, tabs.f, c)
     else:
-        _, _, rows = _pair_rows_fn(qctx, tabs, c.c1, c.c2)
-    return rows(a_index, a_index + 1)[0]
+        blocks = _pair_blocks(qctx, tabs, c)
+    for a0, bins in blocks:
+        if a0 <= a_index < a0 + len(bins):
+            return bins[a_index - a0]
+    raise CduError(f"a index {a_index} outside the domain")
 
 
 def c_uniformity(spec: FuncSpec, qctx: QuadExtCtx, c: CParam) -> CDdtReport:

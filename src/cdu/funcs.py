@@ -33,6 +33,7 @@ slots: "inv", "id", "gold:<k>", "pow:<e>", "lin:<linpoly>".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -57,6 +58,14 @@ class InvalidParams(CduError):
 
 class SpecParseError(CduError):
     pass
+
+
+def _int(s, what):
+    """int(s), or a SpecParseError naming the value that is not an integer."""
+    try:
+        return int(s)
+    except ValueError:
+        raise SpecParseError(f"{what} must be an integer, got {s!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +119,7 @@ def parse_linpoly(s, ctx: FieldCtx) -> LinearizedPoly:
         if raw == "x":
             e = 1
         elif raw.startswith("x^"):
-            e = int(raw[2:])
+            e = _int(raw[2:], f"exponent in {s!r}")
         else:
             raise SpecParseError(f"bad linearized term {raw!r} in {s!r}")
         i = 0
@@ -164,9 +173,9 @@ def parse_inner(s) -> InnerFunc:
     if s in ("inv", "id"):
         return InnerFunc(tag=s)
     if s.startswith("gold:"):
-        return InnerFunc(tag="gold", k=int(s[5:]))
+        return InnerFunc(tag="gold", k=_int(s[5:], "gold exponent"))
     if s.startswith("pow:"):
-        return InnerFunc(tag="pow", e=int(s[4:]))
+        return InnerFunc(tag="pow", e=_int(s[4:], "pow exponent"))
     if s.startswith("lin:"):
         return InnerFunc(tag="lin", lin=s[4:])
     raise SpecParseError(f"unknown inner function spec {s!r}")
@@ -253,11 +262,18 @@ def parse_func_spec(s) -> FuncSpec:
 
 @dataclass
 class PairTables:
-    """Value tables of a function with pair output (g, h), values in [0, q)."""
+    """Value tables of a function with pair output (g, h), values in [0, q).
+
+    ``key`` packs each pair into the one codomain index g*q + h, the
+    encoding of reported b values; both domains have q^2 points.
+    """
 
     domain: str
     g: np.ndarray
     h: np.ndarray
+
+    def __post_init__(self):
+        self.key = self.g.astype(np.intp) * isqrt(len(self.g)) + self.h
 
 
 @dataclass
@@ -273,7 +289,7 @@ def _parse_int(spec, name, required=True):
         if required:
             raise InvalidParams(f"{spec.family} needs parameter {name}")
         return None
-    return int(v)
+    return _int(v, f"{spec.family} parameter {name}")
 
 
 def _parse_base_elem(spec, name, ctx, required=True):
@@ -385,7 +401,8 @@ def build_tables(spec: FuncSpec, qctx: QuadExtCtx):
             h = L.table(base)[base.add_vec(X, Y)]
             if isinstance(gammas, str):
                 pairs = [term.split(":") for term in gammas.split(",") if term]
-                gl = [(int(i), base.parse_elem(c)) for i, c in pairs]
+                gl = [(_int(i, "prodlin exponent index"), base.parse_elem(c))
+                      for i, c in pairs]
             else:
                 gl = [(int(i), _coerce_elem(base, c)) for i, c in gammas]
             for i, coeff in gl:
@@ -440,7 +457,7 @@ def build_tables(spec: FuncSpec, qctx: QuadExtCtx):
             variant = str(spec.param("H"))
             if not variant.startswith("tr"):
                 raise InvalidParams(f"normfirst H must look like tr<e>, got {variant!r}")
-            e = int(variant[2:])
+            e = _int(variant[2:], "normfirst exponent")
             g = qctx.unembed[ext.pow_vec(Z, q + 1)].astype(np.int32)
             h = _trace_to_base(qctx, ext.pow_vec(Z, e))
             return PairTables(EXT, g, h)
@@ -457,16 +474,9 @@ def _coerce_elem(ctx, v):
     return v if isinstance(v, int) else ctx.parse_elem(str(v))
 
 
-_table_cache = {}
-
-
 def tables_for(spec: FuncSpec, qctx: QuadExtCtx):
-    key = (spec, id(qctx))
-    out = _table_cache.get(key)
-    if out is None:
-        out = build_tables(spec, qctx)
-        _table_cache[key] = out
-    return out
+    """The spec's value tables over qctx, built once and cached by the context."""
+    return qctx.cached(spec, lambda: build_tables(spec, qctx))
 
 
 # ---------------------------------------------------------------------------

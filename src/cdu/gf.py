@@ -11,7 +11,6 @@ what makes full DDT sweeps affordable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -272,25 +271,28 @@ class FieldCtx:
 
     # -- table construction --------------------------------------------------
 
+    def _pow_raw(self, a, e):
+        r = 1
+        while e:
+            if e & 1:
+                r = self._mul_raw(r, a)
+            a = self._mul_raw(a, a)
+            e >>= 1
+        return r
+
     def _build_log_tables(self):
         q = self.q
         qm1 = q - 1
-        antilog = None
-        primitive = None
-        for g in range(1, q):
-            chain = [1]
-            cur = 1
-            while True:
-                cur = self._mul_raw(cur, g)
-                if cur == 1:
-                    break
-                chain.append(cur)
-            if len(chain) == qm1:
-                primitive = g
-                antilog = chain
-                break
+        # the smallest index of order q-1: g is primitive iff no proper
+        # power g^((q-1)/r), r a prime factor of q-1, is 1
+        exps = [qm1 // r for r in _prime_factors(qm1)]
+        primitive = next((g for g in range(1, q)
+                          if all(self._pow_raw(g, e) != 1 for e in exps)), None)
         if primitive is None:
             raise CduError("no primitive element found (modulus not irreducible?)")
+        antilog = [1]
+        for _ in range(qm1 - 1):
+            antilog.append(self._mul_raw(antilog[-1], primitive))
         self.primitive = primitive
         self.antilog_table = np.asarray(antilog, dtype=np.int32)
         # log with a sentinel for 0 so products involving 0 fall in the
@@ -486,12 +488,6 @@ class FieldCtx:
             assert c < self.p, "minimal polynomial has non-prime-subfield coefficient"
         return tuple(poly)
 
-    def element_order(self, x):
-        if x == 0:
-            raise DivisionByZero("0 has no multiplicative order")
-        qm1 = self.q - 1
-        return qm1 // gcd(qm1, int(self.log_table[x]))
-
     # -- formatting -----------------------------------------------------------
 
     def elem_str(self, x, letter="w"):
@@ -506,7 +502,10 @@ class FieldCtx:
             return 0
         low = s.lower()
         if low.startswith(letter.lower() + "^"):
-            k = int(s[len(letter) + 1:])
+            try:
+                k = int(s[len(letter) + 1:])
+            except ValueError:
+                raise CduError(f"cannot parse field element {s!r}") from None
             return int(self.antilog_table[k % (self.q - 1)])
         if s.isdigit():
             return int(s) % self.p

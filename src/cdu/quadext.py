@@ -12,6 +12,8 @@ agrees with the F_{q^2} product transported through phi.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from math import gcd
 
@@ -66,12 +68,16 @@ class BivElem:
         return f"({self.x},{self.y})"
 
 
+_CACHE_ENTRIES = 16  # derived tables kept per context, least recently used out
+
+
 class QuadExtCtx:
     """The paired model: base F_q, ext F_{q^2}, t, beta, embedding and phi tables.
 
-    Immutable after construction.  ``conjugate_beta=True`` selects the other
-    root of x^2 + x + t; all reported uniformities must be independent of
-    that choice (checked by a dedicated test).
+    Immutable after construction, apart from a bounded cache of tables
+    derived from it (see ``cached``).  ``conjugate_beta=True`` selects the
+    other root of x^2 + x + t; all reported uniformities must be independent
+    of that choice (checked by a dedicated test).
     """
 
     def __init__(self, base: FieldCtx, t=None, conjugate_beta=False):
@@ -83,6 +89,26 @@ class QuadExtCtx:
         self._find_beta(conjugate_beta)
         self._build_phi_tables()
         self._verify()
+        self._cache = OrderedDict()
+        self._cache_lock = threading.Lock()
+
+    def cached(self, key, build):
+        """The value stored under ``key``, from ``build()`` on first use.
+
+        Safe to call from several threads; only the ``_CACHE_ENTRIES`` most
+        recently used values are kept.
+        """
+        with self._cache_lock:
+            if key in self._cache:
+                self._cache.move_to_end(key)
+                return self._cache[key]
+        value = build()
+        with self._cache_lock:
+            value = self._cache.setdefault(key, value)
+            self._cache.move_to_end(key)
+            while len(self._cache) > _CACHE_ENTRIES:
+                self._cache.popitem(last=False)
+        return value
 
     def _build_embedding(self):
         base, ext = self.base, self.ext
@@ -196,10 +222,6 @@ class QuadExtCtx:
         h = base.sub(base.add(base.mul(x1, y2), base.mul(x2, y1)),
                      base.mul(y1, y2))
         return self.biv(g, h)
-
-    def biv_add(self, u: BivElem, v: BivElem) -> BivElem:
-        base = self.base
-        return self.biv(base.add(u.x.idx, v.x.idx), base.add(u.y.idx, v.y.idx))
 
     def check_nonvanishing(self, c1, c2):
         """t*c2^2 + (1-c1)*c2 + (1-c1)^2 != 0; false exactly at c = (1,0)."""

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from cdu.cli import argv_from_header, main
 
 
@@ -154,3 +156,16 @@ def test_ext_domain_witness_format(capsys):
     # a lives in the extension, b is a base-field pair
     assert rows[0]["witness_a"].startswith(("W^", "0"))
     assert rows[0]["witness_b"].startswith("(")
+
+
+@pytest.mark.parametrize("c, spec", [
+    ("w^1", "genlinh{L=x;h=inv}"),
+    ("w^x,0", "genlinh{L=x;h=inv}"),
+    ("sample:abc", "genlinh{L=x;h=inv}"),
+    ("0,0", "genlingold{L=x;k=abc;alpha=0}"),
+])
+def test_malformed_input_exits_one(capsys, c, spec):
+    code, out, err = run_cli(capsys, "sweep", "-p", "2", "-m", "4",
+                             "--spec", spec, "--c", c)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,34 +1,79 @@
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
+import cdu
 from cdu import (equivalence_check, eval_func, func_spec, make_field,
                  make_quadext, parse_func_spec, univariate_lift)
 from cdu import ddt
 from cdu.ddt import CParam
-from cdu.funcs import H_PLUS_BETA_G, tables_for
+from cdu.funcs import (BIV, EXT, H_PLUS_BETA_G, PairTables, UniTable,
+                       tables_for)
 
 
-def naive_row_histogram(qctx, spec, c1, c2, a1, a2):
-    """Independent solution counting: for every b, loop all (x, y) and count
-    solutions of the Definition-2 system with scalar field ops."""
-    base = qctx.base
+def _pair_terms(qctx, tabs, c):
+    """Scalar pieces of the pair-output c-derivative: it is
+    add(vals[shift(x, a)], trans[x]), with trans the -c*F(x) part."""
+    base, ext = qctx.base, qctx.ext
     q = base.q
-    t = qctx.t
+    vals = [(int(g), int(h)) for g, h in zip(tabs.g, tabs.h)]
+    trans = [(base.add(base.neg(base.mul(c.c1, g)),
+                       base.mul(qctx.t, base.mul(c.c2, h))),
+              base.sub(base.neg(base.mul(base.sub(c.c1, c.c2), h)),
+                       base.mul(c.c2, g)))
+             for g, h in vals]
+    if tabs.domain == BIV:
+        def shift(x, a):
+            return qctx.pt(base.add(x // q, a // q), base.add(x % q, a % q))
+    else:
+        shift = ext.add
+
+    def add(v, t):
+        return base.add(v[0], t[0]) * q + base.add(v[1], t[1])
+
+    return shift, vals, trans, add
+
+
+def _uni_terms(field, table, c):
+    vals = [int(v) for v in table]
+    return field.add, vals, [field.neg(field.mul(c.c, v)) for v in vals], field.add
+
+
+def _naive_row(terms, a):
+    shift, vals, trans, add = terms
     hist = {}
-    for x in range(q):
-        for y in range(q):
-            fxy = eval_func(spec, qctx, qctx.biv(x, y))
-            fsh = eval_func(spec, qctx,
-                            qctx.biv(base.add(x, a1), base.add(y, a2)))
-            g, h = fxy.x.idx, fxy.y.idx
-            b1 = base.add(base.sub(fsh.x.idx, base.mul(c1, g)),
-                          base.mul(t, base.mul(c2, h)))
-            b2 = base.sub(base.sub(fsh.y.idx, base.mul(base.sub(c1, c2), h)),
-                          base.mul(c2, g))
-            key = (b1, b2)
-            hist[key] = hist.get(key, 0) + 1
+    for x in range(len(vals)):
+        b = add(vals[shift(x, a)], trans[x])
+        hist[b] = hist.get(b, 0) + 1
     return hist
+
+
+def naive_row_histogram(qctx, tabs, c, a):
+    """Independent solution counting for one (c, a): evaluate the
+    c-derivative at every domain point with scalar field ops.  Returns
+    {b: count}, b in the engine's codomain encoding (g*q + h for pairs)."""
+    if isinstance(tabs, UniTable):
+        return _naive_row(_uni_terms(qctx.ext, tabs.f, c), a)
+    return _naive_row(_pair_terms(qctx, tabs, c), a)
+
+
+def naive_report(terms, identity):
+    """(uniformity, spectrum, witness) from every admissible row's naive
+    histogram; the witness is the first maximal (a, b) in (a, b) order."""
+    n = len(terms[1])
+    best, witness, spectrum = -1, None, {}
+    for a in range(1 if identity else 0, n):
+        hist = _naive_row(terms, a)
+        spectrum[0] = spectrum.get(0, 0) + n - len(hist)
+        for b in sorted(hist):
+            spectrum[hist[b]] = spectrum.get(hist[b], 0) + 1
+            if hist[b] > best:
+                best, witness = hist[b], (a, b)
+    return best, {v: k for v, k in spectrum.items() if k}, witness
 
 
 def test_c_derivative_at_identity_c(qx16):
@@ -91,29 +136,97 @@ def test_engine_matches_naive_counting_q4(qx4):
     gt = tuple(rng.randrange(q) for _ in range(q * q))
     ht = tuple(rng.randrange(q) for _ in range(q * q))
     spec = func_spec("genericbiv", gtable=gt, htable=ht)
+    tabs = tables_for(spec, qx4)
     for c1 in range(q):
         for c2 in range(q):
+            c = CParam.biv(c1, c2)
             for apt in range(q * q):
-                a1, a2 = apt // q, apt % q
-                hist = naive_row_histogram(qx4, spec, c1, c2, a1, a2)
-                row = ddt.c_row_spectrum(spec, qx4, CParam.biv(c1, c2), apt)
-                for b1 in range(q):
-                    for b2 in range(q):
-                        assert row[b1 * q + b2] == hist.get((b1, b2), 0)
+                hist = naive_row_histogram(qx4, tabs, c, apt)
+                row = ddt.c_row_spectrum(spec, qx4, c, apt)
+                for b in range(q * q):
+                    assert row[b] == hist.get(b, 0)
 
 
 def test_engine_matches_naive_counting_q8_sampled(qx8):
     spec = parse_func_spec("genlinh{L=x^2+x;h=inv}")
+    tabs = tables_for(spec, qx8)
     rng = random.Random(5)
     q = 8
     for _ in range(25):
-        c1, c2 = rng.randrange(q), rng.randrange(q)
+        c = CParam.biv(rng.randrange(q), rng.randrange(q))
         apt = rng.randrange(q * q)
-        hist = naive_row_histogram(qx8, spec, c1, c2, apt // q, apt % q)
-        row = ddt.c_row_spectrum(spec, qx8, CParam.biv(c1, c2), apt)
-        for b1 in range(q):
-            for b2 in range(q):
-                assert row[b1 * q + b2] == hist.get((b1, b2), 0)
+        hist = naive_row_histogram(qx8, tabs, c, apt)
+        row = ddt.c_row_spectrum(spec, qx8, c, apt)
+        for b in range(q * q):
+            assert row[b] == hist.get(b, 0)
+
+
+# F_4, F_8, F_9, F_25: both characteristics, and p >= 5
+_PROPERTY_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from(_PROPERTY_FIELDS),
+       shape=st.sampled_from(["biv", "ext", "uni", "uni-base"]),
+       seed=st.integers(0, 2 ** 32 - 1), identity=st.booleans(),
+       block=st.sampled_from([ddt._BLOCK, 8, 100]))
+def test_report_matches_naive_counter(field, shape, seed, identity, block):
+    """Uniformity, spectrum and witness of random generic tables in every
+    shape; uni-base is a univariate table over F_q itself, as predict uses.
+    Small block budgets put block seams inside slabs and between them."""
+    default_block, ddt._BLOCK = ddt._BLOCK, block
+    try:
+        _check_against_naive(field, shape, seed, identity)
+    finally:
+        ddt._BLOCK = default_block
+
+
+def _check_against_naive(field, shape, seed, identity):
+    qctx = make_quadext(make_field(*field))
+    q = qctx.base.q
+    rng = np.random.default_rng(seed)
+    if shape in ("biv", "ext"):
+        g, h = rng.integers(0, q, (2, q * q))
+        if identity:
+            c = CParam.biv(1, 0)
+        else:
+            c = CParam.biv(*rng.integers(0, q, 2))
+        if shape == "biv":
+            spec = func_spec("genericbiv", gtable=tuple(g.tolist()),
+                             htable=tuple(h.tolist()))
+            rep = ddt.c_uniformity(spec, qctx, c)
+            terms = _pair_terms(qctx, tables_for(spec, qctx), c)
+        else:
+            tabs = PairTables(EXT, g.astype(np.int32), h.astype(np.int32))
+            rep = ddt.pair_report(qctx, tabs, c)
+            terms = _pair_terms(qctx, tabs, c)
+    else:
+        field_ctx = qctx.ext if shape == "uni" else qctx.base
+        f = rng.integers(0, field_ctx.q, field_ctx.q).astype(np.int32)
+        c = CParam.uni(1 if identity else int(rng.integers(0, field_ctx.q)))
+        rep = ddt.uni_report(field_ctx, f, c)
+        terms = _uni_terms(field_ctx, f, c)
+    assert (rep.uniformity, rep.spectrum, rep.witness) \
+        == naive_report(terms, c.is_identity)
+    assert rep.classification == ddt.classify(rep.uniformity)
+
+
+def test_one_c_at_q125_in_2gib_address_space():
+    """q = 125 must fit: the engine builds no table of q^4 entries."""
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from cdu.cli import main\n"
+        "sys.exit(main(['sweep', '-p', '5', '-m', '3', '--c', 'w^1,w^2',\n"
+        "               '--spec', 'genlingold{L=x;k=2;alpha=w^1}']))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cdu.__file__)))
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env, timeout=600)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.splitlines()[-1] == 'w^1,w^2,6,"(c,6)","(0,0)","(0,w^119)"'
 
 
 def test_row_mass_and_spectrum_accounting(qx27):

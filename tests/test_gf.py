@@ -1,3 +1,5 @@
+from math import gcd
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,28 @@ def test_make_field_f27_primitive_order():
         cur = f27.mul(cur, f27.primitive)
         order += 1
     assert order == 26
+
+
+# the smallest index of multiplicative order q-1, per (p, m); the reference
+# checker in bench/gfref.py relies on this choice
+_PRIMITIVES = {(2, 1): 1, (2, 2): 2, (2, 3): 2, (2, 4): 2, (2, 5): 2,
+               (2, 6): 2, (2, 7): 2, (2, 8): 3, (3, 1): 2, (3, 2): 4,
+               (3, 3): 3, (3, 4): 3, (3, 5): 3, (5, 1): 2, (5, 2): 6,
+               (5, 3): 9}
+
+
+@pytest.mark.parametrize("p, m", sorted(_PRIMITIVES))
+def test_primitive_and_antilog_pinned(p, m):
+    f = FieldCtx(p, m)
+    g, qm1 = f.primitive, f.q - 1
+    assert g == _PRIMITIVES[p, m]
+    chain = [1]
+    for _ in range(qm1 - 1):
+        chain.append(f._mul_raw(chain[-1], g))
+    assert f.antilog_table.tolist() == chain
+    assert sorted(chain) == list(range(1, f.q))
+    # every smaller index has a shorter power cycle
+    assert all(gcd(int(f.log_table[x]), qm1) > 1 for x in range(1, g))
 
 
 def test_make_field_errors():

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from cdu import make_quadext, select_t
-from cdu.quadext import InvalidT, QuadExtCtx, t_condition_holds
+from cdu.funcs import parse_func_spec, tables_for
+from cdu.quadext import (_CACHE_ENTRIES, InvalidT, QuadExtCtx,
+                         t_condition_holds)
 from cdu.gf import NSQ
 
 
@@ -142,3 +144,15 @@ def test_embedding_is_deterministic(f16):
     b = QuadExtCtx(f16, f16.parse_elem("w^3"))
     assert (a.embed == b.embed).all()
     assert a.beta == b.beta
+
+
+def test_tables_cached_per_context_and_bounded(f4):
+    ctx, other = QuadExtCtx(f4), QuadExtCtx(f4)
+    spec = parse_func_spec("identity")
+    tabs = tables_for(spec, ctx)
+    assert tables_for(spec, ctx) is tabs
+    assert tables_for(spec, other) is not tabs
+    for e in range(_CACHE_ENTRIES):
+        tables_for(parse_func_spec(f"genlinh{{L=x;h=pow:{e}}}"), ctx)
+    assert len(ctx._cache) == _CACHE_ENTRIES
+    assert tables_for(spec, ctx) is not tabs  # evicted, then built again
