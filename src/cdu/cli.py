@@ -274,6 +274,9 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 1 if e.code else 0
+    if getattr(args, "threads", 1) < 1:
+        sys.stderr.write("error: --threads must be >= 1\n")
+        return 1
     out = sys.stdout
     close = False
     if getattr(args, "outfile", None):

@@ -8,7 +8,21 @@ The bivariate c-derivative of F = (G, H) at c = (c1, c2), a = (a1, a2) is
 and the DDT entry at (a, b) counts domain points with (D1, D2) = b.
 Univariate functions use Definition-style F(z+a) - c*F(z).  Every domain
 shape (pair plane, F_{q^2} with pair output, a field to itself) goes through
-one row kernel, ``_row_blocks``, which histograms the domain once per (c, a):
+one report path, ``_kernel_report``, which histograms the domain once per
+(c, a) and reduces all rows of one c to its uniformity, spectrum and witness.
+
+Native kernel.  ``_rowk.c`` does a whole c in one C call: for each row it
+histograms key[x + a] + trans[x] into n bins, then one pass over the bins
+checks the row mass, takes the row maximum and first witness, adds to the
+spectrum (over 8 interleaved lanes, so equal values do not chain on one
+counter) and zeroes the bins.  It is compiled on first use with
+``cc -O3 -shared -fPIC`` (no -march, so the file stays portable) and cached
+as $XDG_CACHE_HOME/cdu/rowk-<sha256 of source and flags>.so, default
+~/.cache/cdu; ctypes releases the GIL during the call, so threaded sweeps
+run c values in parallel.  Where it cannot be built or loaded (no compiler,
+unwritable cache, compile error) every report falls back to the numpy
+kernel ``_row_blocks`` below, which is also what ``c_row_spectrum`` uses and
+the reference the tests compare the native kernel against:
 
 * Key packing.  Each value of F is one intp key, g*q + h for pair output or
   the field index, and so is the per-c term -c*F(x).  Row a histograms
@@ -26,16 +40,32 @@ one row kernel, ``_row_blocks``, which histograms the domain once per (c, a):
   points).  There is no table of point+a over all (a, x): one c at q = 125
   runs in ~35 MB.
 
-Every report asserts row mass conservation (each row sums to the domain size).
+Both kernels check row mass conservation (each row sums to the domain size)
+on every report, and every key and -c*F(x) value is checked to lie in the
+codomain before the C code indexes with it.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 import random
+import subprocess
+import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+
+try:  # the builtin sha256, as random uses for sha512: hashlib would load
+    from _sha2 import sha256  # OpenSSL, 3 MB more resident in every process
+except ImportError:  # Python < 3.12
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .gf import CduError
 from .quadext import BivElem, QuadExtCtx
@@ -94,22 +124,29 @@ def classify(uniformity):
 _BLOCK = 1 << 16  # points bincounted at once: keys and bins stay in cache
 
 
+def _halves(field, n):
+    """(lo_n, hi, add): an index below n = p^M is x_hi * lo_n + x_lo with
+    both halves below hi = p^ceil(M/2) <= field.q, adding in the hi x hi
+    int32 table add."""
+    lo_n = 1
+    while (lo_n * field.p) ** 2 <= n:
+        lo_n *= field.p
+    hi = n // lo_n
+    i = np.arange(hi)
+    return lo_n, hi, field.add_vec(i[:, None], i[None, :]).astype(np.int32)
+
+
 def _row_blocks(field, key, trans):
     """Yield (a0, bins) with bins[i, b] = #{x : key[x + a0 + i] + trans[x] = b}.
 
     Domain and codomain have n = p^M elements and add digitwise, as indices
-    of ``field`` do.  An index splits into high and low halves, both below
-    hi = p^ceil(M/2) <= field.q, that add in one hi x hi table.
+    of ``field`` do; see ``_halves`` for the split into high and low halves.
     """
     key = np.asarray(key, dtype=np.intp)
     trans = np.asarray(trans, dtype=np.intp)
     n, p = len(key), field.p
-    lo_n = 1
-    while (lo_n * p) ** 2 <= n:
-        lo_n *= p
-    hi = n // lo_n  # an index is x_hi * lo_n + x_lo, both halves below hi
-    i = np.arange(hi)
-    add = field.add_vec(i[:, None], i[None, :]).astype(np.intp)
+    lo_n, hi, add = _halves(field, n)
+    add = add.astype(np.intp)
     # a block is s slabs (values of a_hi) of l values of a_lo each: whole
     # slabs when they fit in the budget, else part of one
     s = l = 1
@@ -157,6 +194,13 @@ def _row_blocks(field, key, trans):
             yield a_hi * lo_n + a_lo, bins[:s * l * n].reshape(s * l, n)
 
 
+def _make_report(c, best, spectrum):
+    """best = (max entry, a, b); spectrum[v] = number of entries equal to v."""
+    spectrum = {int(v): int(k) for v, k in enumerate(spectrum) if k}
+    top, a, b = (int(v) for v in best)
+    return CDdtReport(c, top, spectrum, (a, b), classify(top))
+
+
 def _report(blocks, n, c):
     """Max entry, spectrum and lexicographically first witness over all rows."""
     best = (-1, -1, -1)
@@ -174,11 +218,94 @@ def _report(blocks, n, c):
         if bm > best[0]:
             flat = int(np.argmax(sub == bm))
             best = (bm, a0 + start + flat // n, flat % n)
-    spectrum = {int(v): int(k) for v, k in enumerate(spectrum) if k}
-    return CDdtReport(c, best[0], spectrum, best[1:], classify(best[0]))
+    return _make_report(c, best, spectrum)
 
 
-def _pair_blocks(qctx, tabs, c):
+# ---------------------------------------------------------------------------
+# the native row kernel
+# ---------------------------------------------------------------------------
+
+_ROWK_SRC = Path(__file__).with_name("_rowk.c")
+_ROWK_FLAGS = ("-O3", "-shared", "-fPIC")  # no -march: the cached .so stays portable
+_rowk_lock = threading.Lock()
+_rowk = []  # [] until the first call, then [the loaded library or None]
+
+
+def _compile_rowk():
+    """Build and load _rowk.c through ctypes; None if anything fails.
+
+    The .so is cached under $XDG_CACHE_HOME/cdu (default ~/.cache/cdu), named
+    by the sha256 of the source and flags, and written through a temp file
+    and os.replace so that concurrent builders never load a partial file.
+    """
+    try:
+        src = _ROWK_SRC.read_bytes()
+        tag = sha256(src + " ".join(_ROWK_FLAGS).encode()).hexdigest()
+        cache = Path(os.environ.get("XDG_CACHE_HOME")
+                     or Path.home() / ".cache") / "cdu"
+        so = cache / f"rowk-{tag[:16]}.so"
+        if not so.exists():
+            cache.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run(["cc", *_ROWK_FLAGS, "-o", tmp, str(_ROWK_SRC)],
+                               check=True, capture_output=True, timeout=300)
+                os.replace(tmp, so)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        lib = ctypes.CDLL(str(so))
+    except (OSError, RuntimeError, subprocess.SubprocessError):
+        return None
+    i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
+    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    c_int = ctypes.c_int
+    tail = [c_int, i32, i64, i64]  # start, bins, spec, best
+    lib.cdu_rows_xor.argtypes = [c_int, i32, i32] + tail
+    lib.cdu_rows_add.argtypes = [c_int, c_int, c_int] + [i32] * 5 + tail
+    lib.cdu_rows_xor.restype = lib.cdu_rows_add.restype = c_int
+    return lib
+
+
+def _native():
+    """The native row kernel library, built once per process, or None."""
+    with _rowk_lock:
+        if not _rowk:
+            _rowk.append(_compile_rowk())
+        return _rowk[0]
+
+
+def _kernel_report(field, key, trans, c):
+    """Report over every row: one native call, or the numpy blocks without
+    a compiler.  Values are checked first, since the C code indexes bins and
+    keys with them unchecked."""
+    n = len(key)
+    if min(key.min(), trans.min()) < 0 or max(key.max(), trans.max()) >= n:
+        raise CduError("value table outside the codomain (engine bug)")
+    key = np.ascontiguousarray(key, dtype=np.int32)
+    trans = np.ascontiguousarray(trans, dtype=np.int32)
+    lib = _native()
+    if lib is None:
+        return _report(_row_blocks(field, key, trans), n, c)
+    start = 1 if c.is_identity else 0
+    bins = np.zeros(n, dtype=np.int32)
+    spec = np.zeros((8, n + 1), dtype=np.int64)
+    best = np.full(3, -1, dtype=np.int64)
+    if field.p == 2:
+        rc = lib.cdu_rows_xor(n, key, trans, start, bins, spec, best)
+    else:
+        lo_n, hi, add = _halves(field, n)
+        rc = lib.cdu_rows_add(n, lo_n, hi, add, key // lo_n * hi,
+                              key % lo_n * hi, trans // lo_n, trans % lo_n,
+                              start, bins, spec, best)
+    if rc:
+        raise CduError("row mass conservation violated (engine bug)")
+    return _make_report(c, best, spec.sum(axis=0))
+
+
+def _pair_trans(qctx, tabs, c):
+    """-c*F(x) as packed pair keys, for a function with pair output."""
     base = qctx.base
     g, h = tabs.g, tabs.h
     u = base.add_vec(base.mul_row(base.neg(c.c1))[g],
@@ -186,19 +313,20 @@ def _pair_blocks(qctx, tabs, c):
     v = base.add_vec(base.mul_row(base.neg(base.sub(c.c1, c.c2)))[h],
                      base.mul_row(base.neg(c.c2))[g])
     # an F_{q^2} index is a digit vector too, so its halves add in F_q
-    return _row_blocks(base, tabs.key, u.astype(np.intp) * base.q + v)
+    return u.astype(np.intp) * base.q + v
 
 
-def _uni_blocks(field, table, c):
-    return _row_blocks(field, table, field.mul_row(field.neg(c.c))[table])
+def _uni_trans(field, table, c):
+    """-c*F(x) for a function of a field to itself."""
+    return field.mul_row(field.neg(c.c))[table]
 
 
 def pair_report(qctx, tabs: PairTables, c: CParam) -> CDdtReport:
-    return _report(_pair_blocks(qctx, tabs, c), len(tabs.g), c)
+    return _kernel_report(qctx.base, tabs.key, _pair_trans(qctx, tabs, c), c)
 
 
 def uni_report(field, table, c: CParam) -> CDdtReport:
-    return _report(_uni_blocks(field, table, c), len(table), c)
+    return _kernel_report(field, table, _uni_trans(field, table, c), c)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +364,9 @@ def c_row_spectrum(spec: FuncSpec, qctx: QuadExtCtx, c: CParam, a_index):
     """Histogram over the codomain for one (c, a); a_index is the domain index."""
     tabs = tables_for(spec, qctx)
     if isinstance(tabs, UniTable):
-        blocks = _uni_blocks(qctx.ext, tabs.f, c)
+        blocks = _row_blocks(qctx.ext, tabs.f, _uni_trans(qctx.ext, tabs.f, c))
     else:
-        blocks = _pair_blocks(qctx, tabs, c)
+        blocks = _row_blocks(qctx.base, tabs.key, _pair_trans(qctx, tabs, c))
     for a0, bins in blocks:
         if a0 <= a_index < a0 + len(bins):
             return bins[a_index - a0]

@@ -324,8 +324,16 @@ class FieldCtx:
             pw = np.asarray(self._ppows[:m], dtype=np.int64)
             self.neg_table = (((-digits) % p) @ pw).astype(np.int32)
             if q <= _ADD_TABLE_MAX:
-                s = (digits[:, None, :] + digits[None, :, :]) % p
-                self._add_table = (s @ pw).astype(np.int32)
+                # one digit at a time in int32, no q x q x m intermediate:
+                # for u = u_hi*p + u_0, add(u, v) = add(u_hi, v_hi)*p
+                # + (u_0 + v_0) % p
+                s = ((idx[:p, None] + idx[None, :p]) % p).astype(np.int32)
+                add = s
+                for _ in range(m - 1):
+                    r = len(add) * p
+                    add = (add[:, None, :, None] * p
+                           + s[None, :, None, :]).reshape(r, r)
+                self._add_table = add
             else:
                 self._add_table = None
         qm1 = q - 1

@@ -115,29 +115,6 @@ def _predict_genlinh(spec, qctx, c1, c2):
     return _upper(delta * s, **tr)
 
 
-def predict_pair_bound(spec, qctx, c1, c2):
-    """The product heuristic for (g(x), h(y)+g(x)): delta1*delta2.
-
-    delta1 is g's uniformity at c1 - t*c2 and delta2 is h's uniformity at
-    c1 - (1-t)*c2.  At c2 = 0 this is an exact equality.  For c2 != 0 the
-    product is NOT a valid bound (brute force beats it, e.g. q=8, t=1,
-    c=(0,c2): observed 3 vs product 1); the exact transfer for linearized
-    g goes through A/B instead.  Returns None when a shifted multiplier
-    is 1.
-    """
-    base = qctx.base
-    L = parse_linpoly(str(spec.param("L")), base)
-    htab = parse_inner(str(spec.param("h"))).table_over(base)
-    cg = base.sub(c1, base.mul(qctx.t, c2))
-    ch = base.sub(c1, base.mul(base.sub(1, qctx.t), c2))
-    if cg == 1 or ch == 1:
-        return None
-    gtab = L.table(base)
-    d1 = ddt.uni_report(base, gtab, ddt.CParam.uni(cg)).uniformity
-    d2 = ddt.uni_report(base, htab, ddt.CParam.uni(ch)).uniformity
-    return d1 * d2
-
-
 def _predict_genlingold(spec, qctx, c1, c2):
     base = qctx.base
     p, m = base.p, base.m

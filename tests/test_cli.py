@@ -1,8 +1,10 @@
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdu.cli import argv_from_header, main
 
@@ -73,6 +75,53 @@ def test_header_round_trip(capsys):
     code, out2, _ = run_cli(capsys, *rebuilt)
     assert code == 0
     assert out1 == out2
+
+
+def _run_quiet(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+_ELEMS = st.sampled_from(["0", "1", "w^1", "w^2", "w^5"])
+_C_SELECTORS = st.one_of(
+    st.sampled_from(["all", "cq0"]),
+    st.integers(0, 20).map(lambda n: f"sample:{n}"),
+    # explicit lists, without the identity c that verify rejects
+    st.lists(st.tuples(_ELEMS, _ELEMS).filter(lambda c: c != ("1", "0")),
+             min_size=1, max_size=3).map(
+        lambda cs: ";".join(f"{a},{b}" for a, b in cs)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(cmd=st.sampled_from(["sweep", "ddt", "verify"]),
+       field=st.sampled_from([("2", "2"), ("2", "3"), ("3", "2")]),
+       spec=st.sampled_from(["genlinh{L=x;h=inv}", "identity",
+                             "genlingold{L=x;k=1;alpha=0}"]),
+       c=_C_SELECTORS, fmt=st.sampled_from(["csv", "pretty"]),
+       threads=st.integers(1, 3), seed=st.integers(0, 2 ** 31))
+def test_header_round_trip_property(cmd, field, spec, c, fmt, threads, seed):
+    """Any run's header rebuilds an argv that reproduces the run exactly;
+    the rebuilt argv also names the default t explicitly."""
+    argv = [cmd, "-p", field[0], "-m", field[1], "--spec", spec, "--c", c,
+            "--format", fmt, "--threads", str(threads), "--seed", str(seed)]
+    if cmd == "verify" and spec == "identity":
+        argv[argv.index("--spec") + 1] = "genlinh{L=x;h=inv}"
+    code, out = _run_quiet(argv)
+    assert code in (0, 2)  # 2: a verify VIOLATION, still a full report
+    rebuilt = argv_from_header(out)
+    assert _run_quiet(rebuilt) == (code, out)
+    assert argv_from_header(out) == argv_from_header(_run_quiet(rebuilt)[1])
+
+
+@pytest.mark.parametrize("cmd", ["sweep", "ddt", "verify"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_rejected(capsys, cmd, threads):
+    code, out, err = run_cli(capsys, cmd, "-p", "2", "-m", "2",
+                             "--spec", "genlinh{L=x;h=inv}", "--c", "cq0",
+                             "--threads", threads)
+    assert (code, out, err) == (1, "", "error: --threads must be >= 1\n")
 
 
 def test_thread_count_output_identical(capsys):

@@ -1,9 +1,11 @@
+import contextlib
 import os
 import random
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import cdu
@@ -165,50 +167,139 @@ def test_engine_matches_naive_counting_q8_sampled(qx8):
 _PROPERTY_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2)]
 
 
+@contextlib.contextmanager
+def _kernel(kernel):
+    """Run the engine on the native kernel or on the numpy fallback."""
+    saved = ddt._native
+    if kernel == "numpy":
+        ddt._native = lambda: None
+    elif ddt._native() is None:
+        pytest.skip("no C compiler: the native kernel cannot be built")
+    try:
+        yield
+    finally:
+        ddt._native = saved
+
+
+@pytest.mark.parametrize("kernel", ["native", "numpy"])
 @settings(max_examples=40, deadline=None)
 @given(field=st.sampled_from(_PROPERTY_FIELDS),
        shape=st.sampled_from(["biv", "ext", "uni", "uni-base"]),
        seed=st.integers(0, 2 ** 32 - 1), identity=st.booleans(),
        block=st.sampled_from([ddt._BLOCK, 8, 100]))
-def test_report_matches_naive_counter(field, shape, seed, identity, block):
+def test_report_matches_naive_counter(kernel, field, shape, seed, identity,
+                                      block):
     """Uniformity, spectrum and witness of random generic tables in every
     shape; uni-base is a univariate table over F_q itself, as predict uses.
-    Small block budgets put block seams inside slabs and between them."""
+    Small block budgets put the numpy kernel's block seams inside slabs and
+    between them."""
     default_block, ddt._BLOCK = ddt._BLOCK, block
     try:
-        _check_against_naive(field, shape, seed, identity)
+        with _kernel(kernel):
+            _check_against_naive(field, shape, seed, identity)
     finally:
         ddt._BLOCK = default_block
 
 
-def _check_against_naive(field, shape, seed, identity):
+def _random_case(field, shape, seed, identity):
+    """(report function, naive terms, c) for random generic tables."""
     qctx = make_quadext(make_field(*field))
     q = qctx.base.q
     rng = np.random.default_rng(seed)
     if shape in ("biv", "ext"):
-        g, h = rng.integers(0, q, (2, q * q))
-        if identity:
-            c = CParam.biv(1, 0)
-        else:
-            c = CParam.biv(*rng.integers(0, q, 2))
+        g, h = rng.integers(0, q, (2, q * q)).astype(np.int32)
+        c = CParam.biv(1, 0) if identity else CParam.biv(*rng.integers(0, q, 2))
         if shape == "biv":
             spec = func_spec("genericbiv", gtable=tuple(g.tolist()),
                              htable=tuple(h.tolist()))
-            rep = ddt.c_uniformity(spec, qctx, c)
-            terms = _pair_terms(qctx, tables_for(spec, qctx), c)
-        else:
-            tabs = PairTables(EXT, g.astype(np.int32), h.astype(np.int32))
-            rep = ddt.pair_report(qctx, tabs, c)
-            terms = _pair_terms(qctx, tabs, c)
-    else:
-        field_ctx = qctx.ext if shape == "uni" else qctx.base
-        f = rng.integers(0, field_ctx.q, field_ctx.q).astype(np.int32)
-        c = CParam.uni(1 if identity else int(rng.integers(0, field_ctx.q)))
-        rep = ddt.uni_report(field_ctx, f, c)
-        terms = _uni_terms(field_ctx, f, c)
+            return (lambda: ddt.c_uniformity(spec, qctx, c),
+                    _pair_terms(qctx, tables_for(spec, qctx), c), c)
+        tabs = PairTables(EXT, g, h)
+        return (lambda: ddt.pair_report(qctx, tabs, c),
+                _pair_terms(qctx, tabs, c), c)
+    field_ctx = qctx.ext if shape == "uni" else qctx.base
+    f = rng.integers(0, field_ctx.q, field_ctx.q).astype(np.int32)
+    c = CParam.uni(1 if identity else int(rng.integers(0, field_ctx.q)))
+    return (lambda: ddt.uni_report(field_ctx, f, c),
+            _uni_terms(field_ctx, f, c), c)
+
+
+def _check_against_naive(field, shape, seed, identity):
+    report, terms, c = _random_case(field, shape, seed, identity)
+    rep = report()
     assert (rep.uniformity, rep.spectrum, rep.witness) \
         == naive_report(terms, c.is_identity)
     assert rep.classification == ddt.classify(rep.uniformity)
+
+
+@pytest.mark.parametrize("field", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
+                                   (5, 2)])
+@pytest.mark.parametrize("shape", ["biv", "ext", "uni", "uni-base"])
+def test_native_report_equals_numpy(field, shape):
+    """Field for field, on random generic tables, with the identity c."""
+    for seed in range(4):
+        report, _, _ = _random_case(field, shape, seed, identity=seed == 0)
+        with _kernel("native"):
+            native = report()
+        with _kernel("numpy"):
+            reference = report()
+        assert native == reference
+
+
+@settings(max_examples=30, deadline=None)
+@given(field=st.sampled_from(_PROPERTY_FIELDS + [(3, 3)]),
+       shape=st.sampled_from(["biv", "ext", "uni", "uni-base"]),
+       seed=st.integers(0, 2 ** 32 - 1), identity=st.booleans())
+def test_spectrum_mass(field, shape, seed, identity):
+    """n*n_b entries in all, summing to n^2: n_b admissible rows of n."""
+    report, terms, c = _random_case(field, shape, seed, identity)
+    rep = report()
+    n = len(terms[1])
+    rows = n - 1 if c.is_identity else n
+    assert sum(rep.spectrum.values()) == n * rows
+    assert sum(v * k for v, k in rep.spectrum.items()) == n * rows
+    assert max(rep.spectrum) == rep.uniformity
+
+
+def test_loader_returning_none_falls_back_to_numpy(qx16, monkeypatch):
+    spec = parse_func_spec("sumprod{i=0;j=1;alpha=1}")
+    cs = ddt.c_sample_biv(16, 6, seed=2) + [CParam.biv(1, 0)]
+    native = ddt.sweep(spec, qx16, cs)
+    monkeypatch.setattr(ddt, "_native", lambda: None)
+    assert ddt.sweep(spec, qx16, cs, threads=2) == native
+
+
+def test_native_kernel_cached_by_source_hash(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    lib = ddt._compile_rowk()
+    if lib is None:
+        pytest.skip("no C compiler")
+    (so,) = (tmp_path / "cdu").iterdir()
+    assert so.name.startswith("rowk-") and so.suffix == ".so"
+    mtime = so.stat().st_mtime_ns
+    assert ddt._compile_rowk() is not None  # loaded, not rebuilt
+    assert [p.name for p in (tmp_path / "cdu").iterdir()] == [so.name]
+    assert so.stat().st_mtime_ns == mtime
+
+
+def test_native_kernel_unbuildable_gives_none(tmp_path, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")  # the cache directory cannot be made under a file
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    assert ddt._compile_rowk() is None
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setenv("PATH", str(tmp_path / "empty"))  # no cc to run
+    assert ddt._compile_rowk() is None
+    assert not list((tmp_path / "cdu").iterdir())  # no temp file left
+
+
+def test_kernel_rejects_values_outside_codomain(qx4):
+    key = np.arange(16, dtype=np.int32)
+    for bad in (16, -1):
+        trans = key.copy()
+        trans[3] = bad
+        with pytest.raises(cdu.CduError, match="outside the codomain"):
+            ddt._kernel_report(qx4.base, key, trans, CParam.biv(0, 0))
 
 
 def test_one_c_at_q125_in_2gib_address_space():

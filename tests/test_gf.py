@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from math import gcd
 
 import numpy as np
 import pytest
 
+import cdu
 from cdu import make_field, NSQ, SQ, ZERO
 from cdu.gf import (CompositeCharacteristic, ContextMismatch, DivisionByZero,
                     FieldCtx, FieldTooLarge, NonDivisorSubfield,
@@ -141,6 +145,34 @@ def test_field_axioms_exhaustive(p, m):
     assert (ctx.add_vec(i, ctx.neg_table[i]) == 0).all()
     nz = i[1:]
     assert (ctx.mul_vec(nz, ctx.inv_table[nz]) == 1).all()
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3)])
+def test_add_table_matches_digit_path(p, m, monkeypatch):
+    """The table built digit by digit equals digitwise addition mod p."""
+    ctx = FieldCtx(p, m)
+    table = ctx._add_table
+    assert table.dtype == np.int32 and table.shape == (ctx.q, ctx.q)
+    monkeypatch.setattr(ctx, "_add_table", None)  # add_vec's digit path
+    i = np.arange(ctx.q)
+    assert (table == ctx.add_vec(i[:, None], i[None, :])).all()
+
+
+def test_add_table_build_memory():
+    """F_3125's 39 MB table must not go through a q x q x m int64 array."""
+    script = ("import resource\n"
+              "from cdu.gf import FieldCtx\n"
+              "r0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+              "FieldCtx(5, 5)\n"
+              "r1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+              "print((r1 - r0) // 1024)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cdu.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert int(run.stdout) < 100
 
 
 def test_trace_rel_examples(f4):

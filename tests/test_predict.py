@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
 
 from cdu import make_field, make_quadext, parse_func_spec
 from cdu import ddt, predict
 from cdu.oracles import IdentityC, inverse_c_uniformity_predict
 from cdu.predict import (CLASS, EXACT, NOT_COVERED, UPPER, Prediction,
-                         compute_AB, judge, predict_pair_bound, verify)
+                         compute_AB, judge, verify)
 
 
 # -- compute_AB -----------------------------------------------------------------
@@ -90,22 +91,33 @@ def test_genlinh_odd_inverse_uses_theorem_A(qx27):
         assert all(r.verdict == "MATCH" for r in res.rows)
 
 
+def _pair_product(qx, c1, c2):
+    """delta1*delta2 for (x, 1/y + x): the uniformity of g(x) = x at
+    c1 - t*c2 times that of h(y) = 1/y at c1 - (1-t)*c2, both measured."""
+    base = qx.base
+    cg = base.sub(c1, base.mul(qx.t, c2))
+    ch = base.sub(c1, base.mul(base.sub(1, qx.t), c2))
+    x = np.arange(base.q, dtype=np.int32)
+    d1 = ddt.uni_report(base, x, ddt.CParam.uni(cg)).uniformity
+    d2 = ddt.uni_report(base, base.inv_table[x], ddt.CParam.uni(ch)).uniformity
+    return d1 * d2
+
+
 def test_pair_bound_exact_on_c_line(qx8):
     spec = parse_func_spec("genlinh{L=x;h=inv}")
     for c1 in range(8):
         if c1 == 1:
             continue
-        bound = predict_pair_bound(spec, qx8, c1, 0)
         obs = ddt.c_uniformity(spec, qx8, ddt.CParam.biv(c1, 0)).uniformity
-        assert obs == bound
+        assert obs == _pair_product(qx8, c1, 0)
 
 
 def test_pair_bound_product_fails_off_the_line(qx8):
-    # documented falsification: the delta1*delta2 product is not a bound for
-    # c2 != 0 (the exact transfer goes through A/B); keep a witness pinned
+    # the delta1*delta2 product is not a bound for c2 != 0 (the exact
+    # transfer goes through A/B); the q=8, t=1, c=(0, 2) witness stays pinned
     spec = parse_func_spec("genlinh{L=x;h=inv}")
     obs = ddt.c_uniformity(spec, qx8, ddt.CParam.biv(0, 2)).uniformity
-    assert predict_pair_bound(spec, qx8, 0, 2) == 1 and obs == 3
+    assert _pair_product(qx8, 0, 2) == 1 and obs == 3
 
 
 def test_prodlin_prediction(qx16):
