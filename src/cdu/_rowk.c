@@ -2,26 +2,47 @@
  *
  * Row a counts bins[b] = #{x : key[x + a] + trans[x] = b} over the n points,
  * in the digitwise addition of the index encoding that ddt._row_blocks uses.
- * Each finished row is reduced in one pass over its bins: mass check, row
- * maximum and first witness, spectrum, and zeroing for the next row.  The
- * spectrum is counted in 8 interleaved lanes spec[b & 7][v], so runs of
- * equal v do not serialize on one counter.  Rows a < start are skipped.
- * Returns 0, or -1 when a row's mass is not n.  Callers check every key and
- * trans value lies in [0, n); nothing here is bounds-checked.
+ * Each finished row is reduced by row_done: one branch-free pass over its
+ * bins takes the row mass and maximum and counts the entries below SMALL in
+ * register counters, which the compiler vectorizes.  Only a row whose
+ * maximum reaches SMALL takes a scalar pass adding its larger entries to
+ * spec[v], and only a row whose maximum beats the best so far is scanned for
+ * its first witness b.  Rows a < start are skipped.  Returns 0, or -1 when a
+ * row's mass is not n, before that row touches spec.  Callers check every
+ * key and trans value lies in [0, n); nothing here is bounds-checked.
  */
 
+#include <string.h>
+
+#define SMALL 8  /* counted in registers: most c-DDT entries are this small */
+
+/* On x86-64 an AVX2 clone is chosen when the library loads (through an
+ * ifunc, hence glibc), so the cached .so needs no -march and still runs on
+ * any x86-64. */
+#if defined(__x86_64__) && defined(__GNUC__) && defined(__GLIBC__)
+__attribute__((target_clones("avx2", "default")))
+#endif
 static int row_done(int n, int a, int *bins, long long *spec, long long *best)
 {
-    int mass = 0, top = -1, arg = 0;
+    int mass = 0, top = 0, cnt[SMALL] = {0};
     for (int b = 0; b < n; b++) {
         int v = bins[b];
         mass += v;
-        if (v > top) { top = v; arg = b; }
-        spec[(b & 7) * (n + 1) + v]++;
-        bins[b] = 0;
+        top = v > top ? v : top;
+        for (int j = 0; j < SMALL; j++) cnt[j] += v == j;
     }
     if (mass != n) return -1;
-    if (top > best[0]) { best[0] = top; best[1] = a; best[2] = arg; }
+    for (int j = 0; j < SMALL && j <= n; j++)  /* spec has n + 1 entries */
+        spec[j] += cnt[j];
+    if (top >= SMALL)
+        for (int b = 0; b < n; b++)
+            if (bins[b] >= SMALL) spec[bins[b]]++;
+    if (top > best[0]) {
+        int b = 0;
+        while (bins[b] != top) b++;
+        best[0] = top; best[1] = a; best[2] = b;
+    }
+    memset(bins, 0, n * sizeof *bins);
     return 0;
 }
 

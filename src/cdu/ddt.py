@@ -12,11 +12,14 @@ one report path, ``_kernel_report``, which histograms the domain once per
 (c, a) and reduces all rows of one c to its uniformity, spectrum and witness.
 
 Native kernel.  ``_rowk.c`` does a whole c in one C call: for each row it
-histograms key[x + a] + trans[x] into n bins, then one pass over the bins
-checks the row mass, takes the row maximum and first witness, adds to the
-spectrum (over 8 interleaved lanes, so equal values do not chain on one
-counter) and zeroes the bins.  It is compiled on first use with
-``cc -O3 -shared -fPIC`` (no -march, so the file stays portable) and cached
+histograms key[x + a] + trans[x] into n bins, then one branch-free,
+vectorized pass over the bins sums the row mass, takes the row maximum and
+counts the entries below a small bound in registers.  Only rows whose
+maximum reaches that bound take a scalar pass for their larger entries, and
+only rows whose maximum beats the best so far are scanned for the first
+witness; then the bins are zeroed.  It is compiled on first use with
+``cc -O3 -shared -fPIC`` (no -march, so the file stays portable; on x86-64
+the reduction carries an AVX2 clone that is picked at load time) and cached
 as $XDG_CACHE_HOME/cdu/rowk-<sha256 of source and flags>.so, default
 ~/.cache/cdu; ctypes releases the GIL during the call, so threaded sweeps
 run c values in parallel.  Where it cannot be built or loaded (no compiler,
@@ -290,7 +293,7 @@ def _kernel_report(field, key, trans, c):
         return _report(_row_blocks(field, key, trans), n, c)
     start = 1 if c.is_identity else 0
     bins = np.zeros(n, dtype=np.int32)
-    spec = np.zeros((8, n + 1), dtype=np.int64)
+    spec = np.zeros(n + 1, dtype=np.int64)
     best = np.full(3, -1, dtype=np.int64)
     if field.p == 2:
         rc = lib.cdu_rows_xor(n, key, trans, start, bins, spec, best)
@@ -301,7 +304,7 @@ def _kernel_report(field, key, trans, c):
                               start, bins, spec, best)
     if rc:
         raise CduError("row mass conservation violated (engine bug)")
-    return _make_report(c, best, spec.sum(axis=0))
+    return _make_report(c, best, spec)
 
 
 def _pair_trans(qctx, tabs, c):
@@ -443,10 +446,11 @@ class EquivalenceReport:
 
 def equivalence_check(spec: FuncSpec, qctx: QuadExtCtx,
                       ordering=G_PLUS_BETA_H) -> EquivalenceReport:
-    """Compare bivariate uniformity against the lifted univariate one per c.
+    """Compare the bivariate report against the lifted univariate one per c.
 
     The univariate side runs at c = phi(c1, c2); a and b sweep the whole
-    extension field, i.e. the images of all pairs under phi.
+    extension field, i.e. the images of all pairs under phi.  A row matches
+    when uniformity and spectrum are both equal.
     """
     if spec.domain != BIV:
         raise DomainMismatch("equivalence_check needs a bivariate spec")
@@ -461,7 +465,7 @@ def equivalence_check(spec: FuncSpec, qctx: QuadExtCtx,
             b = pair_report(qctx, tabs, CParam.biv(c1, c2))
             ce = int(qctx.phi_table[qctx.pt(c1, c2)])
             u = uni_report(qctx.ext, ltab, CParam.uni(ce))
-            match = b.uniformity == u.uniformity
+            match = (b.uniformity, b.spectrum) == (u.uniformity, u.spectrum)
             ok = ok and match
             rows.append(EquivalenceRow(c1, c2, b.uniformity, u.uniformity, match))
     return EquivalenceReport(ordering, rows, ok)

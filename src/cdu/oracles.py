@@ -198,11 +198,12 @@ def inverse_c_uniformity_predict(ctx: FieldCtx, c):
 
     Even q: 1 at c=0; 2 when Tr(c) = Tr(1/c) = 1; else 3.
     Odd q: 1 at c=0; 2 when c in {4, 1/4} or both c^2-4c and 1-4c are
-    non-squares; else 3.
+    non-squares; else 3.  For q = 3 and 4 the map is x resp. x^2, which is
+    additive, so F(x+a) - c*F(x) = (1-c)*F(x) + F(a) is a bijection: 1.
     """
     if c == 1:
         raise IdentityC("the inverse-function predictions exclude c = 1")
-    if c == 0:
+    if c == 0 or ctx.q <= 4:
         return 1
     if ctx.p == 2:
         if ctx.trace1(c) == 1 and ctx.trace1(ctx.inv(c)) == 1:

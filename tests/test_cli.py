@@ -54,6 +54,18 @@ def test_verify_corollary1_exit_zero(capsys):
     assert all(r["verdict"] == "MATCH" for r in rows)
 
 
+@pytest.mark.parametrize("p,m", [(2, 2), (3, 1)])
+def test_verify_inverse_over_smallest_fields(capsys, p, m):
+    """Over F_4 and F_3 the inner inverse is additive, so every c gives 1."""
+    code, out, _ = run_cli(capsys, "verify", "-p", str(p), "-m", str(m),
+                           "--spec", "genlinh{L=x;h=inv}", "--c", "all")
+    assert code == 0
+    body = [l for l in out.splitlines() if not l.startswith("#")]
+    rows = list(csv.DictReader(io.StringIO("\n".join(body))))
+    assert len(rows) == p ** (2 * m) - 1
+    assert all(r["verdict"] == "MATCH" for r in rows)
+
+
 def test_sweep_csv_columns(capsys):
     code, out, _ = run_cli(capsys, "sweep", "-p", "2", "-m", "3", "-t", "1",
                            "--spec", "genlinh{L=x^2+x;h=inv}", "--c", "cq0")

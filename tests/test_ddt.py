@@ -1,6 +1,8 @@
 import contextlib
 import os
 import random
+import re
+import shutil
 import subprocess
 import sys
 
@@ -201,27 +203,39 @@ def test_report_matches_naive_counter(kernel, field, shape, seed, identity,
         ddt._BLOCK = default_block
 
 
+def _case(qctx, shape, f, c):
+    """(report function, naive terms) for the value table f of one shape;
+    pair output is given packed, f = g*q + h."""
+    q = qctx.base.q
+    f = np.asarray(f, dtype=np.int32)
+    if shape in ("biv", "ext"):
+        g, h = f // q, f % q
+        if shape == "biv":
+            spec = func_spec("genericbiv", gtable=tuple(g.tolist()),
+                             htable=tuple(h.tolist()))
+            return (lambda: ddt.c_uniformity(spec, qctx, c),
+                    _pair_terms(qctx, tables_for(spec, qctx), c))
+        tabs = PairTables(EXT, g, h)
+        return (lambda: ddt.pair_report(qctx, tabs, c),
+                _pair_terms(qctx, tabs, c))
+    field_ctx = qctx.ext if shape == "uni" else qctx.base
+    return (lambda: ddt.uni_report(field_ctx, f, c),
+            _uni_terms(field_ctx, f, c))
+
+
 def _random_case(field, shape, seed, identity):
     """(report function, naive terms, c) for random generic tables."""
     qctx = make_quadext(make_field(*field))
     q = qctx.base.q
     rng = np.random.default_rng(seed)
     if shape in ("biv", "ext"):
-        g, h = rng.integers(0, q, (2, q * q)).astype(np.int32)
+        g, h = rng.integers(0, q, (2, q * q))
         c = CParam.biv(1, 0) if identity else CParam.biv(*rng.integers(0, q, 2))
-        if shape == "biv":
-            spec = func_spec("genericbiv", gtable=tuple(g.tolist()),
-                             htable=tuple(h.tolist()))
-            return (lambda: ddt.c_uniformity(spec, qctx, c),
-                    _pair_terms(qctx, tables_for(spec, qctx), c), c)
-        tabs = PairTables(EXT, g, h)
-        return (lambda: ddt.pair_report(qctx, tabs, c),
-                _pair_terms(qctx, tabs, c), c)
-    field_ctx = qctx.ext if shape == "uni" else qctx.base
-    f = rng.integers(0, field_ctx.q, field_ctx.q).astype(np.int32)
-    c = CParam.uni(1 if identity else int(rng.integers(0, field_ctx.q)))
-    return (lambda: ddt.uni_report(field_ctx, f, c),
-            _uni_terms(field_ctx, f, c), c)
+        return (*_case(qctx, shape, g * q + h, c), c)
+    n = qctx.ext.q if shape == "uni" else q
+    f = rng.integers(0, n, n)
+    c = CParam.uni(1 if identity else int(rng.integers(0, n)))
+    return (*_case(qctx, shape, f, c), c)
 
 
 def _check_against_naive(field, shape, seed, identity):
@@ -244,6 +258,96 @@ def test_native_report_equals_numpy(field, shape):
         with _kernel("numpy"):
             reference = report()
         assert native == reference
+
+
+# entries below SMALL are counted in registers by the native kernel, larger
+# ones in a separate pass that random tables seldom reach
+SMALL = int(re.search(r"#define SMALL (\d+)", ddt._ROWK_SRC.read_text())[1])
+
+
+def _high_entry_tables(n, rng):
+    """(table, its largest value multiplicity) over n points: constant,
+    two-valued, and one value exactly SMALL - 1, SMALL or SMALL + 1 times
+    with every other value at most once."""
+    out = [(np.full(n, rng.integers(n)), n)]
+    two = rng.choice(rng.choice(n, 2, replace=False), n)
+    out.append((two, np.bincount(two).max()))
+    for k in (SMALL - 1, SMALL, SMALL + 1):
+        if k <= n:
+            f = rng.permutation(n)
+            at = rng.choice(n, k, replace=False)
+            f[at] = f[at[0]]
+            out.append((f, k))
+    return out
+
+
+@pytest.mark.parametrize("field", [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
+@pytest.mark.parametrize("shape", ["biv", "ext", "uni", "uni-base"])
+def test_high_entries_native_numpy_naive(field, shape):
+    """Rows whose entries reach SMALL or pass it, at c = 0 (every row is
+    the table's value histogram, so its maximum is the largest
+    multiplicity), at the identity c and at one other c."""
+    qctx = make_quadext(make_field(*field))
+    q = qctx.base.q
+    rng = np.random.default_rng(sum(field) * 10 + len(shape))
+    n = q if shape == "uni-base" else q * q
+    if shape in ("biv", "ext"):
+        cs = [CParam.biv(0, 0), CParam.biv(1, 0),
+              CParam.biv(*rng.integers(1, q, 2))]
+    else:
+        cs = [CParam.uni(0), CParam.uni(1), CParam.uni(rng.integers(2, n))]
+    for f, top in _high_entry_tables(n, rng):
+        for c in cs:
+            report, terms = _case(qctx, shape, f, c)
+            with _kernel("native"):
+                native = report()
+            with _kernel("numpy"):
+                reference = report()
+            assert native == reference
+            assert (native.uniformity, native.spectrum, native.witness) \
+                == naive_report(terms, c.is_identity)
+            if c == cs[0]:
+                assert native.uniformity == top
+
+
+def test_row_mass_check_rejects_broken_row():
+    """A row whose bins do not sum to n makes the numpy reduction raise, and
+    stops the native kernel before that row reaches the spectrum."""
+    bins = np.zeros((2, 9), dtype=np.intp)
+    bins[:, 0] = 9
+    bins[1, 5] = 1
+    with pytest.raises(cdu.CduError, match="row mass"):
+        ddt._report(iter([(0, bins)]), 9, CParam.uni(0))
+    lib = ddt._native()
+    if lib is None:
+        pytest.skip("no C compiler: the native kernel cannot be built")
+    for field in (make_field(2, 3), make_field(3, 2)):
+        n = field.q
+        key = np.arange(n, dtype=np.int32)
+        bins = np.zeros(n, dtype=np.int32)
+        bins[5] = 1  # a count that belongs to no row
+        spec = np.zeros(n + 1, dtype=np.int64)
+        best = np.full(3, -1, dtype=np.int64)
+        if field.p == 2:
+            rc = lib.cdu_rows_xor(n, key, key, 0, bins, spec, best)
+        else:
+            lo_n, hi, add = ddt._halves(field, n)
+            rc = lib.cdu_rows_add(n, lo_n, hi, add, key // lo_n * hi,
+                                  key % lo_n * hi, key // lo_n, key % lo_n,
+                                  0, bins, spec, best)
+        assert rc == -1
+        assert not spec.any() and (best == -1).all()
+
+
+def test_native_kernel_compiles_without_warnings(tmp_path):
+    """Any compiler warning in the C kernel fails, not just prints."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    run = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", "-O3",
+                          "-shared", "-fPIC", "-o", str(tmp_path / "rowk.so"),
+                          str(ddt._ROWK_SRC)], capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
 
 
 @settings(max_examples=30, deadline=None)
@@ -381,6 +485,21 @@ def test_equivalence_random_table_all_c(qx4):
     rev = equivalence_check(spec, qx4, H_PLUS_BETA_G)
     assert len(rev.rows) == 16
     assert not rev.all_match  # this seeded function is not symmetric
+
+
+@settings(max_examples=12, deadline=None)
+@given(field=st.sampled_from(_PROPERTY_FIELDS),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_bivariate_equals_lifted_univariate(field, seed):
+    """Under G+bH, every c = (c1, c2) of a random table gives the lifted
+    univariate function's uniformity and spectrum at c = phi(c1, c2)."""
+    qctx = make_quadext(make_field(*field))
+    q = qctx.base.q
+    g, h = np.random.default_rng(seed).integers(0, q, (2, q * q))
+    spec = func_spec("genericbiv", gtable=tuple(g.tolist()),
+                     htable=tuple(h.tolist()))
+    rep = equivalence_check(spec, qctx)
+    assert len(rep.rows) == q * q and rep.all_match
 
 
 def test_beta_choice_independence():
