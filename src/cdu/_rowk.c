@@ -1,7 +1,8 @@
 /* Native c-DDT rows for cdu.ddt: one call histograms every row a of one c.
  *
- * Row a counts bins[b] = #{x : key[x + a] + trans[x] = b} over the n points,
- * in the digitwise addition of the index encoding that ddt._row_blocks uses.
+ * Row a counts bins[b] = #{x : key[x + a] + trans[x] = b} over the n points
+ * of one field, in its digitwise addition as gf.FieldCtx splits it (lo, hi
+ * and the hi x hi add_table; see cdu_rows_add).
  * Each finished row is reduced by row_done: one branch-free pass over its
  * bins takes the row mass and maximum and counts the entries below SMALL in
  * register counters, which the compiler vectorizes.  Only a row whose

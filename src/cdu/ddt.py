@@ -24,24 +24,27 @@ as $XDG_CACHE_HOME/cdu/rowk-<sha256 of source and flags>.so, default
 ~/.cache/cdu; ctypes releases the GIL during the call, so threaded sweeps
 run c values in parallel.  Where it cannot be built or loaded (no compiler,
 unwritable cache, compile error) every report falls back to the numpy
-kernel ``_row_blocks`` below, which is also what ``c_row_spectrum`` uses and
-the reference the tests compare the native kernel against:
+kernel ``_row_blocks`` below, which is also the reference the tests compare
+the native kernel against:
 
 * Key packing.  Each value of F is one intp key, g*q + h for pair output or
   the field index, and so is the per-c term -c*F(x).  Row a histograms
   F(x+a) + (-c*F(x)) over x; the key is also the reported b.
 * Addition.  Points and keys are base-p digit vectors, pair points x*q + y
-  and F_{q^2} indices alike, so an index splits into a high and a low half
-  that add separately in one table of the smaller field (XOR for p = 2).
-  The shift x + a is a row gather by the high digit of a, once per slab of
-  a values sharing it, then a column gather by the low digit.  The key sum
-  is one XOR for p = 2 and two lookups in that table for odd p.
+  and F_{q^2} indices alike, so every shape runs over one field (F_{q^2}
+  for pair shapes) and uses its addition: an index is x_hi * lo + x_lo,
+  and both halves add in the field's hi x hi ``add_table`` (XOR for
+  p = 2).  The shift x + a is a row gather by the high digit of a, once
+  per slab of a values sharing it, then a column gather by the low digit.
+  The key sum is one XOR for p = 2 and two lookups in that table for odd
+  p.  The per-c term -c*F(x) of a pair shape is the F_{q^2} product
+  -phi(c)*phi(F(x)), carried back through phi^-1.
 * Blocks.  Rows are bincounted about 2^16 points at a time, so keys and bins
   stay in cache.
-* Memory.  Besides the block buffers and the field addition tables that gf
-  caps, no array is larger than a small multiple of the domain (q^2
-  points).  There is no table of point+a over all (a, x): one c at q = 125
-  runs in ~35 MB.
+* Memory.  Besides the block buffers and the field's hi x hi addition
+  table (q x q for F_{q^2}), no array is larger than a small multiple of
+  the domain (q^2 points).  There is no table of point+a over all (a, x):
+  one c at q = 125 runs in ~35 MB.
 
 Both kernels check row mass conservation (each row sums to the domain size)
 on every report, and every key and -c*F(x) value is checked to lie in the
@@ -127,59 +130,47 @@ def classify(uniformity):
 _BLOCK = 1 << 16  # points bincounted at once: keys and bins stay in cache
 
 
-def _halves(field, n):
-    """(lo_n, hi, add): an index below n = p^M is x_hi * lo_n + x_lo with
-    both halves below hi = p^ceil(M/2) <= field.q, adding in the hi x hi
-    int32 table add."""
-    lo_n = 1
-    while (lo_n * field.p) ** 2 <= n:
-        lo_n *= field.p
-    hi = n // lo_n
-    i = np.arange(hi)
-    return lo_n, hi, field.add_vec(i[:, None], i[None, :]).astype(np.int32)
-
-
 def _row_blocks(field, key, trans):
     """Yield (a0, bins) with bins[i, b] = #{x : key[x + a0 + i] + trans[x] = b}.
 
-    Domain and codomain have n = p^M elements and add digitwise, as indices
-    of ``field`` do; see ``_halves`` for the split into high and low halves.
+    Domain and codomain are ``field``, whose indices add digitwise; an index
+    is x_hi * lo + x_lo, and both halves add in the field's hi x hi table.
     """
     key = np.asarray(key, dtype=np.intp)
     trans = np.asarray(trans, dtype=np.intp)
-    n, p = len(key), field.p
-    lo_n, hi, add = _halves(field, n)
-    add = add.astype(np.intp)
+    n, p, lo, hi = len(key), field.p, field.lo, field.hi
+    assert n == field.q
+    add = field.add_table.astype(np.intp)
     # a block is s slabs (values of a_hi) of l values of a_lo each: whole
     # slabs when they fit in the budget, else part of one
     s = l = 1
-    while l < lo_n and l * p * n <= _BLOCK:
+    while l < lo and l * p * n <= _BLOCK:
         l *= p
-    while l == lo_n and s < hi and s * p * lo_n * n <= _BLOCK:
+    while l == lo and s < hi and s * p * lo * n <= _BLOCK:
         s *= p
     # points are laid out [x_lo, x_hi]; a block is [a_lo, x_lo, a_hi, x_hi]
-    off = ((np.arange(s) * lo_n)[None, :] + np.arange(l)[:, None]) * n
+    off = ((np.arange(s) * lo)[None, :] + np.arange(l)[:, None]) * n
     off = off.reshape(l, 1, s, 1)
 
     def layout(v):
-        return np.ascontiguousarray(v.reshape(hi, lo_n).T)
+        return np.ascontiguousarray(v.reshape(hi, lo).T)
 
     if p == 2:
         srcs = [layout(key)]
         # key + trans is XOR, and the row offset is a bit field above it
         toff = np.bitwise_xor(layout(trans)[None, :, None, :], off)
     else:
-        srcs = [layout(key // lo_n * hi), layout(key % lo_n * hi)]
-        t_hi, t_lo = layout(trans // lo_n), layout(trans % lo_n)
-        add_hi, add_lo = (add * lo_n).ravel(), add.ravel()
-    bufs = [np.empty((l, lo_n, s, hi), dtype=np.intp) for _ in srcs]
+        srcs = [layout(key // lo * hi), layout(key % lo * hi)]
+        t_hi, t_lo = layout(trans // lo), layout(trans % lo)
+        add_hi, add_lo = (add * lo).ravel(), add.ravel()
+    bufs = [np.empty((l, lo, s, hi), dtype=np.intp) for _ in srcs]
     out = np.empty_like(bufs[0])
     for a_hi in range(0, hi, s):
         # row gather: the hi digit of every point moves by each slab's a_hi
         slabs = [np.take(v, add[a_hi:a_hi + s], axis=1) for v in srcs]
-        for a_lo in range(0, lo_n, l):
+        for a_lo in range(0, lo, l):
             # column gather inside the slabs: the lo digit moves by a_lo
-            idx = add[a_lo:a_lo + l, :lo_n]
+            idx = add[a_lo:a_lo + l, :lo]
             for v, buf in zip(slabs, bufs):
                 np.take(v, idx, axis=0, out=buf, mode="clip")
             if p == 2:
@@ -194,7 +185,7 @@ def _row_blocks(field, key, trans):
             # a key past the block's bins is dropped here and then fails
             # the row mass check
             bins = np.bincount(out.ravel(), minlength=s * l * n)
-            yield a_hi * lo_n + a_lo, bins[:s * l * n].reshape(s * l, n)
+            yield a_hi * lo + a_lo, bins[:s * l * n].reshape(s * l, n)
 
 
 def _make_report(c, best, spectrum):
@@ -283,7 +274,9 @@ def _kernel_report(field, key, trans, c):
     """Report over every row: one native call, or the numpy blocks without
     a compiler.  Values are checked first, since the C code indexes bins and
     keys with them unchecked."""
-    n = len(key)
+    n = field.q
+    if len(key) != n or len(trans) != n:
+        raise CduError("value tables do not span the field (engine bug)")
     if min(key.min(), trans.min()) < 0 or max(key.max(), trans.max()) >= n:
         raise CduError("value table outside the codomain (engine bug)")
     key = np.ascontiguousarray(key, dtype=np.int32)
@@ -298,9 +291,9 @@ def _kernel_report(field, key, trans, c):
     if field.p == 2:
         rc = lib.cdu_rows_xor(n, key, trans, start, bins, spec, best)
     else:
-        lo_n, hi, add = _halves(field, n)
-        rc = lib.cdu_rows_add(n, lo_n, hi, add, key // lo_n * hi,
-                              key % lo_n * hi, trans // lo_n, trans % lo_n,
+        lo, hi = field.lo, field.hi
+        rc = lib.cdu_rows_add(n, lo, hi, field.add_table, key // lo * hi,
+                              key % lo * hi, trans // lo, trans % lo,
                               start, bins, spec, best)
     if rc:
         raise CduError("row mass conservation violated (engine bug)")
@@ -308,15 +301,11 @@ def _kernel_report(field, key, trans, c):
 
 
 def _pair_trans(qctx, tabs, c):
-    """-c*F(x) as packed pair keys, for a function with pair output."""
-    base = qctx.base
-    g, h = tabs.g, tabs.h
-    u = base.add_vec(base.mul_row(base.neg(c.c1))[g],
-                     base.mul_row(base.mul(qctx.t, c.c2))[h])
-    v = base.add_vec(base.mul_row(base.neg(base.sub(c.c1, c.c2)))[h],
-                     base.mul_row(base.neg(c.c2))[g])
-    # an F_{q^2} index is a digit vector too, so its halves add in F_q
-    return u.astype(np.intp) * base.q + v
+    """-c*F(x) as packed pair keys: the pair product is the F_{q^2} product
+    carried through phi, so this is phi^-1(-phi(c) * phi(F(x)))."""
+    ext = qctx.ext
+    neg_c = ext.neg(int(qctx.phi_table[qctx.pt(c.c1, c.c2)]))
+    return qctx.phi_inv_table[ext.mul_vec(neg_c, qctx.phi_table[tabs.key])]
 
 
 def _uni_trans(field, table, c):
@@ -325,7 +314,7 @@ def _uni_trans(field, table, c):
 
 
 def pair_report(qctx, tabs: PairTables, c: CParam) -> CDdtReport:
-    return _kernel_report(qctx.base, tabs.key, _pair_trans(qctx, tabs, c), c)
+    return _kernel_report(qctx.ext, tabs.key, _pair_trans(qctx, tabs, c), c)
 
 
 def uni_report(field, table, c: CParam) -> CDdtReport:
@@ -339,22 +328,20 @@ def uni_report(field, table, c: CParam) -> CDdtReport:
 def c_derivative(spec: FuncSpec, qctx: QuadExtCtx, c: CParam, a, point):
     """One c-derivative value; shapes follow the spec's domain."""
     tabs = tables_for(spec, qctx)
-    base = qctx.base
+    base, ext = qctx.base, qctx.ext
     if isinstance(tabs, UniTable):
         f = tabs.f
-        z, av = point.idx, a.idx
-        ext = qctx.ext
-        return ext.elem(ext.sub(int(f[ext.add(z, av)]),
+        z = point.idx
+        return ext.elem(ext.sub(int(f[ext.add(z, a.idx)]),
                                 ext.mul(c.c, int(f[z]))))
     if tabs.domain == BIV:
         if not isinstance(point, BivElem) or not isinstance(a, BivElem):
             raise DomainMismatch("bivariate derivative expects BivElem a and point")
         pt = qctx.pt(point.x.idx, point.y.idx)
-        sh = qctx.pt(base.add(point.x.idx, a.x.idx),
-                     base.add(point.y.idx, a.y.idx))
+        av = qctx.pt(a.x.idx, a.y.idx)
     else:
-        pt = point.idx
-        sh = qctx.ext.add(point.idx, a.idx)
+        pt, av = point.idx, a.idx
+    sh = ext.add(pt, av)  # pair points add digitwise, as F_{q^2} indices
     g, h = int(tabs.g[pt]), int(tabs.h[pt])
     d1 = base.add(base.sub(int(tabs.g[sh]), base.mul(c.c1, g)),
                   base.mul(qctx.t, base.mul(c.c2, h)))
@@ -366,14 +353,17 @@ def c_derivative(spec: FuncSpec, qctx: QuadExtCtx, c: CParam, a, point):
 def c_row_spectrum(spec: FuncSpec, qctx: QuadExtCtx, c: CParam, a_index):
     """Histogram over the codomain for one (c, a); a_index is the domain index."""
     tabs = tables_for(spec, qctx)
+    field = qctx.ext
     if isinstance(tabs, UniTable):
-        blocks = _row_blocks(qctx.ext, tabs.f, _uni_trans(qctx.ext, tabs.f, c))
+        key, trans = tabs.f, _uni_trans(field, tabs.f, c)
     else:
-        blocks = _row_blocks(qctx.base, tabs.key, _pair_trans(qctx, tabs, c))
-    for a0, bins in blocks:
-        if a0 <= a_index < a0 + len(bins):
-            return bins[a_index - a0]
-    raise CduError(f"a index {a_index} outside the domain")
+        key, trans = tabs.key, _pair_trans(qctx, tabs, c)
+    n = field.q
+    if not 0 <= a_index < n:
+        raise CduError(f"a index {a_index} outside the domain")
+    points = np.arange(n, dtype=np.int32)
+    return np.bincount(field.add_vec(key[field.add_vec(points, a_index)], trans),
+                       minlength=n)
 
 
 def c_uniformity(spec: FuncSpec, qctx: QuadExtCtx, c: CParam) -> CDdtReport:

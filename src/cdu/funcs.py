@@ -151,7 +151,7 @@ class InnerFunc:
     def table_over(self, ctx: FieldCtx):
         xs = np.arange(ctx.q, dtype=np.int32)
         if self.tag == "inv":
-            return ctx.pow_vec(xs, ctx.q - 2)
+            return ctx.inv_table.copy()
         if self.tag == "id":
             return xs.copy()
         if self.tag == "gold":
@@ -283,7 +283,7 @@ class UniTable:
     f: np.ndarray
 
 
-def _parse_int(spec, name, required=True):
+def parse_int(spec, name, required=True):
     v = spec.param(name)
     if v is None:
         if required:
@@ -292,7 +292,7 @@ def _parse_int(spec, name, required=True):
     return _int(v, f"{spec.family} parameter {name}")
 
 
-def _parse_base_elem(spec, name, ctx, required=True):
+def parse_base_elem(spec, name, ctx, required=True):
     v = spec.param(name)
     if v is None:
         if required:
@@ -305,7 +305,7 @@ def _parse_base_elem(spec, name, ctx, required=True):
     return ctx.parse_elem(str(v))
 
 
-def _linpoly(spec, name, ctx) -> LinearizedPoly:
+def linpoly(spec, name, ctx) -> LinearizedPoly:
     v = spec.param(name)
     if v is None:
         raise InvalidParams(f"{spec.family} needs parameter {name}")
@@ -314,13 +314,28 @@ def _linpoly(spec, name, ctx) -> LinearizedPoly:
     return parse_linpoly(str(v), ctx)
 
 
-def _inner(spec, name) -> InnerFunc:
+def inner(spec, name) -> InnerFunc:
     v = spec.param(name)
     if v is None:
         raise InvalidParams(f"{spec.family} needs parameter {name}")
     if isinstance(v, InnerFunc):
         return v
     return parse_inner(str(v))
+
+
+def parse_gammas(spec, ctx):
+    """prodlin's [(i, gamma_i)], from "4:1,2:w^3" or from (i, element) pairs."""
+    gammas = spec.param("gammas", "")
+    if not isinstance(gammas, str):
+        return [(int(i), c if isinstance(c, int) else ctx.parse_elem(str(c)))
+                for i, c in gammas]
+    out = []
+    for term in filter(None, gammas.split(",")):
+        i, sep, c = term.partition(":")
+        if not sep:
+            raise SpecParseError(f"prodlin gamma term {term!r} is not i:gamma")
+        out.append((_int(i, "prodlin exponent index"), ctx.parse_elem(c)))
+    return out
 
 
 def _trace_to_base(qctx, vals):
@@ -351,25 +366,25 @@ def build_tables(spec: FuncSpec, qctx: QuadExtCtx):
                 raise InvalidParams("generic bivariate tables must have q^2 entries")
             return PairTables(BIV, g, h)
         if fam == "genlinh":
-            Lt = _linpoly(spec, "L", base).table(base)
-            ht = _inner(spec, "h").table_over(base)
+            Lt = linpoly(spec, "L", base).table(base)
+            ht = inner(spec, "h").table_over(base)
             g = Lt[X]
             return PairTables(BIV, g, base.add_vec(ht[Y], g))
         if fam == "genlingold":
-            k = _parse_int(spec, "k")
+            k = parse_int(spec, "k")
             if not 0 < k < base.m:
                 raise InvalidParams(f"genlingold needs 0 < k < m, got k={k}")
-            alpha = _parse_base_elem(spec, "alpha", base)
-            Lt = _linpoly(spec, "L", base).table(base)
+            alpha = parse_base_elem(spec, "alpha", base)
+            Lt = linpoly(spec, "L", base).table(base)
             g = Lt[X]
             hy = base.pow_vec(np.arange(q, dtype=np.int32), base.p ** k + 1)
             if alpha:
                 hy = base.add_vec(hy, base.mul_row(alpha))
             return PairTables(BIV, g, base.add_vec(hy[Y], g))
         if fam == "sumprod":
-            i = _parse_int(spec, "i")
-            j = _parse_int(spec, "j")
-            alpha = _parse_base_elem(spec, "alpha", base)
+            i = parse_int(spec, "i")
+            j = parse_int(spec, "j")
+            alpha = parse_base_elem(spec, "alpha", base)
             if alpha == 0:
                 raise InvalidParams("sumprod needs alpha != 0")
             if not (0 <= i < base.m and 0 <= j < base.m):
@@ -381,11 +396,11 @@ def build_tables(spec: FuncSpec, qctx: QuadExtCtx):
                              base.mul_vec(X, base.frobenius_vec(Y, j))))
             return PairTables(BIV, g, h)
         if fam == "goldpair":
-            k = _parse_int(spec, "k")
-            gamma = _parse_base_elem(spec, "gamma", base)
+            k = parse_int(spec, "k")
+            gamma = parse_base_elem(spec, "gamma", base)
             if gamma == base.neg(1):
                 raise InvalidParams("goldpair needs gamma != -1")
-            L = _linpoly(spec, "L", base)
+            L = linpoly(spec, "L", base)
             if not linpoly_props(L, base).is_permutation:
                 raise InvalidParams("goldpair needs a linearized permutation L")
             e = base.p ** k + 1
@@ -393,34 +408,27 @@ def build_tables(spec: FuncSpec, qctx: QuadExtCtx):
             g = base.add_vec(pk[X], base.mul_vec(np.int32(gamma), pk[Y]))
             return PairTables(BIV, g, L.table(base)[base.add_vec(X, Y)])
         if fam == "prodlin":
-            L = _linpoly(spec, "L", base)
+            L = linpoly(spec, "L", base)
             if not linpoly_props(L, base).is_permutation:
                 raise InvalidParams("prodlin needs a linearized permutation L")
-            gammas = spec.param("gammas", "")
             xy = base.mul_vec(X, Y)
             h = L.table(base)[base.add_vec(X, Y)]
-            if isinstance(gammas, str):
-                pairs = [term.split(":") for term in gammas.split(",") if term]
-                gl = [(_int(i, "prodlin exponent index"), base.parse_elem(c))
-                      for i, c in pairs]
-            else:
-                gl = [(int(i), _coerce_elem(base, c)) for i, c in gammas]
-            for i, coeff in gl:
+            for i, coeff in parse_gammas(spec, base):
                 if not 1 <= i <= base.m:
                     raise InvalidParams("prodlin exponent indices must be in 1..m")
                 term = base.pow_vec(xy, base.p ** (i % base.m))
                 h = base.add_vec(h, base.mul_vec(np.int32(coeff), term))
             return PairTables(BIV, xy, h)
         if fam == "splitgh":
-            g1 = _parse_base_elem(spec, "gamma1", base)
-            g2 = _parse_base_elem(spec, "gamma2", base)
+            g1 = parse_base_elem(spec, "gamma1", base)
+            g2 = parse_base_elem(spec, "gamma2", base)
             if g2 == 0:
                 raise InvalidParams("splitgh needs gamma2 != 0")
-            gt = _inner(spec, "g").table_over(base)
-            h1 = _inner(spec, "h1").table_over(base)
-            h2 = _inner(spec, "h2").table_over(base)
-            L1 = _linpoly(spec, "L1", base).table(base)
-            L2 = _linpoly(spec, "L2", base).table(base)
+            gt = inner(spec, "g").table_over(base)
+            h1 = inner(spec, "h1").table_over(base)
+            h2 = inner(spec, "h2").table_over(base)
+            L1 = linpoly(spec, "L1", base).table(base)
+            L2 = linpoly(spec, "L2", base).table(base)
             h = base.add_vec(
                 base.add_vec(base.mul_vec(h1[X], L1[Y]),
                              base.mul_vec(np.int32(g1), h2[X])),
@@ -435,13 +443,12 @@ def build_tables(spec: FuncSpec, qctx: QuadExtCtx):
             gamma = ext.parse_elem(str(spec.param("gamma")), letter="W")
             if qctx.unembed[gamma] >= 0:
                 raise InvalidParams("traceinv needs gamma outside F_q")
-            inv = ext.pow_vec(Z, ext.q - 2)
-            h = _trace_to_base(qctx, ext.mul_vec(np.int32(gamma), inv))
+            h = _trace_to_base(qctx, ext.mul_vec(np.int32(gamma), ext.inv_table))
             return PairTables(EXT, tr, h)
         if fam == "tracext":
             variant = str(spec.param("H"))
             if variant == "gold":
-                k = _parse_int(spec, "k")
+                k = parse_int(spec, "k")
                 gamma = ext.parse_elem(str(spec.param("gamma")), letter="W")
                 if ext.add(ext.frobenius(gamma, base.m), gamma) == 0:
                     raise InvalidParams("tracext gold needs Tr(gamma) != 0")
@@ -468,10 +475,6 @@ def build_tables(spec: FuncSpec, qctx: QuadExtCtx):
     if len(tab) != ext.q:
         raise InvalidParams("generic univariate table must have q^2 entries")
     return UniTable(tab)
-
-
-def _coerce_elem(ctx, v):
-    return v if isinstance(v, int) else ctx.parse_elem(str(v))
 
 
 def tables_for(spec: FuncSpec, qctx: QuadExtCtx):

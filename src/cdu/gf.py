@@ -11,6 +11,7 @@ what makes full DDT sweeps affordable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -190,11 +191,14 @@ def default_modulus(p, m):
 # field context
 # ---------------------------------------------------------------------------
 
-_ADD_TABLE_MAX = 4096  # full addition table only for small odd-char fields
-
-
 class FieldCtx:
     """Immutable description of F_{p^m}: modulus, primitive element, op tables.
+
+    Addition is decided here, once.  An index is a base-p digit vector that
+    adds digitwise; it splits as x_hi * lo + x_lo with lo = p^(m//2) and both
+    halves below hi = q // lo, and the halves add separately in the hi x hi
+    table ``add_table``.  For p = 2 that is XOR and for a prime field
+    (u + v) % p, so those build the table only when the engine asks for it.
 
     Safe to share across threads once constructed; every operation is a pure
     function of (ctx, inputs).
@@ -221,6 +225,8 @@ class FieldCtx:
         self.m = m
         self.q = q
         self.modulus = tuple(modulus)
+        self.lo = p ** (m // 2)
+        self.hi = q // self.lo
 
         if p == 2:
             self._modmask = sum(c << i for i, c in enumerate(modulus))
@@ -305,37 +311,34 @@ class FieldCtx:
         idx = np.arange(2 * qm1 - 1)
         exp2[: 2 * qm1 - 1] = self.antilog_table[idx % qm1]
         self._exp2 = exp2
-        self._Z = Z
+
+    @cached_property
+    def add_table(self):
+        """hi x hi int32 table of the digitwise sums of indices below hi."""
+        i = np.arange(self.p, dtype=np.int32)
+        s = (i[:, None] + i[None, :]) % self.p
+        add = s
+        # one digit at a time: for u = u_hi*p + u_0,
+        # add(u, v) = add(u_hi, v_hi)*p + (u_0 + v_0) % p
+        while len(add) < self.hi:
+            r = len(add) * self.p
+            add = (add[:, None, :, None] * self.p
+                   + s[None, :, None, :]).reshape(r, r)
+        return add
 
     def _build_aux_tables(self):
         p, m, q = self.p, self.m, self.q
         idx = np.arange(q, dtype=np.int32)
         if p == 2:
             self.neg_table = idx.copy()
-            self._add_table = None
-            self._digit_table = None
+        elif m == 1:
+            self.neg_table = (-idx) % p
         else:
-            digits = np.zeros((q, m), dtype=np.int64)
-            v = idx.astype(np.int64)
-            for i in range(m):
-                digits[:, i] = v % p
-                v //= p
-            self._digit_table = digits
-            pw = np.asarray(self._ppows[:m], dtype=np.int64)
-            self.neg_table = (((-digits) % p) @ pw).astype(np.int32)
-            if q <= _ADD_TABLE_MAX:
-                # one digit at a time in int32, no q x q x m intermediate:
-                # for u = u_hi*p + u_0, add(u, v) = add(u_hi, v_hi)*p
-                # + (u_0 + v_0) % p
-                s = ((idx[:p, None] + idx[None, :p]) % p).astype(np.int32)
-                add = s
-                for _ in range(m - 1):
-                    r = len(add) * p
-                    add = (add[:, None, :, None] * p
-                           + s[None, :, None, :]).reshape(r, r)
-                self._add_table = add
-            else:
-                self._add_table = None
+            # rows as memoryviews: a scalar add is two Python-level lookups
+            self._add_rows = [memoryview(r) for r in self.add_table]
+            neg = np.argmin(self.add_table, axis=1)  # the y with x + y = 0
+            self.neg_table = (neg[idx // self.lo] * self.lo
+                              + neg[idx % self.lo]).astype(np.int32)
         qm1 = q - 1
         self.inv_table = np.zeros(q, dtype=np.int32)
         self.inv_table[self.antilog_table] = self.antilog_table[
@@ -355,10 +358,11 @@ class FieldCtx:
     def add(self, a, b):
         if self.p == 2:
             return a ^ b
-        if self._add_table is not None:
-            return int(self._add_table[a, b])
-        da, db = self._digits(a), self._digits(b)
-        return self._undigits([x + y for x, y in zip(da, db)])
+        lo = self.lo
+        if lo == 1:
+            return int(a + b) % self.p
+        rows = self._add_rows
+        return rows[a // lo][b // lo] * lo + rows[a % lo][b % lo]
 
     def neg(self, a):
         return int(self.neg_table[a])
@@ -396,17 +400,16 @@ class FieldCtx:
     def add_vec(self, u, v):
         if self.p == 2:
             return np.bitwise_xor(u, v)
-        if self._add_table is not None:
-            return self._add_table[u, v]
-        s = (self._digit_table[u] + self._digit_table[v]) % self.p
-        pw = np.asarray(self._ppows[: self.m], dtype=np.int64)
-        return (s @ pw).astype(np.int32)
+        lo = self.lo
+        if lo == 1:
+            return ((np.asarray(u) + v) % self.p).astype(np.int32, copy=False)
+        u_hi, u_lo = np.divmod(u, lo)
+        v_hi, v_lo = np.divmod(v, lo)
+        add = self.add_table
+        return add[u_hi, v_hi] * lo + add[u_lo, v_lo]
 
     def sub_vec(self, u, v):
         return self.add_vec(u, self.neg_table[v])
-
-    def neg_vec(self, u):
-        return self.neg_table[u]
 
     def mul_vec(self, u, v):
         return self._exp2[self.log_table[u] + self.log_table[v]]

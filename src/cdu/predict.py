@@ -17,8 +17,8 @@ import numpy as np
 
 from .gf import CduError, FieldCtx
 from .quadext import QuadExtCtx
-from .funcs import (FuncSpec, InnerFunc, linpoly_props, parse_inner,
-                    parse_linpoly, tables_for)
+from .funcs import (FuncSpec, InnerFunc, inner, linpoly, linpoly_props,
+                    parse_base_elem, parse_gammas, parse_int, tables_for)
 from .oracles import IdentityC, inverse_c_uniformity_predict
 from . import ddt
 
@@ -96,9 +96,9 @@ def _h_uniformity_at(base: FieldCtx, h: InnerFunc, htab, c):
 
 def _predict_genlinh(spec, qctx, c1, c2):
     base = qctx.base
-    L = parse_linpoly(str(spec.param("L")), base)
+    L = linpoly(spec, "L", base)
     s = linpoly_props(L, base).kernel_size
-    h = parse_inner(str(spec.param("h")))
+    h = inner(spec, "h")
     htab = h.table_over(base)
     if len(np.unique(htab)) != base.q:
         return _not_covered(reason="h is not a permutation")
@@ -118,10 +118,9 @@ def _predict_genlinh(spec, qctx, c1, c2):
 def _predict_genlingold(spec, qctx, c1, c2):
     base = qctx.base
     p, m = base.p, base.m
-    k = int(spec.param("k"))
-    alpha = spec.param("alpha")
-    alpha = alpha if isinstance(alpha, int) else base.parse_elem(str(alpha))
-    L = parse_linpoly(str(spec.param("L")), base)
+    k = parse_int(spec, "k")
+    alpha = parse_base_elem(spec, "alpha", base)
+    L = linpoly(spec, "L", base)
     if not linpoly_props(L, base).is_permutation:
         return _not_covered(reason="L is not a permutation")
     d = gcd(m, k)
@@ -156,10 +155,9 @@ def _sumprod_in_A(qctx, c1, c2):
 def _predict_sumprod(spec, qctx, c1, c2):
     base = qctx.base
     p, m, q = base.p, base.m, base.q
-    i = int(spec.param("i"))
-    j = int(spec.param("j"))
-    alpha = spec.param("alpha")
-    alpha = alpha if isinstance(alpha, int) else base.parse_elem(str(alpha))
+    i = parse_int(spec, "i")
+    j = parse_int(spec, "j")
+    alpha = parse_base_elem(spec, "alpha", base)
     minus_one = base.neg(1)
     in_a = _sumprod_in_A(qctx, c1, c2)
     tr = {"in_A": in_a, "alpha": base.elem_str(alpha), "i": i, "j": j}
@@ -196,12 +194,12 @@ def _predict_splitgh(spec, qctx, c1, c2):
     base = qctx.base
     if c2 != 0:
         return _not_covered(reason="covers only c = (c1, 0)")
-    gtab = parse_inner(str(spec.param("g"))).table_over(base)
+    gtab = inner(spec, "g").table_over(base)
     g_uni = ddt.uni_report(base, gtab, ddt.CParam.uni(c1)).uniformity
     if g_uni != 1:
         return _not_covered(reason=f"g is not PcN at c1 (delta={g_uni})")
-    L1 = parse_linpoly(str(spec.param("L1")), base).table(base)
-    L2 = parse_linpoly(str(spec.param("L2")), base).table(base)
+    L1 = linpoly(spec, "L1", base).table(base)
+    L2 = linpoly(spec, "L2", base).table(base)
     for gamma in range(base.q):
         comb = base.add_vec(L2, base.mul_vec(np.int32(gamma), L1))
         s = int(np.count_nonzero(comb == 0))
@@ -215,9 +213,8 @@ def _predict_goldpair(spec, qctx, c1, c2):
     base = qctx.base
     if c2 != 0:
         return _not_covered(reason="covers only c = (c1, 0)")
-    k = int(spec.param("k"))
-    gamma = spec.param("gamma")
-    gamma = gamma if isinstance(gamma, int) else base.parse_elem(str(gamma))
+    k = parse_int(spec, "k")
+    gamma = parse_base_elem(spec, "gamma", base)
     d = gcd(base.m, k)
     dgold = gcd(base.p ** k + 1, base.q - 1)
     both_in = base.in_subfield(c1, d) and base.in_subfield(gamma, d)
@@ -231,13 +228,8 @@ def _predict_prodlin(spec, qctx, c1, c2):
     base = qctx.base
     if c2 != 0:
         return _not_covered(reason="covers only c = (c1, 0)")
-    gammas = spec.param("gammas", "")
-    if isinstance(gammas, str):
-        idxs = [int(t.split(":")[0]) for t in gammas.split(",") if t]
-    else:
-        idxs = [int(i) for i, _ in gammas]
     d = base.m
-    for i in idxs:
+    for i, _ in parse_gammas(spec, base):
         d = gcd(d, i)
     tr = {"d": d}
     if base.in_subfield(c1, d):
@@ -252,7 +244,7 @@ def _predict_tracext(spec, qctx, c1, c2):
         if c2 != 0:
             return _not_covered(reason="norm branch covers only c = (c1, 0)")
         return _exact(2, branch="norm")
-    k = int(spec.param("k"))
+    k = parse_int(spec, "k")
     d = gcd(k, base.m)
     if c2 == 0:
         return _exact(base.p ** d + 1, d=d)

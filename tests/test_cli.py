@@ -54,9 +54,10 @@ def test_verify_corollary1_exit_zero(capsys):
     assert all(r["verdict"] == "MATCH" for r in rows)
 
 
-@pytest.mark.parametrize("p,m", [(2, 2), (3, 1)])
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1)])
 def test_verify_inverse_over_smallest_fields(capsys, p, m):
-    """Over F_4 and F_3 the inner inverse is additive, so every c gives 1."""
+    """Over F_2, F_4 and F_3 the inner inverse is additive, so every c
+    gives 1."""
     code, out, _ = run_cli(capsys, "verify", "-p", str(p), "-m", str(m),
                            "--spec", "genlinh{L=x;h=inv}", "--c", "all")
     assert code == 0
@@ -224,6 +225,7 @@ def test_ext_domain_witness_format(capsys):
     ("w^x,0", "genlinh{L=x;h=inv}"),
     ("sample:abc", "genlinh{L=x;h=inv}"),
     ("0,0", "genlingold{L=x;k=abc;alpha=0}"),
+    ("0,0", "prodlin{gammas=4;L=x}"),
 ])
 def test_malformed_input_exits_one(capsys, c, spec):
     code, out, err = run_cli(capsys, "sweep", "-p", "2", "-m", "4",

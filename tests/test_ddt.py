@@ -165,6 +165,44 @@ def test_engine_matches_naive_counting_q8_sampled(qx8):
             assert row[b] == hist.get(b, 0)
 
 
+@pytest.mark.parametrize("field", [(3, 1), (3, 2), (5, 2)])
+def test_row_spectrum_and_derivative_match_naive_odd_p(field):
+    """Odd p, pair and univariate shapes: c_row_spectrum's row and every
+    c_derivative value in it agree with the scalar naive counter."""
+    qctx = make_quadext(make_field(*field))
+    q, n = qctx.base.q, qctx.ext.q
+    rng = np.random.default_rng(q)
+    g, h = rng.integers(0, q, (2, n))
+    biv = func_spec("genericbiv", gtable=tuple(g.tolist()),
+                    htable=tuple(h.tolist()))
+    uni = func_spec("genericuni", table=tuple(rng.integers(0, n, n).tolist()))
+    for spec, cs in ((biv, [CParam.biv(1, 0), CParam.biv(0, 0),
+                            CParam.biv(*rng.integers(0, q, 2))]),
+                     (uni, [CParam.uni(1), CParam.uni(0),
+                            CParam.uni(rng.integers(2, n))])):
+        tabs = tables_for(spec, qctx)
+        for c in cs:
+            terms = (_uni_terms(qctx.ext, tabs.f, c) if spec is uni
+                     else _pair_terms(qctx, tabs, c))
+            shift, vals, trans, add = terms
+            for a in (0, n - 1, int(rng.integers(1, n - 1))):
+                row = ddt.c_row_spectrum(spec, qctx, c, a)
+                hist = _naive_row(terms, a)
+                assert row.tolist() == [hist.get(b, 0) for b in range(n)]
+                for x in range(n):
+                    if spec is uni:
+                        got = ddt.c_derivative(spec, qctx, c, qctx.ext.elem(a),
+                                               qctx.ext.elem(x)).idx
+                    else:
+                        d = ddt.c_derivative(spec, qctx, c,
+                                             qctx.biv(*qctx.pt_split(a)),
+                                             qctx.biv(*qctx.pt_split(x)))
+                        got = qctx.pt(d.x.idx, d.y.idx)
+                    assert got == add(vals[shift(x, a)], trans[x])
+        with pytest.raises(cdu.CduError, match="outside the domain"):
+            ddt.c_row_spectrum(spec, qctx, cs[0], n)
+
+
 # F_4, F_8, F_9, F_25: both characteristics, and p >= 5
 _PROPERTY_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2)]
 
@@ -331,9 +369,9 @@ def test_row_mass_check_rejects_broken_row():
         if field.p == 2:
             rc = lib.cdu_rows_xor(n, key, key, 0, bins, spec, best)
         else:
-            lo_n, hi, add = ddt._halves(field, n)
-            rc = lib.cdu_rows_add(n, lo_n, hi, add, key // lo_n * hi,
-                                  key % lo_n * hi, key // lo_n, key % lo_n,
+            lo, hi = field.lo, field.hi
+            rc = lib.cdu_rows_add(n, lo, hi, field.add_table, key // lo * hi,
+                                  key % lo * hi, key // lo, key % lo,
                                   0, bins, spec, best)
         assert rc == -1
         assert not spec.any() and (best == -1).all()
@@ -403,7 +441,10 @@ def test_kernel_rejects_values_outside_codomain(qx4):
         trans = key.copy()
         trans[3] = bad
         with pytest.raises(cdu.CduError, match="outside the codomain"):
-            ddt._kernel_report(qx4.base, key, trans, CParam.biv(0, 0))
+            ddt._kernel_report(qx4.ext, key, trans, CParam.biv(0, 0))
+    # 16 pair points span F_16, not the base field F_4
+    with pytest.raises(cdu.CduError, match="do not span the field"):
+        ddt._kernel_report(qx4.base, key, key, CParam.biv(0, 0))
 
 
 def test_one_c_at_q125_in_2gib_address_space():

@@ -147,32 +147,74 @@ def test_field_axioms_exhaustive(p, m):
     assert (ctx.mul_vec(nz, ctx.inv_table[nz]) == 1).all()
 
 
-@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3)])
-def test_add_table_matches_digit_path(p, m, monkeypatch):
-    """The table built digit by digit equals digitwise addition mod p."""
-    ctx = FieldCtx(p, m)
-    table = ctx._add_table
-    assert table.dtype == np.int32 and table.shape == (ctx.q, ctx.q)
-    monkeypatch.setattr(ctx, "_add_table", None)  # add_vec's digit path
-    i = np.arange(ctx.q)
-    assert (table == ctx.add_vec(i[:, None], i[None, :])).all()
+def _digitwise(p, m, fn, *xs):
+    """fn applied to the base-p digits of the indices xs, digit by digit."""
+    xs = [np.asarray(x, dtype=np.int64) for x in xs]
+    out = np.zeros(np.broadcast(*xs).shape, dtype=np.int64)
+    pw = 1
+    for _ in range(m):
+        out += fn(*(x // pw % p for x in xs)) % p * pw
+        pw *= p
+    return out
 
 
-def test_add_table_build_memory():
-    """F_3125's 39 MB table must not go through a q x q x m int64 array."""
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3), (3, 4), (3, 6),
+                                 (5, 5), (3, 8), (37, 3), (65521, 1)])
+def test_add_matches_digitwise_reference(p, m):
+    """add, add_vec and neg_table agree with digitwise arithmetic mod p: on
+    every pair up to F_729, on sampled pairs (and the largest index) above."""
+    ctx = make_field(p, m)
+    q = ctx.q
+    if q <= 729:
+        u, v = (a.ravel() for a in np.meshgrid(np.arange(q), np.arange(q)))
+    else:
+        u, v = np.random.default_rng(q).integers(0, q, size=(2, 50000))
+        u[:2], v[:2] = q - 1, [q - 1, 0]
+    want = _digitwise(p, m, np.add, u, v)
+    got = ctx.add_vec(u.astype(np.int32), v.astype(np.int32))
+    assert got.dtype == np.int32 and (got == want).all()
+    assert (ctx.add_vec(u, np.int32(v[0]))
+            == _digitwise(p, m, np.add, u, v[0])).all()
+    assert [ctx.add(a, b) for a, b in zip(u[:3000].tolist(), v[:3000].tolist())] \
+        == want[:3000].tolist()
+    assert (ctx.neg_table == _digitwise(p, m, np.negative, np.arange(q))).all()
+
+
+def _rss_growth_mb(statement):
+    """Peak RSS growth in MB from running statement in a fresh interpreter.
+
+    The peak is VmHWM where there is one: exec resets it, while Linux's
+    ru_maxrss starts at the peak of this (larger) test process and hides any
+    growth below that."""
     script = ("import resource\n"
               "from cdu.gf import FieldCtx\n"
-              "r0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-              "FieldCtx(5, 5)\n"
-              "r1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-              "print((r1 - r0) // 1024)\n")
+              "def peak():\n"
+              "    try:\n"
+              "        with open('/proc/self/status') as f:\n"
+              "            return next(int(l.split()[1]) for l in f\n"
+              "                        if l.startswith('VmHWM:'))\n"
+              "    except OSError:\n"
+              "        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+              "r0 = peak()\n"
+              f"{statement}\n"
+              "print((peak() - r0) / 1024)\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cdu.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     run = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr[-2000:]
-    assert int(run.stdout) < 100
+    return float(run.stdout)
+
+
+def test_add_table_build_memory():
+    """F_3125's addition must not go through a q x q x m int64 array."""
+    assert _rss_growth_mb("FieldCtx(5, 5)") < 100
+
+
+def test_extension_field_has_no_q_squared_table():
+    """F_{61^2} adds through a 61 x 61 table; a full q x q one is 55 MB."""
+    assert _rss_growth_mb("FieldCtx(61, 2)") < 5
 
 
 def test_trace_rel_examples(f4):
