@@ -69,9 +69,13 @@ def build_parser():
     return ap
 
 
-def _make_contexts(args):
+def _make_field(args):
     modulus = parse_modulus(args.modulus) if args.modulus else None
-    base = make_field(args.p, args.m, modulus)
+    return make_field(args.p, args.m, modulus)
+
+
+def _make_contexts(args):
+    base = _make_field(args)
     t = base.parse_elem(args.t) if getattr(args, "t", None) else None
     qctx = make_quadext(base, t)
     return base, qctx
@@ -176,8 +180,7 @@ def _emit(out, args, header, columns, rows, json_rows):
 
 
 def cmd_field(args, out):
-    modulus = parse_modulus(args.modulus) if args.modulus else None
-    base = make_field(args.p, args.m, modulus)
+    base = _make_field(args)
     out.write(f"field: p={base.p} m={base.m} q={base.q}\n")
     out.write(f"modulus: {base.modulus_str()}\n")
     out.write(f"primitive: index {base.primitive} (= w)\n")
@@ -244,9 +247,19 @@ def cmd_verify(args, out):
     return 0
 
 
+_ORACLE_ARGS = {"quad": ("a", "b"), "quartic": ("a2", "a1", "a0"),
+                "bluher": ("k", "a", "b"), "bluhercount": ("k",),
+                "invpred": ("c",)}
+
+
 def cmd_oracle(args, out):
-    modulus = parse_modulus(args.modulus) if args.modulus else None
-    ctx = make_field(args.p, args.m, modulus)
+    missing = [f"--{n}" for n in _ORACLE_ARGS[args.which]
+               if getattr(args, n) is None]
+    if missing:
+        raise CduError(f"oracle {args.which} needs {' '.join(missing)}")
+    if args.k is not None and args.k < 0:
+        raise CduError(f"--k must be >= 0, got {args.k}")
+    ctx = _make_field(args)
     el = ctx.parse_elem
     if args.which == "quad":
         n = quadratic_root_count(ctx, el(args.a), el(args.b))
@@ -278,11 +291,12 @@ def main(argv=None):
         sys.stderr.write("error: --threads must be >= 1\n")
         return 1
     out = sys.stdout
-    close = False
-    if getattr(args, "outfile", None):
-        out = open(args.outfile, "w")
-        close = True
     try:
+        if getattr(args, "outfile", None):
+            try:
+                out = open(args.outfile, "w")
+            except OSError as e:
+                raise CduError(f"cannot write {args.outfile}: {e.strerror}") from e
         if args.cmd == "field":
             return cmd_field(args, out)
         if args.cmd == "ddt":
@@ -296,7 +310,7 @@ def main(argv=None):
         sys.stderr.write(f"error: {e}\n")
         return 1
     finally:
-        if close:
+        if out is not sys.stdout:
             out.close()
 
 

@@ -24,26 +24,24 @@ as $XDG_CACHE_HOME/cdu/rowk-<sha256 of source and flags>.so, default
 ~/.cache/cdu; ctypes releases the GIL during the call, so threaded sweeps
 run c values in parallel.  Where it cannot be built or loaded (no compiler,
 unwritable cache, compile error) every report falls back to the numpy
-kernel ``_row_blocks`` below, which is also the reference the tests compare
-the native kernel against:
+reference ``_rows`` below, which the tests also hold the native kernel to.
+It is one expression over the field's own ``add_vec``, with no addition
+logic of its own:
 
-* Key packing.  Each value of F is one intp key, g*q + h for pair output or
-  the field index, and so is the per-c term -c*F(x).  Row a histograms
+* Keys.  Each value of F is one integer key, g*q + h for pair output or the
+  field index, and so is the per-c term -c*F(x).  Row a histograms
   F(x+a) + (-c*F(x)) over x; the key is also the reported b.
-* Addition.  Points and keys are base-p digit vectors, pair points x*q + y
-  and F_{q^2} indices alike, so every shape runs over one field (F_{q^2}
-  for pair shapes) and uses its addition: an index is x_hi * lo + x_lo,
-  and both halves add in the field's hi x hi ``add_table`` (XOR for
-  p = 2).  The shift x + a is a row gather by the high digit of a, once
-  per slab of a values sharing it, then a column gather by the low digit.
-  The key sum is one XOR for p = 2 and two lookups in that table for odd
-  p.  The per-c term -c*F(x) of a pair shape is the F_{q^2} product
-  -phi(c)*phi(F(x)), carried back through phi^-1.
-* Blocks.  Rows are bincounted about 2^16 points at a time, so keys and bins
-  stay in cache.
-* Memory.  Besides the block buffers and the field's hi x hi addition
-  table (q x q for F_{q^2}), no array is larger than a small multiple of
-  the domain (q^2 points).  There is no table of point+a over all (a, x):
+* Addition.  Points and keys are indices of one field, F_{q^2} for pair
+  shapes (a pair point x*q + y and a key g*q + h are F_{q^2} digit
+  vectors), so the shift x + a and the key sum are both ``add_vec``.  The
+  per-c term of a pair shape is the F_{q^2} product -phi(c)*phi(F(x)),
+  carried back through phi^-1.
+* Blocks.  ``_row_blocks`` hands ``_rows`` max(1, _BLOCK // n) rows at a
+  time; row i of a block is offset by i*n, so one bincount fills them all
+  and keys and bins stay in cache.
+* Memory.  Besides the field's hi x hi addition table (q x q for
+  F_{q^2}), no array is larger than a small multiple of the domain (q^2
+  points) or of a block.  There is no table of point+a over all (a, x):
   one c at q = 125 runs in ~35 MB.
 
 Both kernels check row mass conservation (each row sums to the domain size)
@@ -130,62 +128,21 @@ def classify(uniformity):
 _BLOCK = 1 << 16  # points bincounted at once: keys and bins stay in cache
 
 
+def _rows(field, key, trans, a):
+    """bins[i, b] = #{x : key[x + a[i]] + trans[x] = b}, added in ``field``."""
+    n, add = field.q, field.add_vec
+    off = np.arange(len(a))[:, None] * n
+    out = add(key[add(a[:, None], np.arange(n))], trans) + off
+    # a key past the last bin is dropped here and then fails the mass check
+    return np.bincount(out.ravel(), minlength=out.size)[:out.size].reshape(out.shape)
+
+
 def _row_blocks(field, key, trans):
-    """Yield (a0, bins) with bins[i, b] = #{x : key[x + a0 + i] + trans[x] = b}.
-
-    Domain and codomain are ``field``, whose indices add digitwise; an index
-    is x_hi * lo + x_lo, and both halves add in the field's hi x hi table.
-    """
-    key = np.asarray(key, dtype=np.intp)
-    trans = np.asarray(trans, dtype=np.intp)
-    n, p, lo, hi = len(key), field.p, field.lo, field.hi
-    assert n == field.q
-    add = field.add_table.astype(np.intp)
-    # a block is s slabs (values of a_hi) of l values of a_lo each: whole
-    # slabs when they fit in the budget, else part of one
-    s = l = 1
-    while l < lo and l * p * n <= _BLOCK:
-        l *= p
-    while l == lo and s < hi and s * p * lo * n <= _BLOCK:
-        s *= p
-    # points are laid out [x_lo, x_hi]; a block is [a_lo, x_lo, a_hi, x_hi]
-    off = ((np.arange(s) * lo)[None, :] + np.arange(l)[:, None]) * n
-    off = off.reshape(l, 1, s, 1)
-
-    def layout(v):
-        return np.ascontiguousarray(v.reshape(hi, lo).T)
-
-    if p == 2:
-        srcs = [layout(key)]
-        # key + trans is XOR, and the row offset is a bit field above it
-        toff = np.bitwise_xor(layout(trans)[None, :, None, :], off)
-    else:
-        srcs = [layout(key // lo * hi), layout(key % lo * hi)]
-        t_hi, t_lo = layout(trans // lo), layout(trans % lo)
-        add_hi, add_lo = (add * lo).ravel(), add.ravel()
-    bufs = [np.empty((l, lo, s, hi), dtype=np.intp) for _ in srcs]
-    out = np.empty_like(bufs[0])
-    for a_hi in range(0, hi, s):
-        # row gather: the hi digit of every point moves by each slab's a_hi
-        slabs = [np.take(v, add[a_hi:a_hi + s], axis=1) for v in srcs]
-        for a_lo in range(0, lo, l):
-            # column gather inside the slabs: the lo digit moves by a_lo
-            idx = add[a_lo:a_lo + l, :lo]
-            for v, buf in zip(slabs, bufs):
-                np.take(v, idx, axis=0, out=buf, mode="clip")
-            if p == 2:
-                np.bitwise_xor(bufs[0], toff, out=out)
-            else:
-                g, h = bufs
-                g += t_hi[:, None, :]
-                h += t_lo[:, None, :]
-                np.take(add_hi, g, out=out, mode="clip")
-                out += np.take(add_lo, h, out=g, mode="clip")
-                out += off
-            # a key past the block's bins is dropped here and then fails
-            # the row mass check
-            bins = np.bincount(out.ravel(), minlength=s * l * n)
-            yield a_hi * lo + a_lo, bins[:s * l * n].reshape(s * l, n)
+    """Yield (a0, bins) for every a, about _BLOCK points per block."""
+    n = field.q
+    step = max(1, _BLOCK // n)
+    for a0 in range(0, n, step):
+        yield a0, _rows(field, key, trans, np.arange(a0, min(a0 + step, n)))
 
 
 def _make_report(c, best, spectrum):
@@ -358,19 +315,13 @@ def c_row_spectrum(spec: FuncSpec, qctx: QuadExtCtx, c: CParam, a_index):
         key, trans = tabs.f, _uni_trans(field, tabs.f, c)
     else:
         key, trans = tabs.key, _pair_trans(qctx, tabs, c)
-    n = field.q
-    if not 0 <= a_index < n:
+    if not 0 <= a_index < field.q:
         raise CduError(f"a index {a_index} outside the domain")
-    points = np.arange(n, dtype=np.int32)
-    return np.bincount(field.add_vec(key[field.add_vec(points, a_index)], trans),
-                       minlength=n)
+    return _rows(field, key, trans, np.array([a_index]))[0]
 
 
 def c_uniformity(spec: FuncSpec, qctx: QuadExtCtx, c: CParam) -> CDdtReport:
-    tabs = tables_for(spec, qctx)
-    if isinstance(tabs, UniTable):
-        return uni_report(qctx.ext, tabs.f, c)
-    return pair_report(qctx, tabs, c)
+    return sweep(spec, qctx, [c])[0]
 
 
 def sweep(spec: FuncSpec, qctx: QuadExtCtx, c_list, threads=1):

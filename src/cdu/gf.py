@@ -541,7 +541,10 @@ class FieldCtx:
 
 def parse_modulus(s):
     """Parse the CLI serialization "1,1,0,0,1" (constant term first)."""
-    return tuple(int(c) for c in s.split(","))
+    try:
+        return tuple(int(c) for c in s.split(","))
+    except ValueError:
+        raise CduError(f"--modulus expects integer coefficients, got {s!r}") from None
 
 
 _field_cache = {}

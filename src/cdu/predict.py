@@ -15,7 +15,7 @@ from math import gcd
 
 import numpy as np
 
-from .gf import CduError, FieldCtx
+from .gf import FieldCtx
 from .quadext import QuadExtCtx
 from .funcs import (FuncSpec, InnerFunc, inner, linpoly, linpoly_props,
                     parse_base_elem, parse_gammas, parse_int, tables_for)
@@ -65,11 +65,12 @@ def _not_covered(**trace):
 # the A/B machinery shared by the (L(x), h(y)+L(x)) family
 # ---------------------------------------------------------------------------
 
-def compute_AB(qctx: QuadExtCtx, c1, c2, variant="generic"):
-    """A and B = 1 - c1 + t*c2 for the theorem governing (L(x), h(y)+L(x)).
+def compute_AB(qctx: QuadExtCtx, c1, c2):
+    """A = (c1-c2)*B + t*c2*(1-c1) and B = 1 - c1 + t*c2 for the theorem
+    governing (L(x), h(y)+L(x)).
 
-    generic / even-inverse:  A = (c1-c2)*B + t*c2*(1-c1)
-    odd-inverse (as printed): A = (c2-c1)*B - t*c2*(1-c1), i.e. the negative.
+    Corollary 2 prints the negative of this A for odd q with h the inverse;
+    brute force sides with the theorem's A, which is used for every q.
     When both are nonzero, A/B != 1 (a consequence of the nonvanishing
     condition on t, c).
     """
@@ -80,10 +81,6 @@ def compute_AB(qctx: QuadExtCtx, c1, c2, variant="generic"):
     b = base.add(one_c1, base.mul(qctx.t, c2))
     tc2_1c1 = base.mul(qctx.t, base.mul(c2, one_c1))
     a = base.add(base.mul(base.sub(c1, c2), b), tc2_1c1)
-    if variant == "odd-inverse":
-        a = base.neg(a)
-    elif variant not in ("generic", "even-inverse"):
-        raise CduError(f"unknown compute_AB variant {variant!r}")
     return a, b
 
 

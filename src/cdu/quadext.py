@@ -232,9 +232,6 @@ class QuadExtCtx:
             base.mul(one_c1, one_c1))
         return expr != 0
 
-    def c_str(self, c1, c2):
-        return f"({self.base.elem_str(c1)},{self.base.elem_str(c2)})"
-
     def __repr__(self):
         return (f"QuadExtCtx(q={self.base.q}, t={self.base.elem_str(self.t)}, "
                 f"beta={self.ext.elem_str(self.beta, 'W')})")

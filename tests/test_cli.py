@@ -220,15 +220,42 @@ def test_ext_domain_witness_format(capsys):
     assert rows[0]["witness_b"].startswith("(")
 
 
-@pytest.mark.parametrize("c, spec", [
-    ("w^1", "genlinh{L=x;h=inv}"),
-    ("w^x,0", "genlinh{L=x;h=inv}"),
-    ("sample:abc", "genlinh{L=x;h=inv}"),
-    ("0,0", "genlingold{L=x;k=abc;alpha=0}"),
-    ("0,0", "prodlin{gammas=4;L=x}"),
+def _sweep(c, spec):
+    return ["sweep", "-p", "2", "-m", "4", "--spec", spec, "--c", c]
+
+
+def _oracle(which, *args):
+    return ["oracle", which, "-p", "2", "-m", "3", *args]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(_sweep("w^1", "genlinh{L=x;h=inv}"),
+                 id="w^1-genlinh{L=x;h=inv}"),
+    pytest.param(_sweep("w^x,0", "genlinh{L=x;h=inv}"),
+                 id="w^x,0-genlinh{L=x;h=inv}"),
+    pytest.param(_sweep("sample:abc", "genlinh{L=x;h=inv}"),
+                 id="sample:abc-genlinh{L=x;h=inv}"),
+    pytest.param(_sweep("0,0", "genlingold{L=x;k=abc;alpha=0}"),
+                 id="0,0-genlingold{L=x;k=abc;alpha=0}"),
+    pytest.param(_sweep("0,0", "prodlin{gammas=4;L=x}"),
+                 id="0,0-prodlin{gammas=4;L=x}"),
+    pytest.param(_oracle("quad", "--a", "1"), id="oracle-quad-no-b"),
+    pytest.param(_oracle("quartic", "--a2", "0"), id="oracle-quartic-no-a1-a0"),
+    pytest.param(_oracle("bluher", "--a", "1", "--b", "1"), id="oracle-bluher-no-k"),
+    pytest.param(_oracle("bluher", "--k", "1"), id="oracle-bluher-no-a-b"),
+    pytest.param(_oracle("bluhercount"), id="oracle-bluhercount-no-k"),
+    pytest.param(_oracle("bluhercount", "--k", "-1"),
+                 id="oracle-bluhercount-negative-k"),
+    pytest.param(_oracle("invpred"), id="oracle-invpred-no-c"),
+    pytest.param(["field", "-p", "2", "-m", "4", "--modulus", "a,b"],
+                 id="modulus-not-integers"),
+    pytest.param(["field", "-p", "2", "-m", "4", "--modulus", "1,,1"],
+                 id="modulus-empty-coefficient"),
+    pytest.param(["sweep", "-p", "2", "-m", "2", "--spec", "identity",
+                  "--c", "0,0", "-o", "/nonexistent/x"],
+                 id="output-in-missing-directory"),
 ])
-def test_malformed_input_exits_one(capsys, c, spec):
-    code, out, err = run_cli(capsys, "sweep", "-p", "2", "-m", "4",
-                             "--spec", spec, "--c", c)
+def test_malformed_input_exits_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -203,8 +203,9 @@ def test_row_spectrum_and_derivative_match_naive_odd_p(field):
             ddt.c_row_spectrum(spec, qctx, cs[0], n)
 
 
-# F_4, F_8, F_9, F_25: both characteristics, and p >= 5
-_PROPERTY_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2)]
+# F_4, F_8, F_9, F_25, F_3, F_7: both characteristics, p >= 5, and prime
+# fields, whose uni-base shape adds by (u + v) % p
+_PROPERTY_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 1), (7, 1)]
 
 
 @contextlib.contextmanager
@@ -231,8 +232,8 @@ def test_report_matches_naive_counter(kernel, field, shape, seed, identity,
                                       block):
     """Uniformity, spectrum and witness of random generic tables in every
     shape; uni-base is a univariate table over F_q itself, as predict uses.
-    Small block budgets put the numpy kernel's block seams inside slabs and
-    between them."""
+    Small block budgets make the numpy kernel's blocks one or a few rows
+    long, so many block seams fall inside one report."""
     default_block, ddt._BLOCK = ddt._BLOCK, block
     try:
         with _kernel(kernel):
