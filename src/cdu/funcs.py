@@ -26,8 +26,10 @@ Spec strings (the CLI mini-language):
 
 Linearized polynomials are sums of terms "x", "x^E" or "<el>*x^E" where every
 exponent E must be a power of p.  Elements are "0", "w^k" (base field), "W^k"
-(extension field) or a decimal prime-subfield literal.  Inner functions for h
-slots: "inv", "id", "gold:<k>", "pow:<e>", "lin:<linpoly>".
+(extension field) or a decimal prime-subfield literal 0..p-1.  Inner
+functions for h slots: "inv", "id", "gold:<k>" (k >= 0), "pow:<e>",
+"lin:<linpoly>".  genericbiv and genericuni take value tables, which only
+``func_spec`` can pass.
 """
 
 from __future__ import annotations
@@ -140,13 +142,12 @@ def parse_linpoly(s, ctx: FieldCtx) -> LinearizedPoly:
 
 @dataclass(frozen=True)
 class InnerFunc:
-    """Total univariate map of F_q: inverse, Gold, power, linearized or table."""
+    """Total univariate map of F_q: inverse, identity, Gold, power or linearized."""
 
     tag: str
     k: int = 0
     e: int = 0
     lin: str = ""
-    table: tuple = ()
 
     def table_over(self, ctx: FieldCtx):
         xs = np.arange(ctx.q, dtype=np.int32)
@@ -160,11 +161,6 @@ class InnerFunc:
             return ctx.pow_vec(xs, self.e)
         if self.tag == "lin":
             return parse_linpoly(self.lin, ctx).table(ctx)
-        if self.tag == "table":
-            tab = np.asarray(self.table, dtype=np.int32)
-            if len(tab) != ctx.q:
-                raise InvalidParams("inner table has wrong length")
-            return tab
         raise InvalidParams(f"unknown inner function {self.tag!r}")
 
 
@@ -173,7 +169,10 @@ def parse_inner(s) -> InnerFunc:
     if s in ("inv", "id"):
         return InnerFunc(tag=s)
     if s.startswith("gold:"):
-        return InnerFunc(tag="gold", k=_int(s[5:], "gold exponent"))
+        k = _int(s[5:], "gold exponent")
+        if k < 0:
+            raise SpecParseError(f"gold exponent must be >= 0, got {k}")
+        return InnerFunc(tag="gold", k=k)
     if s.startswith("pow:"):
         return InnerFunc(tag="pow", e=_int(s[4:], "pow exponent"))
     if s.startswith("lin:"):
@@ -231,17 +230,23 @@ def func_spec(family, **params):
 
 
 def parse_func_spec(s) -> FuncSpec:
-    """Parse one construction string, e.g. ``genlinh{L=x;h=inv}``."""
+    """Parse one construction string, e.g. ``genlinh{L=x;h=inv}``.
+
+    genericbiv and genericuni take their value tables from ``func_spec``
+    only, so no string names them.
+    """
     s = s.strip()
-    if "{" not in s:
-        if s not in FAMILIES:
-            raise SpecParseError(f"unknown family {s!r} (position 0)")
+    head = s.split("{", 1)[0]
+    if head not in FAMILIES:
+        raise SpecParseError(f"unknown family {head!r} (position 0)")
+    if head in ("genericbiv", "genericuni"):
+        raise SpecParseError(
+            f"{head} takes its tables from the library (func_spec), not a spec string")
+    if head == s:
         return FuncSpec(s)
     if not s.endswith("}"):
         raise SpecParseError(f"missing closing brace in {s!r} (position {len(s)})")
-    head, body = s[:-1].split("{", 1)
-    if head not in FAMILIES:
-        raise SpecParseError(f"unknown family {head!r} (position 0)")
+    body = s[len(head) + 1:-1]
     params = {}
     pos = len(head) + 1
     for part in body.split(";"):
@@ -292,6 +297,14 @@ def parse_int(spec, name, required=True):
     return _int(v, f"{spec.family} parameter {name}")
 
 
+def parse_gold_k(spec):
+    """The exponent index k >= 0 of a Gold power x^(p^k+1) in a spec."""
+    k = parse_int(spec, "k")
+    if k < 0:
+        raise InvalidParams(f"{spec.family} needs k >= 0, got k={k}")
+    return k
+
+
 def parse_base_elem(spec, name, ctx, required=True):
     v = spec.param(name)
     if v is None:
@@ -309,8 +322,6 @@ def linpoly(spec, name, ctx) -> LinearizedPoly:
     v = spec.param(name)
     if v is None:
         raise InvalidParams(f"{spec.family} needs parameter {name}")
-    if isinstance(v, LinearizedPoly):
-        return v
     return parse_linpoly(str(v), ctx)
 
 
@@ -318,17 +329,12 @@ def inner(spec, name) -> InnerFunc:
     v = spec.param(name)
     if v is None:
         raise InvalidParams(f"{spec.family} needs parameter {name}")
-    if isinstance(v, InnerFunc):
-        return v
     return parse_inner(str(v))
 
 
 def parse_gammas(spec, ctx):
-    """prodlin's [(i, gamma_i)], from "4:1,2:w^3" or from (i, element) pairs."""
+    """prodlin's [(i, gamma_i)] from "4:1,2:w^3"."""
     gammas = spec.param("gammas", "")
-    if not isinstance(gammas, str):
-        return [(int(i), c if isinstance(c, int) else ctx.parse_elem(str(c)))
-                for i, c in gammas]
     out = []
     for term in filter(None, gammas.split(",")):
         i, sep, c = term.partition(":")
@@ -340,9 +346,7 @@ def parse_gammas(spec, ctx):
 
 def _trace_to_base(qctx, vals):
     """Tr^n_m of extension elements, mapped back to base-field indices."""
-    ext = qctx.ext
-    tr = ext.add_vec(vals, ext.frobenius_vec(vals, qctx.base.m))
-    out = qctx.unembed[tr]
+    out = qctx.unembed[qctx.ext.trace_rel_vec(qctx.base.m, vals)]
     assert (out >= 0).all()
     return out.astype(np.int32)
 
@@ -396,7 +400,7 @@ def build_tables(spec: FuncSpec, qctx: QuadExtCtx):
                              base.mul_vec(X, base.frobenius_vec(Y, j))))
             return PairTables(BIV, g, h)
         if fam == "goldpair":
-            k = parse_int(spec, "k")
+            k = parse_gold_k(spec)
             gamma = parse_base_elem(spec, "gamma", base)
             if gamma == base.neg(1):
                 raise InvalidParams("goldpair needs gamma != -1")
@@ -448,7 +452,7 @@ def build_tables(spec: FuncSpec, qctx: QuadExtCtx):
         if fam == "tracext":
             variant = str(spec.param("H"))
             if variant == "gold":
-                k = parse_int(spec, "k")
+                k = parse_gold_k(spec)
                 gamma = ext.parse_elem(str(spec.param("gamma")), letter="W")
                 if ext.add(ext.frobenius(gamma, base.m), gamma) == 0:
                     raise InvalidParams("tracext gold needs Tr(gamma) != 0")

@@ -6,6 +6,12 @@ significant, so index 0 is the additive identity and index 1 the
 multiplicative identity.  All arithmetic goes through log/antilog tables,
 which lets bulk operations run on whole numpy arrays of indices; that is
 what makes full DDT sweeps affordable.
+
+The tables are built with F_p matrices only: multiplying by g is the m x m
+matrix whose row j is g*x^j mod f, so a coefficient row times it is the
+row of the product.  Berlekamp's matrix of v -> v^p decides irreducibility,
+matrix powers find the primitive element, and the antilog chain doubles
+as a block of known powers times the matrix of the next power.
 """
 
 from __future__ import annotations
@@ -77,96 +83,123 @@ def _prime_factors(n):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over F_p (coefficient lists, constant term first)
+# F_p matrices: the one representation of the bootstrap
 # ---------------------------------------------------------------------------
 
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _times(row, f, p):
+    """The m x m matrix of v -> g*v mod f, for g given by its coefficient row.
+
+    Row j is g*x^j mod f (f monic of degree m), so a coefficient row times
+    the matrix, mod p, is the row of the product with g.
+    """
+    m = len(f) - 1
+    low = np.asarray(f[:m], dtype=np.int64)
+    out = np.empty((m, m), dtype=np.int64)
+    r = np.asarray(row, dtype=np.int64) % p
+    for j in range(m):
+        out[j] = r
+        # times x: shift up one place, x^m = -(f_0 + f_1 x + ... + f_(m-1) x^(m-1))
+        r = (np.concatenate(([0], r[:-1])) - r[-1] * low) % p
+    return out
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a, f, p):
-    # f monic
-    a = list(a)
-    df = len(f) - 1
-    for i in range(len(a) - 1, df - 1, -1):
-        c = a[i] % p
-        if c:
-            for j in range(df + 1):
-                a[i - df + j] = (a[i - df + j] - c * f[j]) % p
-    return _ptrim(a[:df])
-
-
-def _ppowmod(a, e, f, p):
-    result = [1]
-    base = _pmod(a, f, p)
+def _mat_pow(a, e, p):
+    """a^e mod p for a square integer matrix a and e >= 0."""
+    out = np.eye(len(a), dtype=a.dtype)
     while e:
         if e & 1:
-            result = _pmod(_pmul(result, base, p), f, p)
-        base = _pmod(_pmul(base, base, p), f, p)
+            out = out @ a % p
+        a = a @ a % p
         e >>= 1
-    return result
+    return out
 
 
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    return _ptrim(out)
-
-
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        # make b monic before reducing
-        lead = b[-1]
-        if lead != 1:
-            inv = pow(lead, p - 2, p)
-            b = [(c * inv) % p for c in b]
-        a, b = b, _pmod(a, b, p)
-    return a
+def _rank(a, p):
+    """Rank over F_p of an integer matrix, by Gaussian elimination."""
+    a = np.array(a, dtype=np.int64) % p
+    rank = 0
+    for col in range(a.shape[1]):
+        nz = np.flatnonzero(a[rank:, col])
+        if not len(nz):
+            continue
+        i = rank + nz[0]
+        a[[rank, i]] = a[[i, rank]]
+        a[rank] = a[rank] * pow(int(a[rank, col]), -1, p) % p
+        a[rank + 1:] = (a[rank + 1:] - np.outer(a[rank + 1:, col], a[rank])) % p
+        rank += 1
+    return rank
 
 
 def is_irreducible(coeffs, p):
-    """Rabin test for a monic polynomial over F_p (constant term first).
+    """Whether a monic polynomial over F_p (constant term first) is irreducible.
+
+    Berlekamp's Q, the matrix of v -> v^p on F_p[x]/(f) (row j is x^(pj)
+    mod f), decides it for f of degree m: Q^m = I exactly when f is
+    squarefree and every factor degree d divides m, and then the kernel of
+    Q^(m/r) - I, the elements fixed by v -> v^(p^(m/r)), has dimension the
+    sum of gcd(d, m/r) over the factors.  That sum is m/r for every prime
+    r | m only when f is one factor of degree m.
 
     Also rejects a zero constant term: 0 must not be a root, which for
     degree 1 selects x+1 rather than x (higher degrees force it anyway).
     """
-    f = list(coeffs)
+    f = [int(c) % p for c in coeffs]
     m = len(f) - 1
-    if m < 1 or f[-1] % p != 1:
+    if m < 1 or f[-1] != 1 or f[0] == 0:
         return False
-    if f[0] % p == 0:
+    if m == 1:
+        return True
+    eye = np.eye(m, dtype=np.int64)
+    xp = _mat_pow(_times(eye[1], f, p), p, p)  # v -> x^p * v
+    frob = eye.copy()
+    for j in range(1, m):
+        frob[j] = frob[j - 1] @ xp % p
+    if (_mat_pow(frob, m, p) != eye).any():
         return False
-    x = _pmod([0, 1], f, p)
-    frob = {0: x}
-    cur = x
-    for d in range(1, m + 1):
-        cur = _ppowmod(cur, p, f, p)
-        frob[d] = cur
-    if frob[m] != x:
-        return False
-    for r in _prime_factors(m):
-        g = _pgcd(_psub(frob[m // r], x, p), f, p)
-        if len(g) - 1 > 0:
-            return False
-    return True
+    return all(_rank(_mat_pow(frob, m // r, p) - eye, p) == m - m // r
+               for r in _prime_factors(m))
+
+
+def _row(g, p, m):
+    """The coefficient row of index g (its base-p digits, constant first)."""
+    return g // p ** np.arange(m) % p
+
+
+def _primitive(p, f):
+    """The smallest index of order q-1 in the field F_p[x]/(f), f irreducible.
+
+    g is primitive iff no proper power g^((q-1)/r), r a prime factor of
+    q-1, is 1, that is iff no such power of its matrix is the identity.
+    """
+    m = len(f) - 1
+    qm1 = p ** m - 1
+    eye = np.eye(m, dtype=np.int64)
+    exps = [qm1 // r for r in _prime_factors(qm1)]
+    return next(g for g in range(1, qm1 + 1)
+                if all((_mat_pow(_times(_row(g, p, m), f, p), e, p) != eye).any()
+                       for e in exps))
+
+
+def _antilog(p, f, g):
+    """int32 indices of g^0 .. g^(q-2) in F_p[x]/(f).
+
+    The coefficient rows fill by doubling: once rows [0, k) are known, rows
+    [k, 2k) are those times the matrix of g^k, into one preallocated array.
+    """
+    m = len(f) - 1
+    qm1 = p ** m - 1
+    dt = np.int32 if m * p * p < 1 << 31 else np.int64  # exact matmul
+    rows = np.zeros((qm1, m), dtype=dt)
+    rows[0, 0] = 1
+    step = _times(_row(g, p, m), f, p).astype(dt)
+    k = 1
+    while k < qm1:
+        n = min(k, qm1 - k)
+        np.matmul(rows[:n], step, out=rows[k:k + n])
+        rows[k:k + n] %= p
+        step = step @ step % p
+        k += n
+    return (rows @ (p ** np.arange(m)).astype(dt)).astype(np.int32)
 
 
 def default_modulus(p, m):
@@ -175,16 +208,8 @@ def default_modulus(p, m):
     Low-degree coefficients are compared first, i.e. candidates are tried
     in order of their base-p integer encoding.
     """
-    for n in range(p ** m):
-        coeffs = []
-        v = n
-        for _ in range(m):
-            coeffs.append(v % p)
-            v //= p
-        coeffs.append(1)
-        if is_irreducible(coeffs, p):
-            return tuple(coeffs)
-    raise ReducibleModulus(f"no irreducible polynomial of degree {m} over F_{p}")
+    monic = (tuple(int(c) for c in _row(n, p, m)) + (1,) for n in range(p ** m))
+    return next(f for f in monic if is_irreducible(f, p))
 
 
 # ---------------------------------------------------------------------------
@@ -228,88 +253,23 @@ class FieldCtx:
         self.lo = p ** (m // 2)
         self.hi = q // self.lo
 
-        if p == 2:
-            self._modmask = sum(c << i for i, c in enumerate(modulus))
-        self._ppows = [p ** i for i in range(m + 1)]
-
         self._build_log_tables()
         self._build_aux_tables()
 
-    # -- bootstrap multiplication on raw indices (python ints) --------------
-
-    def _mul_raw(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        p, m = self.p, self.m
-        if p == 2:
-            r = 0
-            while b:
-                if b & 1:
-                    r ^= a
-                b >>= 1
-                a <<= 1
-                if a >> m & 1:
-                    a ^= self._modmask
-            return r
-        da = self._digits(a)
-        db = self._digits(b)
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        red = _pmod(prod, list(self.modulus), p)
-        return self._undigits(red)
-
-    def _digits(self, idx):
-        out = []
-        p = self.p
-        for _ in range(self.m):
-            out.append(idx % p)
-            idx //= p
-        return out
-
-    def _undigits(self, digits):
-        v = 0
-        for i, d in enumerate(digits):
-            v += (d % self.p) * self._ppows[i]
-        return v
-
     # -- table construction --------------------------------------------------
-
-    def _pow_raw(self, a, e):
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            e >>= 1
-        return r
 
     def _build_log_tables(self):
         q = self.q
         qm1 = q - 1
-        # the smallest index of order q-1: g is primitive iff no proper
-        # power g^((q-1)/r), r a prime factor of q-1, is 1
-        exps = [qm1 // r for r in _prime_factors(qm1)]
-        primitive = next((g for g in range(1, q)
-                          if all(self._pow_raw(g, e) != 1 for e in exps)), None)
-        if primitive is None:
-            raise CduError("no primitive element found (modulus not irreducible?)")
-        antilog = [1]
-        for _ in range(qm1 - 1):
-            antilog.append(self._mul_raw(antilog[-1], primitive))
-        self.primitive = primitive
-        self.antilog_table = np.asarray(antilog, dtype=np.int32)
-        # log with a sentinel for 0 so products involving 0 fall in the
-        # zero-padded tail of the doubled antilog table
-        Z = 2 * qm1
-        log = np.full(q, Z, dtype=np.int64)
+        self.primitive = _primitive(self.p, self.modulus)
+        self.antilog_table = _antilog(self.p, self.modulus, self.primitive)
+        # log with a sentinel 2(q-1) for 0 so products involving 0 fall in
+        # the zero-padded tail of the doubled antilog table
+        log = np.full(q, 2 * qm1, dtype=np.int64)
         log[self.antilog_table] = np.arange(qm1, dtype=np.int64)
         self.log_table = log
         exp2 = np.zeros(4 * qm1 + 1, dtype=np.int32)
-        idx = np.arange(2 * qm1 - 1)
-        exp2[: 2 * qm1 - 1] = self.antilog_table[idx % qm1]
+        exp2[: 2 * qm1 - 1] = np.resize(self.antilog_table, 2 * qm1 - 1)
         self._exp2 = exp2
 
     @cached_property
@@ -345,13 +305,8 @@ class FieldCtx:
             (-np.arange(qm1)) % qm1]
         # absolute trace to F_p; prime-subfield elements are the constant
         # polynomials, so the result is directly an index < p
-        tr = idx.copy()
-        f = idx.copy()
-        for _ in range(m - 1):
-            f = self.pow_vec(f, p)
-            tr = self.add_vec(tr, f)
-        assert int(tr.max(initial=0)) < p
-        self.trace1_table = tr
+        self.trace1_table = self.trace_rel_vec(1, idx)
+        assert int(self.trace1_table.max(initial=0)) < p
 
     # -- scalar arithmetic on indices ---------------------------------------
 
@@ -438,18 +393,8 @@ class FieldCtx:
     def frobenius_vec(self, u, e):
         return self.pow_vec(u, self.p ** (e % self.m))
 
-    def trace_rel(self, l, x):
-        """Relative trace to F_{p^l}: sum of x^(p^(l*i)), i < m/l."""
-        if self.m % l != 0:
-            raise NonDivisorSubfield(f"{l} does not divide {self.m}")
-        acc = x
-        cur = x
-        for _ in range(self.m // l - 1):
-            cur = self.pow(cur, self.p ** l)
-            acc = self.add(acc, cur)
-        return acc
-
     def trace_rel_vec(self, l, u):
+        """Relative trace to F_{p^l}: sum of u^(p^(l*i)), i < m/l, elementwise."""
         if self.m % l != 0:
             raise NonDivisorSubfield(f"{l} does not divide {self.m}")
         acc = np.asarray(u).copy()
@@ -519,7 +464,10 @@ class FieldCtx:
                 raise CduError(f"cannot parse field element {s!r}") from None
             return int(self.antilog_table[k % (self.q - 1)])
         if s.isdigit():
-            return int(s) % self.p
+            if int(s) >= self.p:
+                raise CduError(f"decimal literal {s} is not in 0..{self.p - 1}; "
+                               f"write other elements as {letter}^k")
+            return int(s)
         raise CduError(f"cannot parse field element {s!r}")
 
     def modulus_str(self):

@@ -68,9 +68,6 @@ class QuarticType:
     pattern: tuple
 
 
-_RESOLVENT_PATTERNS = {0: (1, 3), 1: None, 3: None}
-
-
 def _cubic_roots(ctx, a2, a1):
     ys = np.arange(ctx.q, dtype=np.int32)
     vals = ctx.add_vec(

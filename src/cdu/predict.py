@@ -18,7 +18,8 @@ import numpy as np
 from .gf import FieldCtx
 from .quadext import QuadExtCtx
 from .funcs import (FuncSpec, InnerFunc, inner, linpoly, linpoly_props,
-                    parse_base_elem, parse_gammas, parse_int, tables_for)
+                    parse_base_elem, parse_gammas, parse_gold_k, parse_int,
+                    tables_for)
 from .oracles import IdentityC, inverse_c_uniformity_predict
 from . import ddt
 
@@ -210,7 +211,7 @@ def _predict_goldpair(spec, qctx, c1, c2):
     base = qctx.base
     if c2 != 0:
         return _not_covered(reason="covers only c = (c1, 0)")
-    k = parse_int(spec, "k")
+    k = parse_gold_k(spec)
     gamma = parse_base_elem(spec, "gamma", base)
     d = gcd(base.m, k)
     dgold = gcd(base.p ** k + 1, base.q - 1)
@@ -241,8 +242,11 @@ def _predict_tracext(spec, qctx, c1, c2):
         if c2 != 0:
             return _not_covered(reason="norm branch covers only c = (c1, 0)")
         return _exact(2, branch="norm")
-    k = parse_int(spec, "k")
+    k = parse_gold_k(spec)
     d = gcd(k, base.m)
+    if k % base.m == 0:
+        # z^(p^k) is z or z^q, so h is Tr(gamma*z^2) or Tr(gamma)*N(z)
+        return _not_covered(reason="m | k: h is not a Gold map", d=d)
     if c2 == 0:
         return _exact(base.p ** d + 1, d=d)
     if d == 1:
@@ -250,34 +254,28 @@ def _predict_tracext(spec, qctx, c1, c2):
     return _not_covered(reason="needs gcd(k,m)=1 or c2=0", d=d)
 
 
-def _norm_groups(qctx):
-    ext, q = qctx.ext, qctx.base.q
-    norms = qctx.unembed[ext.pow_vec(np.arange(ext.q, dtype=np.int32), q + 1)]
-    return [np.flatnonzero(norms == v).astype(np.int32) for v in range(q)]
-
-
 def _predict_normfirst(spec, qctx, c1, c2):
     """Exact delta by scanning H(x+a) - c1*H(x) over every norm coset.
 
     The first coordinate pins the solutions of the system to one coset
     beta*U + a/(c1-1) per b1, so the maximum over (a, coset, b2) is exactly
-    the c-differential uniformity.
+    the c-differential uniformity.  The coset of z is N(z - a/(c1-1)), so
+    per a one bincount of N(z - shift) * q + hd(z) counts every (coset, b2).
     """
     base, ext = qctx.base, qctx.ext
     if c2 != 0:
         return _not_covered(reason="covers only c = (c1, 0)")
     htab = tables_for(spec, qctx).h
-    groups = _norm_groups(qctx)
-    shift_unit = int(qctx.embed[base.inv(base.sub(c1, 1))])
     zs = np.arange(ext.q, dtype=np.int32)
+    norm_q = qctx.unembed[ext.pow_vec(zs, base.q + 1)].astype(np.intp) * base.q
+    shift_unit = int(qctx.embed[base.inv(base.sub(c1, 1))])
     mc1 = base.mul_row(c1)
     delta = 0
     for a in range(ext.q):
         hd = base.sub_vec(htab[ext.add_vec(zs, np.int32(a))], mc1[htab])
-        shift = ext.mul(a, shift_unit)
-        for grp in groups:
-            vals = hd[ext.add_vec(grp, np.int32(shift))]
-            delta = max(delta, int(np.bincount(vals, minlength=1).max()))
+        minus_shift = ext.neg(ext.mul(a, shift_unit))
+        key = norm_q[ext.add_vec(zs, np.int32(minus_shift))] + hd
+        delta = max(delta, int(np.bincount(key).max()))
     return _exact(delta, coset_scan=True)
 
 

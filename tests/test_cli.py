@@ -254,6 +254,20 @@ def _oracle(which, *args):
     pytest.param(["sweep", "-p", "2", "-m", "2", "--spec", "identity",
                   "--c", "0,0", "-o", "/nonexistent/x"],
                  id="output-in-missing-directory"),
+    # the generic families take tables from the library API only
+    pytest.param(_sweep("0,0", "genericbiv"), id="genericbiv"),
+    pytest.param(_sweep("0,0", "genericbiv{gtable=1;htable=1}"),
+                 id="genericbiv-with-tables"),
+    pytest.param(_sweep("W^1", "genericuni"), id="genericuni"),
+    pytest.param(_sweep("W^1", "genericuni{table=1}"), id="genericuni-with-table"),
+    pytest.param(_sweep("0,0", "genlinh{L=x;h=gold:-1}"), id="h-gold-negative-k"),
+    pytest.param(_sweep("0,0", "goldpair{k=-1;gamma=w^5;L=x}"),
+                 id="goldpair-negative-k"),
+    pytest.param(_sweep("0,0", "tracext{H=gold;k=-1;gamma=W^1}"),
+                 id="tracext-gold-negative-k"),
+    # 7 is no element of F_3 (7 mod 3 would be the identity c)
+    pytest.param(["sweep", "-p", "3", "-m", "1", "--spec", "identity",
+                  "--c", "7,0"], id="c-literal-not-below-p"),
 ])
 def test_malformed_input_exits_one(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

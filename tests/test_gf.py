@@ -8,10 +8,10 @@ import pytest
 
 import cdu
 from cdu import make_field, NSQ, SQ, ZERO
-from cdu.gf import (CompositeCharacteristic, ContextMismatch, DivisionByZero,
-                    FieldCtx, FieldTooLarge, NonDivisorSubfield,
-                    ReducibleModulus, default_modulus, is_irreducible,
-                    parse_modulus)
+from cdu.gf import (CduError, CompositeCharacteristic, ContextMismatch,
+                    DivisionByZero, FieldCtx, FieldTooLarge,
+                    NonDivisorSubfield, ReducibleModulus, default_modulus,
+                    is_irreducible, parse_modulus)
 
 
 def brute_irreducible_quartic(coeffs):
@@ -64,6 +64,21 @@ _PRIMITIVES = {(2, 1): 1, (2, 2): 2, (2, 3): 2, (2, 4): 2, (2, 5): 2,
                (5, 3): 9}
 
 
+def _schoolbook_mul(a, b, p, f):
+    """a*b mod f on base-p digit indices: long multiplication, then division."""
+    m = len(f) - 1
+    da, db = ([x // p ** i % p for i in range(m)] for x in (a, b))
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    for i in range(2 * m - 2, m - 1, -1):  # f monic: clear x^i with x^(i-m)*f
+        c = prod[i] % p
+        for j in range(m + 1):
+            prod[i - m + j] -= c * f[j]
+    return sum(prod[i] % p * p ** i for i in range(m))
+
+
 @pytest.mark.parametrize("p, m", sorted(_PRIMITIVES))
 def test_primitive_and_antilog_pinned(p, m):
     f = FieldCtx(p, m)
@@ -71,7 +86,7 @@ def test_primitive_and_antilog_pinned(p, m):
     assert g == _PRIMITIVES[p, m]
     chain = [1]
     for _ in range(qm1 - 1):
-        chain.append(f._mul_raw(chain[-1], g))
+        chain.append(_schoolbook_mul(chain[-1], g, p, f.modulus))
     assert f.antilog_table.tolist() == chain
     assert sorted(chain) == list(range(1, f.q))
     # every smaller index has a shorter power cycle
@@ -101,6 +116,30 @@ def test_default_modulus_deterministic():
 def test_is_irreducible_rejects_x():
     assert not is_irreducible((0, 1), 2)
     assert is_irreducible((1, 1), 2)
+
+
+def _mobius(n):
+    out = 1
+    for r in range(2, n + 1):
+        if n % r == 0 and all(r % s for s in range(2, r)):
+            if n % (r * r) == 0:
+                return 0
+            out = -out
+    return out
+
+
+@pytest.mark.parametrize("p,mmax", [(2, 10), (3, 6), (5, 4), (7, 3)])
+def test_is_irreducible_counts_match_gauss(p, mmax):
+    """Over every monic polynomial of degree m, is_irreducible accepts
+    (1/m) sum_{d | m} mu(d) p^(m/d) of them (Gauss's count), less x for
+    m = 1; with a leading coefficient other than 1 it accepts none."""
+    for m in range(1, mmax + 1):
+        want = sum(_mobius(d) * p ** (m // d) for d in range(1, m + 1)
+                   if m % d == 0) // m - (m == 1)
+        monic = [[n // p ** i % p for i in range(m)] + [1] for n in range(p ** m)]
+        assert sum(is_irreducible(f, p) for f in monic) == want
+        for lead in range(2, p):
+            assert not any(is_irreducible(f[:-1] + [lead], p) for f in monic[:50])
 
 
 def test_arith_basics(f2, f16):
@@ -221,11 +260,11 @@ def test_trace_rel_examples(f4):
     # Tr^2_1(w) = w + w^2 = 1 over F_4 with modulus x^2+x+1
     w = f4.primitive
     assert f4.add(w, f4.mul(w, w)) == 1
-    assert f4.trace_rel(1, w) == 1
-    assert f4.trace_rel(2, w) == w  # l = m: single summand
-    assert f4.trace_rel(1, 0) == 0
+    assert f4.trace_rel_vec(1, [w, 0]).tolist() == [1, 0]
+    assert f4.trace_rel_vec(2, [w]).tolist() == [w]  # l = m: single summand
+    assert (f4.trace1_table == f4.trace_rel_vec(1, np.arange(4))).all()
     with pytest.raises(NonDivisorSubfield):
-        make_field(2, 4).trace_rel(3, 1)
+        make_field(2, 4).trace_rel_vec(3, [1])
 
 
 @pytest.mark.parametrize("p,m,l", [(2, 4, 1), (2, 4, 2), (2, 6, 3), (3, 3, 1)])
@@ -285,6 +324,10 @@ def test_elem_formatting_and_parsing(f16):
         assert f16.parse_elem(f16.elem_str(x)) == x
     assert parse_modulus(f16.modulus_str()) == f16.modulus
     assert f16.parse_elem("W^3") == f16.parse_elem("w^3")
+    f3 = make_field(3, 1)
+    assert f3.parse_elem("2") == 2
+    with pytest.raises(CduError, match="not in 0..2"):
+        f3.parse_elem("7")
 
 
 def test_field_elem_ops(f16, f8):

@@ -165,6 +165,27 @@ def test_traceinv_prediction_kinds(qx16):
     assert p_open.kind == UPPER and p_open.value in (4, 6)
 
 
+@pytest.mark.parametrize("p,m,k,observed", [
+    (2, 3, 0, 1), (2, 3, 3, 2), (2, 3, 6, 1), (3, 2, 2, 2), (3, 2, 4, 2),
+    (2, 1, 1, 2), (3, 1, 1, 2)])
+def test_tracext_gold_not_covered_when_m_divides_k(p, m, k, observed):
+    """For m | k, z^(p^k) is z or z^q, so h is Tr(gamma*z^2) or
+    Tr(gamma)*N(z), not a Gold map.  The Gold value p^gcd(k,m) + 1 = p^m + 1
+    failed on every c of the line; brute force gives `observed` there."""
+    qx = make_quadext(make_field(p, m))
+    spec = parse_func_spec(f"tracext{{H=gold;k={k};gamma=W^1}}")
+    res = verify(spec, qx, ddt.c_line_biv(p ** m))
+    assert res.ok and len(res.rows) == p ** m - 1
+    assert {(r.verdict, r.observed) for r in res.rows} == {("NOT-COVERED", observed)}
+    assert all("m | k" in r.prediction.trace["reason"] for r in res.rows)
+
+
+def test_tracext_gold_line_value_when_m_does_not_divide_k(qx8):
+    res = verify(parse_func_spec("tracext{H=gold;k=2;gamma=W^1}"), qx8,
+                 ddt.c_line_biv(8))
+    assert {(r.verdict, r.observed) for r in res.rows} == {("MATCH", 3)}
+
+
 def test_identity_c_rejected(qx16):
     with pytest.raises(IdentityC):
         predict.predict(parse_func_spec("genlinh{L=x;h=inv}"), qx16, 1, 0)
