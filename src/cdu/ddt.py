@@ -15,9 +15,9 @@ Native kernel.  ``_rowk.c`` does a whole c in one C call: for each row it
 histograms key[x + a] + trans[x] into n bins, then one branch-free,
 vectorized pass over the bins sums the row mass, takes the row maximum and
 counts the entries below a small bound in registers.  Only rows whose
-maximum reaches that bound take a scalar pass for their larger entries, and
-only rows whose maximum beats the best so far are scanned for the first
-witness; then the bins are zeroed.  It is compiled on first use with
+maximum reaches that bound take a scalar pass for their larger entries,
+and only rows that beat the best maximum so far, or tie it at a smaller a,
+are scanned for the first witness.  It is compiled on first use with
 ``cc -O3 -shared -fPIC`` (no -march, so the file stays portable; on x86-64
 the reduction carries an AVX2 clone that is picked at load time) and cached
 as $XDG_CACHE_HOME/cdu/rowk-<sha256 of source and flags>.so, default
@@ -35,14 +35,16 @@ logic of its own:
   shapes (a pair point x*q + y and a key g*q + h are F_{q^2} digit
   vectors), so the shift x + a and the key sum are both ``add_vec``.  The
   per-c term of a pair shape is the F_{q^2} product -phi(c)*phi(F(x)),
-  carried back through phi^-1.
+  carried back through phi^-1.  At odd p the native kernel adds the same
+  way, on the field's carry-free wide codes: it is handed wide[key] and
+  wide[trans], and each point costs one integer add and two small lookups.
 * Blocks.  ``_row_blocks`` hands ``_rows`` max(1, _BLOCK // n) rows at a
   time; row i of a block is offset by i*n, so one bincount fills them all
   and keys and bins stay in cache.
-* Memory.  Besides the field's hi x hi addition table (q x q for
-  F_{q^2}), no array is larger than a small multiple of the domain (q^2
-  points) or of a block.  There is no table of point+a over all (a, x):
-  one c at q = 125 runs in ~35 MB.
+* Memory.  Besides the field's wide codes (one int32 per index, and two
+  lookups of at most 73^2 entries), no array is larger than a small
+  multiple of the domain (q^2 points) or of a block.  There is no table
+  of point+a over all (a, x): one c at q = 125 runs in ~35 MB.
 
 Both kernels check row mass conservation (each row sums to the domain size)
 on every report, and every key and -c*F(x) value is checked to lie in the
@@ -55,6 +57,7 @@ import ctypes
 import os
 import random
 import subprocess
+import sys
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -214,7 +217,7 @@ def _compile_rowk():
     c_int = ctypes.c_int
     tail = [c_int, i32, i64, i64]  # start, bins, spec, best
     lib.cdu_rows_xor.argtypes = [c_int, i32, i32] + tail
-    lib.cdu_rows_add.argtypes = [c_int, c_int, c_int] + [i32] * 5 + tail
+    lib.cdu_rows_add.argtypes = [c_int, c_int] + [i32] * 6 + tail
     lib.cdu_rows_xor.restype = lib.cdu_rows_add.restype = c_int
     return lib
 
@@ -224,6 +227,9 @@ def _native():
     with _rowk_lock:
         if not _rowk:
             _rowk.append(_compile_rowk())
+            if _rowk[0] is None:  # stderr only: stdout stays the same
+                print("cdu: native row kernel unavailable; using the numpy "
+                      "reference", file=sys.stderr)
         return _rowk[0]
 
 
@@ -248,9 +254,9 @@ def _kernel_report(field, key, trans, c):
     if field.p == 2:
         rc = lib.cdu_rows_xor(n, key, trans, start, bins, spec, best)
     else:
-        lo, hi = field.lo, field.hi
-        rc = lib.cdu_rows_add(n, lo, hi, field.add_table, key // lo * hi,
-                              key % lo * hi, trans // lo, trans % lo,
+        wide, r_hi, r_lo = field.carry_free
+        rc = lib.cdu_rows_add(n, field.lo, wide, r_hi, r_lo,
+                              wide[key], wide[trans], np.empty_like(bins),
                               start, bins, spec, best)
     if rc:
         raise CduError("row mass conservation violated (engine bug)")

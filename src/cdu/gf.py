@@ -202,6 +202,14 @@ def _antilog(p, f, g):
     return (rows @ (p ** np.arange(m)).astype(dt)).astype(np.int32)
 
 
+def _rebase(v, k, src, dst):
+    """int32: the k low base-src digits of v, each taken mod p = min(src,
+    dst), read back in base dst."""
+    p = min(src, dst)
+    v = np.asarray(v, dtype=np.int32)
+    return sum((v // src ** i % src % p * dst ** i for i in range(k)), 0 * v)
+
+
 def default_modulus(p, m):
     """Lexicographically smallest monic irreducible of degree m over F_p.
 
@@ -220,10 +228,9 @@ class FieldCtx:
     """Immutable description of F_{p^m}: modulus, primitive element, op tables.
 
     Addition is decided here, once.  An index is a base-p digit vector that
-    adds digitwise; it splits as x_hi * lo + x_lo with lo = p^(m//2) and both
-    halves below hi = q // lo, and the halves add separately in the hi x hi
-    table ``add_table``.  For p = 2 that is XOR and for a prime field
-    (u + v) % p, so those build the table only when the engine asks for it.
+    adds digitwise; it splits as x_hi * lo + x_lo with lo = p^(m//2).  For
+    p = 2 that is XOR and for a prime field (u + v) % p; otherwise indices
+    add as carry-free wide codes (``carry_free``).
 
     Safe to share across threads once constructed; every operation is a pure
     function of (ctx, inputs).
@@ -251,7 +258,6 @@ class FieldCtx:
         self.q = q
         self.modulus = tuple(modulus)
         self.lo = p ** (m // 2)
-        self.hi = q // self.lo
 
         self._build_log_tables()
         self._build_aux_tables()
@@ -273,32 +279,32 @@ class FieldCtx:
         self._exp2 = exp2
 
     @cached_property
-    def add_table(self):
-        """hi x hi int32 table of the digitwise sums of indices below hi."""
-        i = np.arange(self.p, dtype=np.int32)
-        s = (i[:, None] + i[None, :]) % self.p
-        add = s
-        # one digit at a time: for u = u_hi*p + u_0,
-        # add(u, v) = add(u_hi, v_hi)*p + (u_0 + v_0) % p
-        while len(add) < self.hi:
-            r = len(add) * self.p
-            add = (add[:, None, :, None] * self.p
-                   + s[None, :, None, :]).reshape(r, r)
-        return add
+    def carry_free(self):
+        """(wide, r_hi, r_lo), int32: addition with no carries, odd p only.
+
+        wide[x] re-reads the digits of x_hi and of x_lo in base B = 2p - 1
+        and packs them as code_hi << 16 | code_lo.  No digit of a sum of
+        two codes passes 2p - 2, so nothing carries, and for that sum s,
+        r_hi[s >> 16] + r_lo[s & 0xffff] is the index again (r_hi is
+        scaled by lo).  Each half of a sum stays below B^(m - m//2), at most
+        73^2 (F_{37^3}); only a prime field past p = 2^14 would overflow.
+        """
+        p, m, lo = self.p, self.m, self.lo
+        b, k = 2 * p - 1, m - m // 2
+        if b ** k > 1 << 15:
+            raise FieldTooLarge(f"F_{p} is too large for carry-free addition")
+        idx = np.arange(self.q, dtype=np.int32)
+        wide = _rebase(idx // lo, k, p, b) << 16 | _rebase(idx % lo, m // 2, p, b)
+        return (wide, _rebase(np.arange(b ** k), k, b, p) * lo,
+                _rebase(np.arange(b ** (m // 2)), m // 2, b, p))
 
     def _build_aux_tables(self):
         p, m, q = self.p, self.m, self.q
         idx = np.arange(q, dtype=np.int32)
-        if p == 2:
-            self.neg_table = idx.copy()
-        elif m == 1:
-            self.neg_table = (-idx) % p
-        else:
-            # rows as memoryviews: a scalar add is two Python-level lookups
-            self._add_rows = [memoryview(r) for r in self.add_table]
-            neg = np.argmin(self.add_table, axis=1)  # the y with x + y = 0
-            self.neg_table = (neg[idx // self.lo] * self.lo
-                              + neg[idx % self.lo]).astype(np.int32)
+        if p > 2 and m > 1:
+            # as memoryviews, no copy: a scalar add is four Python lookups
+            self._carry_free = [memoryview(t) for t in self.carry_free]
+        self.neg_table = self.mul_row(p - 1)  # -x = (p - 1) * x
         qm1 = q - 1
         self.inv_table = np.zeros(q, dtype=np.int32)
         self.inv_table[self.antilog_table] = self.antilog_table[
@@ -313,11 +319,11 @@ class FieldCtx:
     def add(self, a, b):
         if self.p == 2:
             return a ^ b
-        lo = self.lo
-        if lo == 1:
+        if self.m == 1:
             return int(a + b) % self.p
-        rows = self._add_rows
-        return rows[a // lo][b // lo] * lo + rows[a % lo][b % lo]
+        wide, r_hi, r_lo = self._carry_free
+        s = wide[a] + wide[b]
+        return r_hi[s >> 16] + r_lo[s & 0xffff]
 
     def neg(self, a):
         return int(self.neg_table[a])
@@ -355,13 +361,11 @@ class FieldCtx:
     def add_vec(self, u, v):
         if self.p == 2:
             return np.bitwise_xor(u, v)
-        lo = self.lo
-        if lo == 1:
+        if self.m == 1:
             return ((np.asarray(u) + v) % self.p).astype(np.int32, copy=False)
-        u_hi, u_lo = np.divmod(u, lo)
-        v_hi, v_lo = np.divmod(v, lo)
-        add = self.add_table
-        return add[u_hi, v_hi] * lo + add[u_lo, v_lo]
+        wide, r_hi, r_lo = self.carry_free
+        s = wide[u] + wide[v]
+        return r_hi[s >> 16] + r_lo[s & 0xffff]
 
     def sub_vec(self, u, v):
         return self.add_vec(u, self.neg_table[v])

@@ -249,8 +249,11 @@ def _predict_tracext(spec, qctx, c1, c2):
         return _not_covered(reason="m | k: h is not a Gold map", d=d)
     if c2 == 0:
         return _exact(base.p ** d + 1, d=d)
-    if d == 1:
+    if d == 1 and base.p == 2:
         return _upper(6, d=d)
+    if d == 1:  # brute force gives 8, 10 and 13 at q = 9, 27, 25
+        return _not_covered(reason="off the line the bound 6 holds only "
+                                   "for p = 2", d=d)
     return _not_covered(reason="needs gcd(k,m)=1 or c2=0", d=d)
 
 

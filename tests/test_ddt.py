@@ -370,9 +370,9 @@ def test_row_mass_check_rejects_broken_row():
         if field.p == 2:
             rc = lib.cdu_rows_xor(n, key, key, 0, bins, spec, best)
         else:
-            lo, hi = field.lo, field.hi
-            rc = lib.cdu_rows_add(n, lo, hi, field.add_table, key // lo * hi,
-                                  key % lo * hi, key // lo, key % lo,
+            wide, r_hi, r_lo = field.carry_free
+            rc = lib.cdu_rows_add(n, field.lo, wide, r_hi, r_lo,
+                                  wide[key], wide[key], np.empty_like(bins),
                                   0, bins, spec, best)
         assert rc == -1
         assert not spec.any() and (best == -1).all()
@@ -410,6 +410,17 @@ def test_loader_returning_none_falls_back_to_numpy(qx16, monkeypatch):
     native = ddt.sweep(spec, qx16, cs)
     monkeypatch.setattr(ddt, "_native", lambda: None)
     assert ddt.sweep(spec, qx16, cs, threads=2) == native
+
+
+def test_fallback_says_so_once_on_stderr(qx4, capsys, monkeypatch):
+    monkeypatch.setattr(ddt, "_rowk", [])
+    monkeypatch.setattr(ddt, "_compile_rowk", lambda: None)
+    spec = parse_func_spec("genlinh{L=x;h=inv}")
+    ddt.sweep(spec, qx4, ddt.c_line_biv(4))
+    assert ddt._native() is None
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "cdu: native row kernel unavailable; using the numpy reference\n"
 
 
 def test_native_kernel_cached_by_source_hash(tmp_path, monkeypatch):

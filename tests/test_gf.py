@@ -219,6 +219,28 @@ def test_add_matches_digitwise_reference(p, m):
     assert (ctx.neg_table == _digitwise(p, m, np.negative, np.arange(q))).all()
 
 
+def test_carry_free_codes_fit_every_odd_extension():
+    """Over every odd-p extension gf allows, each half of a sum of two wide
+    codes is below its lookup table's length, at most 73^2 (F_{37^3}) and
+    so below 2^16, and add and add_vec match digitwise sums on sampled
+    pairs."""
+    rng = np.random.default_rng(0)
+    fields = [(p, m) for p in range(3, 256) if cdu.gf._is_prime(p)
+              for m in range(2, 16) if p ** m <= cdu.gf.MAX_FIELD_ORDER]
+    assert (37, 3) in fields and (251, 2) in fields and (3, 10) in fields
+    for p, m in fields:
+        ctx = FieldCtx(p, m)
+        wide, r_hi, r_lo = ctx.carry_free
+        hi, lo = 2 * int((wide >> 16).max()), 2 * int((wide & 0xffff).max())
+        assert hi < len(r_hi) <= 73 ** 2 and lo < len(r_lo) <= 73 ** 2
+        u, v = rng.integers(0, ctx.q, size=(2, 200))
+        u[0] = v[0] = ctx.q - 1  # every digit p - 1: the largest codes
+        want = _digitwise(p, m, np.add, u, v)
+        assert (ctx.add_vec(u, v) == want).all()
+        assert [ctx.add(a, b) for a, b in zip(u.tolist(), v.tolist())] \
+            == want.tolist()
+
+
 def _rss_growth_mb(statement):
     """Peak RSS growth in MB from running statement in a fresh interpreter.
 
@@ -252,8 +274,10 @@ def test_add_table_build_memory():
 
 
 def test_extension_field_has_no_q_squared_table():
-    """F_{61^2} adds through a 61 x 61 table; a full q x q one is 55 MB."""
+    """A full q x q addition table is 55 MB for F_{61^2}; F_{37^3} once held
+    a 1369 x 1369 one, 7.5 MB, and grew peak RSS by 12.9 MB."""
     assert _rss_growth_mb("FieldCtx(61, 2)") < 5
+    assert _rss_growth_mb("FieldCtx(37, 3)") < 5
 
 
 def test_trace_rel_examples(f4):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,29 @@ def test_tracext_gold_line_value_when_m_does_not_divide_k(qx8):
     res = verify(parse_func_spec("tracext{H=gold;k=2;gamma=W^1}"), qx8,
                  ddt.c_line_biv(8))
     assert {(r.verdict, r.observed) for r in res.rows} == {("MATCH", 3)}
+
+
+@pytest.mark.parametrize("p,m,k,off_line", [
+    (2, 3, 1, {("BOUND-OK", 5): 14, ("BOUND-OK", 6): 42}),
+    (2, 3, 2, {("BOUND-OK", 5): 14, ("BOUND-OK", 6): 42}),
+    (3, 2, 1, {("NOT-COVERED", 6): 24, ("NOT-COVERED", 8): 48}),
+    (3, 3, 1, {("NOT-COVERED", 10): 702}),
+    (3, 3, 2, {("NOT-COVERED", 8): 78, ("NOT-COVERED", 10): 624}),
+    (5, 2, 1, {("NOT-COVERED", 10): 120, ("NOT-COVERED", 13): 480})])
+def test_tracext_gold_off_line_bound_only_in_characteristic_2(p, m, k, off_line):
+    """Off the line (c2 != 0) with gcd(k, m) = 1 the bound 6 holds at p = 2
+    and fails at odd p, so odd p is not covered there; on the line the Gold
+    value p + 1 matches everywhere (default t, gamma = W^1)."""
+    qx = make_quadext(make_field(p, m))
+    spec = parse_func_spec(f"tracext{{H=gold;k={k};gamma=W^1}}")
+    res = verify(spec, qx, ddt.c_all_biv(p ** m))
+    assert res.ok
+    line = [r for r in res.rows if r.c.c2 == 0]
+    off = [r for r in res.rows if r.c.c2 != 0]
+    assert {(r.verdict, r.observed) for r in line} == {("MATCH", p + 1)}
+    assert Counter((r.verdict, r.observed) for r in off) == off_line
+    if p > 2:
+        assert all("only for p = 2" in r.prediction.trace["reason"] for r in off)
 
 
 def test_identity_c_rejected(qx16):
