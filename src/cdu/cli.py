@@ -239,10 +239,11 @@ def cmd_verify(args, out):
         for r in result.rows:
             if r.verdict == "VIOLATION":
                 c1s, c2s = _c_cols(qctx, r.c)
+                wa, wb = _fmt_witness(qctx, spec, r)
                 sys.stderr.write(
                     f"VIOLATION at c=({c1s},{c2s}): predicted "
                     f"{r.prediction.describe()}, observed {r.observed}, "
-                    f"witness {r.witness}, trace {r.prediction.trace}\n")
+                    f"witness ({wa}, {wb}), trace {r.prediction.trace}\n")
         return 2
     return 0
 

@@ -11,9 +11,15 @@ shape (pair plane, F_{q^2} with pair output, a field to itself) goes through
 one report path, ``_kernel_report``, which histograms the domain once per
 (c, a) and reduces all rows of one c to its uniformity, spectrum and witness.
 
-Native kernel.  ``_rowk.c`` does a whole c in one C call: for each row it
-histograms key[x + a] + trans[x] into n bins, then one branch-free,
-vectorized pass over the bins sums the row mass, takes the row maximum and
+Native kernel.  ``_rowk.c`` does a whole c in one C call.  One pass over the
+points fills a block of four rows: at p = 2 the rows a, a^1, a^2, a^3,
+which share every key and trans load; at odd p four rows of one a_lo group,
+which share each permuted trans load.  Each row of the block counts
+key[x + a] + trans[x] into its own row of 16-bit bins, or 32-bit bins when
+n >= 2^16, where an entry can reach 2^16.  The bins and the trans scratch
+are allocated here and passed in, so the C code keeps no state and
+threads may share it.  Then one branch-free, vectorized pass per row (16
+lanes to an AVX2 op) sums the row mass exactly, takes the row maximum and
 counts the entries below a small bound in registers.  Only rows whose
 maximum reaches that bound take a scalar pass for their larger entries,
 and only rows that beat the best maximum so far, or tie it at a smaller a,
@@ -22,9 +28,11 @@ are scanned for the first witness.  It is compiled on first use with
 the reduction carries an AVX2 clone that is picked at load time) and cached
 as $XDG_CACHE_HOME/cdu/rowk-<sha256 of source and flags>.so, default
 ~/.cache/cdu; ctypes releases the GIL during the call, so threaded sweeps
-run c values in parallel.  Where it cannot be built or loaded (no compiler,
-unwritable cache, compile error) every report falls back to the numpy
-reference ``_rows`` below, which the tests also hold the native kernel to.
+run c values in parallel.  ``_bind`` declares the signatures on any build,
+so the tests can also run a sanitizer build.  Where it cannot be built or
+loaded (no compiler, unwritable cache, compile error) every report falls
+back to the numpy reference ``_rows`` below, which the tests also hold the
+native kernel to.
 It is one expression over the field's own ``add_vec``, with no addition
 logic of its own:
 
@@ -212,13 +220,26 @@ def _compile_rowk():
         lib = ctypes.CDLL(str(so))
     except (OSError, RuntimeError, subprocess.SubprocessError):
         return None
+    return _bind(lib)
+
+
+def _bind(lib):
+    """Declare the kernel signatures on a loaded build of _rowk.c; returns
+    lib, with ``block_rows``, the row count of the bins it expects.  Any
+    build loads this way, as the sanitizer run of the tests does."""
     i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     c_int = ctypes.c_int
-    tail = [c_int, i32, i64, i64]  # start, bins, spec, best
-    lib.cdu_rows_xor.argtypes = [c_int, i32, i32] + tail
-    lib.cdu_rows_add.argtypes = [c_int, c_int] + [i32] * 6 + tail
-    lib.cdu_rows_xor.restype = lib.cdu_rows_add.restype = c_int
+    for bits in (16, 32):
+        bins = np.ctypeslib.ndpointer(f"uint{bits}", ndim=2,
+                                      flags="C_CONTIGUOUS")
+        tail = [c_int, bins, i64, i64]  # start, bins, spec, best
+        xor = getattr(lib, f"cdu_rows_xor{bits}")
+        add = getattr(lib, f"cdu_rows_add{bits}")
+        xor.argtypes = [c_int, i32, i32] + tail
+        add.argtypes = [c_int, c_int] + [i32] * 6 + tail
+        xor.restype = add.restype = c_int
+    lib.block_rows = c_int.in_dll(lib, "cdu_block_rows").value
     return lib
 
 
@@ -248,16 +269,18 @@ def _kernel_report(field, key, trans, c):
     if lib is None:
         return _report(_row_blocks(field, key, trans), n, c)
     start = 1 if c.is_identity else 0
-    bins = np.zeros(n, dtype=np.int32)
+    bits = 16 if n < 1 << 16 else 32  # an entry is at most n
+    bins = np.zeros((lib.block_rows, n), dtype=f"uint{bits}")
     spec = np.zeros(n + 1, dtype=np.int64)
     best = np.full(3, -1, dtype=np.int64)
     if field.p == 2:
-        rc = lib.cdu_rows_xor(n, key, trans, start, bins, spec, best)
+        rc = getattr(lib, f"cdu_rows_xor{bits}")(n, key, trans, start, bins,
+                                                  spec, best)
     else:
         wide, r_hi, r_lo = field.carry_free
-        rc = lib.cdu_rows_add(n, field.lo, wide, r_hi, r_lo,
-                              wide[key], wide[trans], np.empty_like(bins),
-                              start, bins, spec, best)
+        rc = getattr(lib, f"cdu_rows_add{bits}")(
+            n, field.lo, wide, r_hi, r_lo, wide[key], wide[trans],
+            np.empty_like(key), start, bins, spec, best)
     if rc:
         raise CduError("row mass conservation violated (engine bug)")
     return _make_report(c, best, spec)

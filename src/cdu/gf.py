@@ -300,7 +300,6 @@ class FieldCtx:
 
     def _build_aux_tables(self):
         p, m, q = self.p, self.m, self.q
-        idx = np.arange(q, dtype=np.int32)
         if p > 2 and m > 1:
             # as memoryviews, no copy: a scalar add is four Python lookups
             self._carry_free = [memoryview(t) for t in self.carry_free]
@@ -310,9 +309,17 @@ class FieldCtx:
         self.inv_table[self.antilog_table] = self.antilog_table[
             (-np.arange(qm1)) % qm1]
         # absolute trace to F_p; prime-subfield elements are the constant
-        # polynomials, so the result is directly an index < p
-        self.trace1_table = self.trace_rel_vec(1, idx)
-        assert int(self.trace1_table.max(initial=0)) < p
+        # polynomials, so a trace is directly an index < p.  Tr is F_p-linear
+        # and index x = sum d_i p^i is the element sum d_i * w_i, so Tr(x) =
+        # sum d_i * Tr(w_i) mod p, extended one digit at a time; this keeps
+        # the pow_vec temporaries of trace_rel_vec off q-sized arrays
+        basis = self.trace_rel_vec(1, p ** np.arange(m, dtype=np.int32))
+        assert int(basis.max()) < p
+        tr = np.zeros(1, dtype=np.int32)
+        for ti in basis:
+            tr = (np.arange(p, dtype=np.int32)[:, None] * ti + tr).ravel()
+            tr %= p
+        self.trace1_table = tr
 
     # -- scalar arithmetic on indices ---------------------------------------
 

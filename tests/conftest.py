@@ -1,6 +1,20 @@
+import ctypes
+
 import pytest
 
-from cdu import make_field, make_quadext
+from cdu import ddt, make_field, make_quadext
+
+
+def pytest_addoption(parser):
+    parser.addoption("--rowk-so", metavar="PATH",
+                     help="run the native kernel from this build of _rowk.c, "
+                          "such as one compiled with sanitizers")
+
+
+def pytest_configure(config):
+    path = config.getoption("--rowk-so")
+    if path:
+        ddt._rowk[:] = [ddt._bind(ctypes.CDLL(path))]
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cdu import predict
 from cdu.cli import argv_from_header, main
 
 
@@ -52,6 +53,24 @@ def test_verify_corollary1_exit_zero(capsys):
     rows = list(csv.DictReader(io.StringIO("\n".join(body))))
     assert len(rows) == 255
     assert all(r["verdict"] == "MATCH" for r in rows)
+
+
+def test_violation_line_formats_witness(capsys, monkeypatch):
+    """The stderr VIOLATION line gives its witness in field notation, as
+    the sweep's witness columns do, not as raw indices.  A bound of 1 is
+    forced on a spec whose c = (0, w^1) gives 6."""
+    argv = ["-p", "2", "-m", "3", "--spec", "tracext{H=gold;k=2;gamma=W^1}",
+            "--c", "0,w^1"]
+    code, out, _ = run_cli(capsys, "sweep", *argv)
+    assert code == 0
+    (row,) = csv.DictReader(l for l in out.splitlines() if not l.startswith("#"))
+    monkeypatch.setitem(predict._FAMILY_PREDICTORS, "tracext",
+                        lambda *_: predict._upper(1))
+    code, _, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert err == (f"VIOLATION at c=(0,w^1): predicted <=1, observed 6, "
+                   f"witness ({row['witness_a']}, {row['witness_b']}), "
+                   f"trace {{}}\n")
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1)])

@@ -363,19 +363,85 @@ def test_row_mass_check_rejects_broken_row():
     for field in (make_field(2, 3), make_field(3, 2)):
         n = field.q
         key = np.arange(n, dtype=np.int32)
-        bins = np.zeros(n, dtype=np.int32)
-        bins[5] = 1  # a count that belongs to no row
+        bins = np.zeros((lib.block_rows, n), dtype=np.uint16)
+        bins[0, 5] = 1  # a count that belongs to no row
         spec = np.zeros(n + 1, dtype=np.int64)
         best = np.full(3, -1, dtype=np.int64)
         if field.p == 2:
-            rc = lib.cdu_rows_xor(n, key, key, 0, bins, spec, best)
+            rc = lib.cdu_rows_xor16(n, key, key, 0, bins, spec, best)
         else:
             wide, r_hi, r_lo = field.carry_free
-            rc = lib.cdu_rows_add(n, field.lo, wide, r_hi, r_lo,
-                                  wide[key], wide[key], np.empty_like(bins),
-                                  0, bins, spec, best)
+            rc = lib.cdu_rows_add16(n, field.lo, wide, r_hi, r_lo,
+                                    wide[key], wide[key], np.empty_like(key),
+                                    0, bins, spec, best)
         assert rc == -1
         assert not spec.any() and (best == -1).all()
+
+
+@pytest.mark.parametrize("field", [(2, 1), (3, 1), (3, 3), (5, 3)])
+@pytest.mark.parametrize("identity", [False, True])
+def test_row_blocks_with_a_short_tail(field, identity):
+    """The native kernel fills rows in blocks; these uni-base shapes leave a
+    shorter last block: n = 2 at p = 2, and odd-p groups of hi = n / lo
+    rows with hi % 4 != 0 (hi = 3, 9, 25 for F_3, F_27, F_125).  The
+    identity c starts at a = 1, inside the first block."""
+    for seed in range(3):
+        report, terms, c = _random_case(field, "uni-base", seed, identity)
+        with _kernel("native"):
+            native = report()
+        with _kernel("numpy"):
+            reference = report()
+        assert native == reference
+        assert (native.uniformity, native.spectrum, native.witness) \
+            == naive_report(terms, c.is_identity)
+
+
+@pytest.mark.parametrize("field", [(2, 3), (3, 2), (3, 3)])
+def test_native_kernel_reports_rows_from_start(field):
+    """For any start the kernel reports exactly the rows a >= start, as the
+    numpy rows of those a give them; starts fall on, inside and past the
+    edges of its row blocks, so whole blocks below start are skipped."""
+    lib = ddt._native()
+    if lib is None:
+        pytest.skip("no C compiler: the native kernel cannot be built")
+    f = make_field(*field)
+    n = f.q
+    key, trans = np.random.default_rng(n).integers(0, n, (2, n), dtype=np.int32)
+    for start in sorted({1, 2, 5, n - 4, n - 3, n - 1}):
+        rows = ddt._rows(f, key, trans, np.arange(start, n))
+        top = rows.max()
+        flat = int(np.argmax(rows == top))
+        bins = np.zeros((lib.block_rows, n), dtype=np.uint16)
+        spec = np.zeros(n + 1, dtype=np.int64)
+        best = np.full(3, -1, dtype=np.int64)
+        if f.p == 2:
+            rc = lib.cdu_rows_xor16(n, key, trans, start, bins, spec, best)
+        else:
+            wide, r_hi, r_lo = f.carry_free
+            rc = lib.cdu_rows_add16(n, f.lo, wide, r_hi, r_lo, wide[key],
+                                    wide[trans], np.empty_like(key), start,
+                                    bins, spec, best)
+        assert rc == 0 and not bins.any()
+        assert spec.tolist() == np.bincount(rows.ravel(), minlength=n + 1).tolist()
+        assert best.tolist() == [top, start + flat // n, flat % n]
+
+
+def test_native_kernel_at_n_2_16_counts_past_16_bits():
+    """At n = 2^16 one entry can be 2^16, past 16-bit bins: with key and
+    trans the identity, row a puts all n points in bin a."""
+    lib = ddt._native()
+    if lib is None:
+        pytest.skip("no C compiler: the native kernel cannot be built")
+    n = 1 << 16
+    key = np.arange(n, dtype=np.int32)
+    bins = np.zeros((lib.block_rows, n), dtype=np.uint32)
+    spec = np.zeros(n + 1, dtype=np.int64)
+    best = np.full(3, -1, dtype=np.int64)
+    assert lib.cdu_rows_xor32(n, key, key, n - 4, bins, spec, best) == 0
+    assert spec[n] == 4 and spec[0] == 4 * (n - 1)
+    assert spec.sum() == 4 * n
+    assert best.tolist() == [n, n - 4, n - 4]
+    assert not bins.any()
 
 
 def test_native_kernel_compiles_without_warnings(tmp_path):

@@ -211,6 +211,38 @@ def test_tracext_gold_off_line_bound_only_in_characteristic_2(p, m, k, off_line)
         assert all("only for p = 2" in r.prediction.trace["reason"] for r in off)
 
 
+_M5_OFF_LINE = [(19, 30), (8, 6), (23, 24), (11, 16), (25, 15), (22, 4),
+                (30, 6), (26, 30)]
+
+
+@pytest.mark.parametrize("k,off_line", [
+    (1, {("BOUND-OK", 6): 8}),
+    (2, {("NOT-COVERED", 7): 4, ("NOT-COVERED", 8): 3, ("NOT-COVERED", 9): 1}),
+    (3, {("NOT-COVERED", 7): 2, ("NOT-COVERED", 8): 6}),
+    (4, {("BOUND-OK", 6): 8}),
+    (5, {("NOT-COVERED", 33): 8}),
+    (6, {("BOUND-OK", 6): 8}),
+    (7, {("NOT-COVERED", 7): 2, ("NOT-COVERED", 8): 6}),
+    (8, {("NOT-COVERED", 7): 2, ("NOT-COVERED", 8): 4, ("NOT-COVERED", 9): 2}),
+    (9, {("BOUND-OK", 6): 8})])
+def test_tracext_gold_off_line_bound_only_for_k_plus_minus_1(k, off_line):
+    """At p = 2, m = 5 the off-line bound 6 holds for k = 1, 4, 6, 9, the
+    k = +-1 mod m, and fails for k = 2, 3, 7, 8 (a full run of the 992
+    off-line c gives 7 to 9), which are therefore not covered; m | k is
+    not a Gold map.  Every line c matches 3, except at k = 5."""
+    qx = make_quadext(make_field(2, 5))
+    spec = parse_func_spec(f"tracext{{H=gold;k={k};gamma=W^1}}")
+    off = [ddt.CParam.biv(*c) for c in _M5_OFF_LINE]
+    res = verify(spec, qx, ddt.c_line_biv(32) + off)
+    assert res.ok
+    line = Counter((r.verdict, r.observed) for r in res.rows[:31])
+    assert line == ({("NOT-COVERED", 2): 31} if k == 5 else {("MATCH", 3): 31})
+    assert Counter((r.verdict, r.observed) for r in res.rows[31:]) == off_line
+    if k in (2, 3, 7, 8):
+        assert all("k = +-1 mod m" in r.prediction.trace["reason"]
+                   for r in res.rows[31:])
+
+
 def test_identity_c_rejected(qx16):
     with pytest.raises(IdentityC):
         predict.predict(parse_func_spec("genlinh{L=x;h=inv}"), qx16, 1, 0)
