@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -40,7 +41,10 @@ def _add_run_args(sub):
     sub.add_argument("-o", dest="outfile", help="output file (default stdout)")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it as it
+    was, so every ``main`` call shares it."""
     ap = argparse.ArgumentParser(
         prog="cdu",
         description="c-differential uniformity of bivariate finite-field functions")

@@ -53,10 +53,20 @@ logic of its own:
   lookups of at most 73^2 entries), no array is larger than a small
   multiple of the domain (q^2 points) or of a block.  There is no table
   of point+a over all (a, x): one c at q = 125 runs in ~35 MB.
+* Per table.  What the kernel reads of a table whatever the c is built
+  with the table (``funcs.kernel_key``) and kept on it, read-only: the
+  int32 key, the key's wide codes at odd p and, for pair output, the
+  F_{q^2} logs of phi(key).  A c then costs its -c*F(x) term (one add and
+  two gathers), that term's check, and one kernel call.
+* Threads.  A sweep with threads > 1 maps its c values over a pool of that
+  many workers, started on first use and kept for the whole process
+  (``_pool``).  Workers run per-c reports only, never ``sweep``, so no
+  sweep can wait on itself.
 
 Both kernels check row mass conservation (each row sums to the domain size)
-on every report, and every key and -c*F(x) value is checked to lie in the
-codomain before the C code indexes with it.
+on every report.  Each key is checked to lie in the codomain once, when its
+table is built, and each -c*F(x) term on every c, before the C code
+indexes with them.
 """
 
 from __future__ import annotations
@@ -158,7 +168,8 @@ def _row_blocks(field, key, trans):
 
 def _make_report(c, best, spectrum):
     """best = (max entry, a, b); spectrum[v] = number of entries equal to v."""
-    spectrum = {int(v): int(k) for v, k in enumerate(spectrum) if k}
+    values = np.flatnonzero(spectrum)
+    spectrum = dict(zip(values.tolist(), spectrum[values].tolist()))
     top, a, b = (int(v) for v in best)
     return CDdtReport(c, top, spectrum, (a, b), classify(top))
 
@@ -254,33 +265,33 @@ def _native():
         return _rowk[0]
 
 
-def _kernel_report(field, key, trans, c):
-    """Report over every row: one native call, or the numpy blocks without
-    a compiler.  Values are checked first, since the C code indexes bins and
-    keys with them unchecked."""
+def _kernel_report(field, tab, trans, c):
+    """Report over every row of the table ``tab``: one native call, or the
+    numpy blocks without a compiler.  The table's key was checked when the
+    table was built; trans is checked here, for every c, since the C code
+    indexes bins and keys with both unchecked."""
     n = field.q
-    if len(key) != n or len(trans) != n:
+    if len(tab.key) != n or len(trans) != n:
         raise CduError("value tables do not span the field (engine bug)")
-    if min(key.min(), trans.min()) < 0 or max(key.max(), trans.max()) >= n:
+    if trans.min() < 0 or trans.max() >= n:
         raise CduError("value table outside the codomain (engine bug)")
-    key = np.ascontiguousarray(key, dtype=np.int32)
     trans = np.ascontiguousarray(trans, dtype=np.int32)
     lib = _native()
     if lib is None:
-        return _report(_row_blocks(field, key, trans), n, c)
+        return _report(_row_blocks(field, tab.key, trans), n, c)
     start = 1 if c.is_identity else 0
     bits = 16 if n < 1 << 16 else 32  # an entry is at most n
     bins = np.zeros((lib.block_rows, n), dtype=f"uint{bits}")
     spec = np.zeros(n + 1, dtype=np.int64)
     best = np.full(3, -1, dtype=np.int64)
     if field.p == 2:
-        rc = getattr(lib, f"cdu_rows_xor{bits}")(n, key, trans, start, bins,
-                                                  spec, best)
+        rc = getattr(lib, f"cdu_rows_xor{bits}")(n, tab.key, trans, start,
+                                                  bins, spec, best)
     else:
         wide, r_hi, r_lo = field.carry_free
         rc = getattr(lib, f"cdu_rows_add{bits}")(
-            n, field.lo, wide, r_hi, r_lo, wide[key], wide[trans],
-            np.empty_like(key), start, bins, spec, best)
+            n, field.lo, wide, r_hi, r_lo, tab.wide_key, wide[trans],
+            np.empty_like(trans), start, bins, spec, best)
     if rc:
         raise CduError("row mass conservation violated (engine bug)")
     return _make_report(c, best, spec)
@@ -288,10 +299,10 @@ def _kernel_report(field, key, trans, c):
 
 def _pair_trans(qctx, tabs, c):
     """-c*F(x) as packed pair keys: the pair product is the F_{q^2} product
-    carried through phi, so this is phi^-1(-phi(c) * phi(F(x)))."""
-    ext = qctx.ext
-    neg_c = ext.neg(int(qctx.phi_table[qctx.pt(c.c1, c.c2)]))
-    return qctx.phi_inv_table[ext.mul_vec(neg_c, qctx.phi_table[tabs.key])]
+    carried through phi, so this is phi^-1(-phi(c) * phi(F(x))), taken on
+    the tables' logs of phi(F(x))."""
+    neg_c = qctx.ext.neg(int(qctx.phi_table[qctx.pt(c.c1, c.c2)]))
+    return qctx.phi_inv_table[qctx.ext.mul_log_vec(tabs.log_phi, neg_c)]
 
 
 def _uni_trans(field, table, c):
@@ -300,11 +311,15 @@ def _uni_trans(field, table, c):
 
 
 def pair_report(qctx, tabs: PairTables, c: CParam) -> CDdtReport:
-    return _kernel_report(qctx.ext, tabs.key, _pair_trans(qctx, tabs, c), c)
+    return _kernel_report(qctx.ext, tabs, _pair_trans(qctx, tabs, c), c)
 
 
 def uni_report(field, table, c: CParam) -> CDdtReport:
-    return _kernel_report(field, table, _uni_trans(field, table, c), c)
+    """Report of a function of ``field`` to itself, given as a UniTable or
+    as a value array (whose kernel inputs are then built for this call)."""
+    if not isinstance(table, UniTable):
+        table = UniTable(table, field)
+    return _kernel_report(field, table, _uni_trans(field, table.f, c), c)
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +374,29 @@ def sweep(spec: FuncSpec, qctx: QuadExtCtx, c_list, threads=1):
 
     def one(c):
         if isinstance(tabs, UniTable):
-            return uni_report(qctx.ext, tabs.f, c)
+            return uni_report(qctx.ext, tabs, c)
         return pair_report(qctx, tabs, c)
 
     if threads <= 1:
         return [one(c) for c in c_list]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, c_list))
+    return list(_pool(threads).map(one, c_list))
+
+
+_pools = {}  # thread count -> its ThreadPoolExecutor, for the whole process
+_pools_lock = threading.Lock()
+
+
+def _pool(threads):
+    """The process's pool of ``threads`` workers, started on first use.
+
+    Workers run per-c reports only and never call ``sweep``, so no sweep
+    waits on a pool whose workers wait on it.
+    """
+    with _pools_lock:
+        if threads not in _pools:
+            _pools[threads] = ThreadPoolExecutor(
+                threads, thread_name_prefix=f"cdu-sweep{threads}")
+        return _pools[threads]
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +457,7 @@ def equivalence_check(spec: FuncSpec, qctx: QuadExtCtx,
         raise DomainMismatch("equivalence_check needs a bivariate spec")
     tabs = tables_for(spec, qctx)
     lift = univariate_lift(spec, qctx, ordering)
-    ltab = tables_for(lift, qctx).f
+    ltab = tables_for(lift, qctx)
     q = qctx.base.q
     rows = []
     ok = True

@@ -34,8 +34,7 @@ functions for h slots: "inv", "id", "gold:<k>" (k >= 0), "pow:<e>",
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import isqrt
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -265,27 +264,73 @@ def parse_func_spec(s) -> FuncSpec:
 # table construction
 # ---------------------------------------------------------------------------
 
+def kernel_key(field, values):
+    """(key, wide_key): the value table ``values`` over ``field`` as the c-DDT
+    kernel reads it whatever the c.  The key is a read-only int32 copy,
+    checked here, once, to span the field and to lie in it, since the native
+    kernel indexes with it unchecked; at odd p, wide_key is its carry-free
+    codes (``FieldCtx.carry_free``), read-only too, and None at p = 2."""
+    n = field.q
+    if len(values) != n:
+        raise CduError("value tables do not span the field (engine bug)")
+    if values.min() < 0 or values.max() >= n:
+        raise CduError("value table outside the codomain (engine bug)")
+    key = np.array(values, dtype=np.int32)
+    wide_key = field.carry_free[0][key] if field.p > 2 else None
+    return _read_only(key), _read_only(wide_key)
+
+
+def _read_only(a):
+    if a is not None:
+        a.flags.writeable = False
+    return a
+
+
 @dataclass
 class PairTables:
     """Value tables of a function with pair output (g, h), values in [0, q).
 
     ``key`` packs each pair into the one codomain index g*q + h, the
-    encoding of reported b values; both domains have q^2 points.
+    encoding of reported b values; both domains have q^2 points.  With the
+    key, built once over ``qctx`` and read-only, come the other inputs the
+    c-DDT kernel takes of the tables for every c: ``wide_key`` (see
+    ``kernel_key``) and ``log_phi``, the F_{q^2} logs of phi(key), so that
+    the -c*F(x) term is one add and two lookups per point.
     """
 
     domain: str
     g: np.ndarray
     h: np.ndarray
+    qctx: InitVar[QuadExtCtx]
 
-    def __post_init__(self):
-        self.key = self.g.astype(np.intp) * isqrt(len(self.g)) + self.h
+    def __post_init__(self, qctx):
+        ext = qctx.ext
+        self.key, self.wide_key = kernel_key(
+            ext, self.g.astype(np.intp) * qctx.base.q + self.h)
+        self.log_phi = _read_only(ext.log_table[qctx.phi_table[self.key]])
 
 
 @dataclass
 class UniTable:
-    """Value table of a univariate function of the extension field."""
+    """Value table of a univariate function of ``field`` to itself.
+
+    ``f`` is the kernel's key: read-only and checked, with ``wide_key``
+    beside it (see ``kernel_key``).
+    """
 
     f: np.ndarray
+    field: InitVar[FieldCtx]
+
+    def __post_init__(self, field):
+        self.f, self.wide_key = kernel_key(field, np.asarray(self.f))
+
+    @property
+    def key(self):
+        return self.f
+
+    def __len__(self):
+        """The domain size, as for the value array ``uni_report`` also takes."""
+        return len(self.f)
 
 
 def parse_int(spec, name, required=True):
@@ -362,18 +407,18 @@ def build_tables(spec: FuncSpec, qctx: QuadExtCtx):
         Y = np.tile(np.arange(q, dtype=np.int32), q)
 
         if fam == "identity":
-            return PairTables(BIV, X.copy(), Y.copy())
+            return PairTables(BIV, X.copy(), Y.copy(), qctx)
         if fam == "genericbiv":
             g = np.asarray(spec.param("gtable"), dtype=np.int32)
             h = np.asarray(spec.param("htable"), dtype=np.int32)
             if len(g) != q * q or len(h) != q * q:
                 raise InvalidParams("generic bivariate tables must have q^2 entries")
-            return PairTables(BIV, g, h)
+            return PairTables(BIV, g, h, qctx)
         if fam == "genlinh":
             Lt = linpoly(spec, "L", base).table(base)
             ht = inner(spec, "h").table_over(base)
             g = Lt[X]
-            return PairTables(BIV, g, base.add_vec(ht[Y], g))
+            return PairTables(BIV, g, base.add_vec(ht[Y], g), qctx)
         if fam == "genlingold":
             k = parse_int(spec, "k")
             if not 0 < k < base.m:
@@ -384,7 +429,7 @@ def build_tables(spec: FuncSpec, qctx: QuadExtCtx):
             hy = base.pow_vec(np.arange(q, dtype=np.int32), base.p ** k + 1)
             if alpha:
                 hy = base.add_vec(hy, base.mul_row(alpha))
-            return PairTables(BIV, g, base.add_vec(hy[Y], g))
+            return PairTables(BIV, g, base.add_vec(hy[Y], g), qctx)
         if fam == "sumprod":
             i = parse_int(spec, "i")
             j = parse_int(spec, "j")
@@ -398,7 +443,7 @@ def build_tables(spec: FuncSpec, qctx: QuadExtCtx):
                 base.mul_vec(base.frobenius_vec(X, i), Y),
                 base.mul_vec(np.int32(alpha),
                              base.mul_vec(X, base.frobenius_vec(Y, j))))
-            return PairTables(BIV, g, h)
+            return PairTables(BIV, g, h, qctx)
         if fam == "goldpair":
             k = parse_gold_k(spec)
             gamma = parse_base_elem(spec, "gamma", base)
@@ -410,7 +455,7 @@ def build_tables(spec: FuncSpec, qctx: QuadExtCtx):
             e = base.p ** k + 1
             pk = base.pow_vec(np.arange(q, dtype=np.int32), e)
             g = base.add_vec(pk[X], base.mul_vec(np.int32(gamma), pk[Y]))
-            return PairTables(BIV, g, L.table(base)[base.add_vec(X, Y)])
+            return PairTables(BIV, g, L.table(base)[base.add_vec(X, Y)], qctx)
         if fam == "prodlin":
             L = linpoly(spec, "L", base)
             if not linpoly_props(L, base).is_permutation:
@@ -422,7 +467,7 @@ def build_tables(spec: FuncSpec, qctx: QuadExtCtx):
                     raise InvalidParams("prodlin exponent indices must be in 1..m")
                 term = base.pow_vec(xy, base.p ** (i % base.m))
                 h = base.add_vec(h, base.mul_vec(np.int32(coeff), term))
-            return PairTables(BIV, xy, h)
+            return PairTables(BIV, xy, h, qctx)
         if fam == "splitgh":
             g1 = parse_base_elem(spec, "gamma1", base)
             g2 = parse_base_elem(spec, "gamma2", base)
@@ -437,7 +482,7 @@ def build_tables(spec: FuncSpec, qctx: QuadExtCtx):
                 base.add_vec(base.mul_vec(h1[X], L1[Y]),
                              base.mul_vec(np.int32(g1), h2[X])),
                 base.mul_vec(np.int32(g2), L2[Y]))
-            return PairTables(BIV, gt[X], h)
+            return PairTables(BIV, gt[X], h, qctx)
         raise InvalidParams(f"unhandled bivariate family {fam!r}")
 
     if spec.domain == EXT:
@@ -448,7 +493,7 @@ def build_tables(spec: FuncSpec, qctx: QuadExtCtx):
             if qctx.unembed[gamma] >= 0:
                 raise InvalidParams("traceinv needs gamma outside F_q")
             h = _trace_to_base(qctx, ext.mul_vec(np.int32(gamma), ext.inv_table))
-            return PairTables(EXT, tr, h)
+            return PairTables(EXT, tr, h, qctx)
         if fam == "tracext":
             variant = str(spec.param("H"))
             if variant == "gold":
@@ -463,7 +508,7 @@ def build_tables(spec: FuncSpec, qctx: QuadExtCtx):
                 h = qctx.unembed[ext.pow_vec(Z, q + 1)].astype(np.int32)
             else:
                 raise InvalidParams(f"tracext H must be gold or norm, got {variant!r}")
-            return PairTables(EXT, tr, h)
+            return PairTables(EXT, tr, h, qctx)
         if fam == "normfirst":
             variant = str(spec.param("H"))
             if not variant.startswith("tr"):
@@ -471,14 +516,14 @@ def build_tables(spec: FuncSpec, qctx: QuadExtCtx):
             e = _int(variant[2:], "normfirst exponent")
             g = qctx.unembed[ext.pow_vec(Z, q + 1)].astype(np.int32)
             h = _trace_to_base(qctx, ext.pow_vec(Z, e))
-            return PairTables(EXT, g, h)
+            return PairTables(EXT, g, h, qctx)
         raise InvalidParams(f"unhandled extension-domain family {fam!r}")
 
     # univariate
     tab = np.asarray(spec.param("table"), dtype=np.int32)
     if len(tab) != ext.q:
         raise InvalidParams("generic univariate table must have q^2 entries")
-    return UniTable(tab)
+    return UniTable(tab, ext)
 
 
 def tables_for(spec: FuncSpec, qctx: QuadExtCtx):

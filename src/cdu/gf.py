@@ -270,12 +270,14 @@ class FieldCtx:
         self.primitive = _primitive(self.p, self.modulus)
         self.antilog_table = _antilog(self.p, self.modulus, self.primitive)
         # log with a sentinel 2(q-1) for 0 so products involving 0 fall in
-        # the zero-padded tail of the doubled antilog table
-        log = np.full(q, 2 * qm1, dtype=np.int64)
-        log[self.antilog_table] = np.arange(qm1, dtype=np.int64)
+        # the zero-padded tail of the doubled antilog table; int32, since a
+        # sum of two logs stays below 4q <= 2^18
+        log = np.full(q, 2 * qm1, dtype=np.int32)
+        log[self.antilog_table] = np.arange(qm1, dtype=np.int32)
         self.log_table = log
         exp2 = np.zeros(4 * qm1 + 1, dtype=np.int32)
-        exp2[: 2 * qm1 - 1] = np.resize(self.antilog_table, 2 * qm1 - 1)
+        exp2[:qm1] = self.antilog_table
+        exp2[qm1:2 * qm1 - 1] = self.antilog_table[:qm1 - 1]
         self._exp2 = exp2
 
     @cached_property
@@ -378,7 +380,11 @@ class FieldCtx:
         return self.add_vec(u, self.neg_table[v])
 
     def mul_vec(self, u, v):
-        return self._exp2[self.log_table[u] + self.log_table[v]]
+        return self.mul_log_vec(self.log_table[u], v)
+
+    def mul_log_vec(self, log_u, v):
+        """mul_vec(u, v) with u given by its logs, ``log_table[u]``."""
+        return self._exp2[log_u + self.log_table[v]]
 
     def pow_vec(self, u, e):
         """Elementwise u^e for a fixed integer exponent e >= 0."""
@@ -388,7 +394,9 @@ class FieldCtx:
         u = np.asarray(u)
         out = np.zeros(u.shape, dtype=np.int32)
         nz = u != 0
-        out[nz] = self.antilog_table[(self.log_table[u[nz]] * (e % qm1)) % qm1]
+        # int64: log * (e mod (q-1)) passes 2^31 at q = 2^16
+        logs = self.log_table[u[nz]].astype(np.int64)
+        out[nz] = self.antilog_table[logs * (e % qm1) % qm1]
         return out
 
     def mul_row(self, s):

@@ -17,9 +17,9 @@ import numpy as np
 
 from .gf import FieldCtx
 from .quadext import QuadExtCtx
-from .funcs import (FuncSpec, InnerFunc, inner, linpoly, linpoly_props,
-                    parse_base_elem, parse_gammas, parse_gold_k, parse_int,
-                    tables_for)
+from .funcs import (FuncSpec, InnerFunc, UniTable, inner, linpoly,
+                    linpoly_props, parse_base_elem, parse_gammas,
+                    parse_gold_k, parse_int, tables_for)
 from .oracles import IdentityC, inverse_c_uniformity_predict
 from . import ddt
 
@@ -92,13 +92,23 @@ def _h_uniformity_at(base: FieldCtx, h: InnerFunc, htab, c):
     return ddt.uni_report(base, htab, ddt.CParam.uni(c)).uniformity
 
 
+def _genlinh_parts(spec, qctx):
+    """(s, h, h's table, whether h permutes F_q): the c-free part of the
+    genlinh prediction, built once and cached by the context."""
+    def build():
+        base = qctx.base
+        s = linpoly_props(linpoly(spec, "L", base), base).kernel_size
+        h = inner(spec, "h")
+        htab = UniTable(h.table_over(base), base)
+        return s, h, htab, len(np.unique(htab.f)) == base.q
+
+    return qctx.cached(("predict", spec), build)
+
+
 def _predict_genlinh(spec, qctx, c1, c2):
     base = qctx.base
-    L = linpoly(spec, "L", base)
-    s = linpoly_props(L, base).kernel_size
-    h = inner(spec, "h")
-    htab = h.table_over(base)
-    if len(np.unique(htab)) != base.q:
+    s, h, htab, h_permutes = _genlinh_parts(spec, qctx)
+    if not h_permutes:
         return _not_covered(reason="h is not a permutation")
     a, b = compute_AB(qctx, c1, c2)
     tr = {"A": base.elem_str(a), "B": base.elem_str(b), "s": s}

@@ -1,12 +1,13 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdu import predict
+from cdu import ddt, predict
 from cdu.cli import argv_from_header, main
 
 
@@ -157,12 +158,66 @@ def test_threads_below_one_rejected(capsys, cmd, threads):
 
 
 def test_thread_count_output_identical(capsys):
-    base_argv = ["sweep", "-p", "2", "-m", "4", "-t", "w^3",
-                 "--spec", "sumprod{i=0;j=1;alpha=1}", "--c", "sample:12"]
-    _, out1, _ = run_cli(capsys, *base_argv, "--threads", "1")
-    _, out4, _ = run_cli(capsys, *base_argv, "--threads", "4")
-    assert out1.replace("threads: 1", "threads: N") \
-        == out4.replace("threads: 4", "threads: N")
+    """Both characteristics, on the sweep pools of 1, 2 and 3 workers that
+    one process keeps and reuses."""
+    for base_argv in (["sweep", "-p", "2", "-m", "4", "-t", "w^3",
+                       "--spec", "sumprod{i=0;j=1;alpha=1}", "--c", "sample:12"],
+                      ["sweep", "-p", "3", "-m", "2",
+                       "--spec", "sumprod{i=0;j=1;alpha=2}", "--c", "all"]):
+        _, out1, _ = run_cli(capsys, *base_argv, "--threads", "1")
+        for threads in ("2", "3", "2", "3"):
+            _, out, _ = run_cli(capsys, *base_argv, "--threads", threads)
+            assert out1.replace("threads: 1", "threads: N") \
+                == out.replace(f"threads: {threads}", "threads: N")
+
+
+_REPEATED_ARGVS = [
+    ["sweep", "-p", "2", "-m", "3", "--spec", "genlinh{L=x;h=inv}",
+     "--c", "sample:9", "--seed", "5"],
+    ["sweep", "-p", "3", "-m", "2", "--spec", "genlingold{L=x;k=1;alpha=w^1}",
+     "--c", "all", "--threads", "2"],
+    ["ddt", "-p", "2", "-m", "2", "--spec", "traceinv{gamma=W^1}",
+     "--c", "all", "--format", "json"],
+    ["ddt", "-p", "3", "-m", "1", "--spec", "sumprod{i=0;j=0;alpha=1}",
+     "--c", "cq0"],
+    ["verify", "-p", "2", "-m", "3", "--spec", "sumprod{i=1;j=1;alpha=w^1}",
+     "--c", "all"],
+    ["verify", "-p", "3", "-m", "2", "--spec", "genlinh{L=x;h=gold:1}",
+     "--c", "all", "--format", "pretty"],
+    ["field", "-p", "5", "-m", "2"],
+    ["oracle", "invpred", "-p", "3", "-m", "3", "--c", "w^2"],
+    ["sweep", "-p", "2", "-m", "3", "--spec"],  # malformed: exits 1
+]
+
+
+def test_repeated_main_calls_match_first_run(capsys):
+    """The parser, the sweep pools and the cached tables are shared by every
+    call in a process; no call may see what an earlier one left."""
+    ddt._native()  # the one stderr notice of a process without the kernel
+    capsys.readouterr()
+    first = [run_cli(capsys, *argv) for argv in _REPEATED_ARGVS]
+    assert first[-1][0] == 1 and "expected one argument" in first[-1][2]
+    assert all(code == 0 for code, _, _ in first[:-1])
+    for order in (range(len(first) - 1, -1, -1), range(len(first))):
+        for i in order:
+            assert run_cli(capsys, *_REPEATED_ARGVS[i]) == first[i]
+
+
+def test_sweep_leaves_little_cyclic_garbage(capsys):
+    """A parser built per call left about 400 objects in reference cycles;
+    what remains is the ctypes pointers of the kernel's arguments."""
+    argv = ["sweep", "-p", "3", "-m", "2", "--spec",
+            "genlingold{L=x;k=1;alpha=w^1}", "--c", "0,0;w^1,w^2"]
+    run_cli(capsys, *argv)
+    enabled = gc.isenabled()
+    gc.disable()  # so that no automatic collection takes a share first
+    try:
+        gc.collect()
+        run_cli(capsys, *argv)
+        assert gc.collect() < 100
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_json_format(capsys):

@@ -254,7 +254,7 @@ def _case(qctx, shape, f, c):
                              htable=tuple(h.tolist()))
             return (lambda: ddt.c_uniformity(spec, qctx, c),
                     _pair_terms(qctx, tables_for(spec, qctx), c))
-        tabs = PairTables(EXT, g, h)
+        tabs = PairTables(EXT, g, h, qctx)
         return (lambda: ddt.pair_report(qctx, tabs, c),
                 _pair_terms(qctx, tabs, c))
     field_ctx = qctx.ext if shape == "uni" else qctx.base
@@ -347,6 +347,46 @@ def test_high_entries_native_numpy_naive(field, shape):
                 == naive_report(terms, c.is_identity)
             if c == cs[0]:
                 assert native.uniformity == top
+
+
+@pytest.mark.parametrize("p, m, spec", [
+    (2, 3, "sumprod{i=0;j=1;alpha=1}"),
+    (3, 2, "genlingold{L=x;k=1;alpha=w^1}"),
+    (5, 1, "traceinv{gamma=W^1}"),
+    (3, 2, "genericuni"),
+])
+def test_table_kernel_inputs_fresh_and_read_only(p, m, spec):
+    """What the kernel reads of a table for every c is built once with it:
+    equal to a fresh computation, and read-only."""
+    qctx = make_quadext(make_field(p, m))
+    ext = qctx.ext
+    if spec == "genericuni":
+        rng = np.random.default_rng(p)
+        spec = func_spec(spec, table=tuple(rng.integers(0, ext.q, ext.q).tolist()))
+    else:
+        spec = parse_func_spec(spec)
+    tabs = tables_for(spec, qctx)
+    if isinstance(tabs, UniTable):
+        key = np.asarray(spec.param("table"))
+        inputs = [tabs.f]
+    else:
+        key = tabs.g.astype(np.int64) * qctx.base.q + tabs.h
+        assert (tabs.log_phi == ext.log_table[qctx.phi_table[key]]).all()
+        inputs = [tabs.key, tabs.log_phi]
+        for c1, c2 in [(0, 0), (1, 1), (2, 1), (0, p - 1)]:
+            neg_c = ext.neg(int(qctx.phi_table[qctx.pt(c1, c2)]))
+            assert (ddt._pair_trans(qctx, tabs, CParam.biv(c1, c2))
+                    == qctx.phi_inv_table[ext.mul_vec(
+                        neg_c, qctx.phi_table[key])]).all()
+    assert tabs.key.dtype == np.int32 and (tabs.key == key).all()
+    if p == 2:
+        assert tabs.wide_key is None
+    else:
+        assert (tabs.wide_key == ext.carry_free[0][key]).all()
+        inputs.append(tabs.wide_key)
+    for a in inputs:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
 
 
 def test_row_mass_check_rejects_broken_row():
@@ -515,14 +555,19 @@ def test_native_kernel_unbuildable_gives_none(tmp_path, monkeypatch):
 
 def test_kernel_rejects_values_outside_codomain(qx4):
     key = np.arange(16, dtype=np.int32)
+    tab = UniTable(key, qx4.ext)
     for bad in (16, -1):
         trans = key.copy()
         trans[3] = bad
         with pytest.raises(cdu.CduError, match="outside the codomain"):
-            ddt._kernel_report(qx4.ext, key, trans, CParam.biv(0, 0))
+            ddt._kernel_report(qx4.ext, tab, trans, CParam.biv(0, 0))
+        with pytest.raises(cdu.CduError, match="outside the codomain"):
+            UniTable(trans, qx4.ext)  # a key is checked once, when built
     # 16 pair points span F_16, not the base field F_4
     with pytest.raises(cdu.CduError, match="do not span the field"):
-        ddt._kernel_report(qx4.base, key, key, CParam.biv(0, 0))
+        ddt._kernel_report(qx4.base, tab, key, CParam.biv(0, 0))
+    with pytest.raises(cdu.CduError, match="do not span the field"):
+        UniTable(key, qx4.base)
 
 
 def test_one_c_at_q125_in_2gib_address_space():

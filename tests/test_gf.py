@@ -154,6 +154,14 @@ def test_arith_basics(f2, f16):
     assert f16.pow(0, 5) == 0
 
 
+def test_pow_vec_widens_large_exponents():
+    """log x * (e mod (q-1)) passes 2^31 at q = 2^16, past int32 logs."""
+    f = make_field(2, 16)
+    assert f.log_table.dtype == np.int32
+    xs = np.arange(f.q, dtype=np.int32)
+    assert (f.pow_vec(xs, f.q - 2) == f.inv_table).all()
+
+
 def test_division(f16):
     for x in range(1, 16):
         assert f16.mul(x, f16.inv(x)) == 1
