@@ -16,7 +16,7 @@ import sys
 
 from .gf import CduError, make_field, parse_modulus
 from .quadext import make_quadext, select_t, t_condition_holds
-from .funcs import UNI, parse_func_spec
+from .funcs import parse_func_spec
 from . import ddt, predict
 from .oracles import (bluher_root_count, bluher_special_b_count,
                       bluher_special_b_formula, inverse_c_uniformity_predict,
@@ -85,14 +85,8 @@ def _make_contexts(args):
     return base, qctx
 
 
-def _parse_cset(args, base, qctx, uni):
+def _parse_cset(args, base):
     sel = args.c
-    if uni:
-        big_q = qctx.ext.q
-        if sel == "all":
-            return ddt.c_all_uni(big_q)
-        return [ddt.CParam.uni(qctx.ext.parse_elem(s, letter="W"))
-                for s in sel.split(";") if s]
     q = base.q
     if sel == "all":
         return ddt.c_all_biv(q)
@@ -145,9 +139,6 @@ def _fmt_witness(qctx, spec, rep):
     base = qctx.base
     q = base.q
     b_str = f"({base.elem_str(b_idx // q)},{base.elem_str(b_idx % q)})"
-    if rep.c.kind == "uni":
-        ext = qctx.ext
-        return ext.elem_str(a_idx, "W"), ext.elem_str(b_idx, "W")
     if spec.domain == "ext":
         return qctx.ext.elem_str(a_idx, "W"), b_str
     a_str = f"({base.elem_str(a_idx // q)},{base.elem_str(a_idx % q)})"
@@ -155,8 +146,6 @@ def _fmt_witness(qctx, spec, rep):
 
 
 def _c_cols(qctx, c):
-    if c.kind == "uni":
-        return qctx.ext.elem_str(c.c, "W"), ""
     return qctx.base.elem_str(c.c1), qctx.base.elem_str(c.c2)
 
 
@@ -199,8 +188,7 @@ def cmd_field(args, out):
 def cmd_ddt_or_sweep(args, out, with_spectrum):
     base, qctx = _make_contexts(args)
     spec = parse_func_spec(args.spec)
-    uni = spec.domain == UNI
-    cs = _parse_cset(args, base, qctx, uni)
+    cs = _parse_cset(args, base)
     reports = ddt.sweep(spec, qctx, cs, threads=args.threads)
     header = _config_lines(args, base, qctx)
     columns = ["c1", "c2", "uniformity", "class", "witness_a", "witness_b"]
@@ -225,9 +213,7 @@ def cmd_ddt_or_sweep(args, out, with_spectrum):
 def cmd_verify(args, out):
     base, qctx = _make_contexts(args)
     spec = parse_func_spec(args.spec)
-    if spec.domain == UNI:
-        raise CduError("verify covers bivariate and extension-domain specs")
-    cs = _parse_cset(args, base, qctx, uni=False)
+    cs = _parse_cset(args, base)
     result = predict.verify(spec, qctx, cs, threads=args.threads)
     header = _config_lines(args, base, qctx)
     columns = ["c1", "c2", "predicted", "observed", "verdict"]
@@ -295,28 +281,30 @@ def main(argv=None):
     if getattr(args, "threads", 1) < 1:
         sys.stderr.write("error: --threads must be >= 1\n")
         return 1
-    out = sys.stdout
+    path = getattr(args, "outfile", None)
     try:
-        if getattr(args, "outfile", None):
-            try:
-                out = open(args.outfile, "w")
-            except OSError as e:
-                raise CduError(f"cannot write {args.outfile}: {e.strerror}") from e
-        if args.cmd == "field":
-            return cmd_field(args, out)
-        if args.cmd == "ddt":
-            return cmd_ddt_or_sweep(args, out, with_spectrum=True)
-        if args.cmd == "sweep":
-            return cmd_ddt_or_sweep(args, out, with_spectrum=False)
-        if args.cmd == "verify":
-            return cmd_verify(args, out)
-        return cmd_oracle(args, out)
+        if not path:
+            return _run(args, sys.stdout)
+        try:  # a write may fail as late as the close, with the last flush
+            with open(path, "w") as out:
+                return _run(args, out)
+        except OSError as e:
+            raise CduError(f"cannot write {path}: {e.strerror}") from e
     except CduError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
-    finally:
-        if out is not sys.stdout:
-            out.close()
+
+
+def _run(args, out):
+    if args.cmd == "field":
+        return cmd_field(args, out)
+    if args.cmd == "ddt":
+        return cmd_ddt_or_sweep(args, out, with_spectrum=True)
+    if args.cmd == "sweep":
+        return cmd_ddt_or_sweep(args, out, with_spectrum=False)
+    if args.cmd == "verify":
+        return cmd_verify(args, out)
+    return cmd_oracle(args, out)
 
 
 def entry():

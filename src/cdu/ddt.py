@@ -6,7 +6,8 @@ The bivariate c-derivative of F = (G, H) at c = (c1, c2), a = (a1, a2) is
     D2 = H(x+a1, y+a2) - (c1-c2)*H(x,y) - c2*G(x,y)
 
 and the DDT entry at (a, b) counts domain points with (D1, D2) = b.
-Univariate functions use Definition-style F(z+a) - c*F(z).  Every domain
+Tables of a field to itself (the univariate lift, the inner functions
+``predict`` measures) use Definition-style F(z+a) - c*F(z).  Every domain
 shape (pair plane, F_{q^2} with pair output, a field to itself) goes through
 one report path, ``_kernel_report``, which histograms the domain once per
 (c, a) and reduces all rows of one c to its uniformity, spectrum and witness.
@@ -58,10 +59,11 @@ logic of its own:
   int32 key, the key's wide codes at odd p and, for pair output, the
   F_{q^2} logs of phi(key).  A c then costs its -c*F(x) term (one add and
   two gathers), that term's check, and one kernel call.
-* Threads.  A sweep with threads > 1 maps its c values over a pool of that
-  many workers, started on first use and kept for the whole process
-  (``_pool``).  Workers run per-c reports only, never ``sweep``, so no
-  sweep can wait on itself.
+* Threads.  A sweep with threads > 1 maps its c values over a pool of
+  min(threads, number of c, CPUs) workers, started on first use and kept
+  for the whole process (``_pool``); a larger pool would only add idle OS
+  threads.  Workers run per-c reports only, never ``sweep``, so no sweep
+  can wait on itself.
 
 Both kernels check row mass conservation (each row sums to the domain size)
 on every report.  Each key is checked to lie in the codomain once, when its
@@ -94,8 +96,8 @@ except ImportError:  # Python < 3.12
 
 from .gf import CduError
 from .quadext import BivElem, QuadExtCtx
-from .funcs import (BIV, G_PLUS_BETA_H, FuncSpec, PairTables, UniTable,
-                    DomainMismatch, tables_for, univariate_lift)
+from .funcs import (BIV, FuncSpec, PairTables, UniTable, DomainMismatch,
+                    tables_for, univariate_lift)
 
 
 @dataclass(frozen=True)
@@ -330,11 +332,6 @@ def c_derivative(spec: FuncSpec, qctx: QuadExtCtx, c: CParam, a, point):
     """One c-derivative value; shapes follow the spec's domain."""
     tabs = tables_for(spec, qctx)
     base, ext = qctx.base, qctx.ext
-    if isinstance(tabs, UniTable):
-        f = tabs.f
-        z = point.idx
-        return ext.elem(ext.sub(int(f[ext.add(z, a.idx)]),
-                                ext.mul(c.c, int(f[z]))))
     if tabs.domain == BIV:
         if not isinstance(point, BivElem) or not isinstance(a, BivElem):
             raise DomainMismatch("bivariate derivative expects BivElem a and point")
@@ -354,14 +351,10 @@ def c_derivative(spec: FuncSpec, qctx: QuadExtCtx, c: CParam, a, point):
 def c_row_spectrum(spec: FuncSpec, qctx: QuadExtCtx, c: CParam, a_index):
     """Histogram over the codomain for one (c, a); a_index is the domain index."""
     tabs = tables_for(spec, qctx)
-    field = qctx.ext
-    if isinstance(tabs, UniTable):
-        key, trans = tabs.f, _uni_trans(field, tabs.f, c)
-    else:
-        key, trans = tabs.key, _pair_trans(qctx, tabs, c)
-    if not 0 <= a_index < field.q:
+    if not 0 <= a_index < qctx.ext.q:
         raise CduError(f"a index {a_index} outside the domain")
-    return _rows(field, key, trans, np.array([a_index]))[0]
+    return _rows(qctx.ext, tabs.key, _pair_trans(qctx, tabs, c),
+                 np.array([a_index]))[0]
 
 
 def c_uniformity(spec: FuncSpec, qctx: QuadExtCtx, c: CParam) -> CDdtReport:
@@ -369,17 +362,17 @@ def c_uniformity(spec: FuncSpec, qctx: QuadExtCtx, c: CParam) -> CDdtReport:
 
 
 def sweep(spec: FuncSpec, qctx: QuadExtCtx, c_list, threads=1):
-    """One report per c, in the order given; parallel over c when threads > 1."""
+    """One report per c, in the order given; parallel over c when threads > 1,
+    on at most one worker per c and per CPU."""
     tabs = tables_for(spec, qctx)  # shared read-only by workers
 
     def one(c):
-        if isinstance(tabs, UniTable):
-            return uni_report(qctx.ext, tabs, c)
         return pair_report(qctx, tabs, c)
 
-    if threads <= 1:
+    workers = min(threads, len(c_list), os.cpu_count() or 1)
+    if workers <= 1:
         return [one(c) for c in c_list]
-    return list(_pool(threads).map(one, c_list))
+    return list(_pool(workers).map(one, c_list))
 
 
 _pools = {}  # thread count -> its ThreadPoolExecutor, for the whole process
@@ -403,11 +396,10 @@ def _pool(threads):
 # c-set selectors
 # ---------------------------------------------------------------------------
 
-def c_all_biv(q, include_identity=False):
-    out = [CParam.biv(c1, c2) for c1 in range(q) for c2 in range(q)]
-    if include_identity:
-        return out
-    return [c for c in out if not c.is_identity]
+def c_all_biv(q):
+    """F_q x F_q minus the identity (1, 0)."""
+    return [CParam.biv(c1, c2) for c1 in range(q) for c2 in range(q)
+            if (c1, c2) != (1, 0)]
 
 
 def c_line_biv(q):
@@ -419,10 +411,6 @@ def c_sample_biv(q, n, seed):
     pool = c_all_biv(q)
     rng = random.Random(seed)
     return rng.sample(pool, min(n, len(pool)))
-
-
-def c_all_uni(big_q):
-    return [CParam.uni(c) for c in range(big_q) if c != 1]
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +428,11 @@ class EquivalenceRow:
 
 @dataclass
 class EquivalenceReport:
-    ordering: str
     rows: list
     all_match: bool
 
 
-def equivalence_check(spec: FuncSpec, qctx: QuadExtCtx,
-                      ordering=G_PLUS_BETA_H) -> EquivalenceReport:
+def equivalence_check(spec: FuncSpec, qctx: QuadExtCtx) -> EquivalenceReport:
     """Compare the bivariate report against the lifted univariate one per c.
 
     The univariate side runs at c = phi(c1, c2); a and b sweep the whole
@@ -456,8 +442,7 @@ def equivalence_check(spec: FuncSpec, qctx: QuadExtCtx,
     if spec.domain != BIV:
         raise DomainMismatch("equivalence_check needs a bivariate spec")
     tabs = tables_for(spec, qctx)
-    lift = univariate_lift(spec, qctx, ordering)
-    ltab = tables_for(lift, qctx)
+    lift = univariate_lift(spec, qctx)
     q = qctx.base.q
     rows = []
     ok = True
@@ -465,8 +450,8 @@ def equivalence_check(spec: FuncSpec, qctx: QuadExtCtx,
         for c2 in range(q):
             b = pair_report(qctx, tabs, CParam.biv(c1, c2))
             ce = int(qctx.phi_table[qctx.pt(c1, c2)])
-            u = uni_report(qctx.ext, ltab, CParam.uni(ce))
+            u = uni_report(qctx.ext, lift, CParam.uni(ce))
             match = (b.uniformity, b.spectrum) == (u.uniformity, u.spectrum)
             ok = ok and match
             rows.append(EquivalenceRow(c1, c2, b.uniformity, u.uniformity, match))
-    return EquivalenceReport(ordering, rows, ok)
+    return EquivalenceReport(rows, ok)

@@ -1,11 +1,13 @@
 """Construction catalog: parametrized function families and their value tables.
 
-Every family is materialized as value tables (at most q^2 entries), trading
-memory for uniform O(1) evaluation inside sweeps.  Three shapes exist:
+Every family is materialized as value tables (q^2 entries), trading memory
+for uniform O(1) evaluation inside sweeps.  Both shapes have pair output:
 
   biv   F_q x F_q -> F_q x F_q      tables (g, h) indexed by pt = x*q + y
   ext   F_{q^2}   -> F_q x F_q      tables (g, h) indexed by the ext element
-  uni   F_{q^2}   -> F_{q^2}        one table (used for lifted functions)
+
+The univariate lift of a biv function, z -> phi(F(phi^-1(z))), is no family:
+``univariate_lift`` returns it as a value table of F_{q^2} to itself.
 
 Inverses follow the 0 -> 0 convention: y^-1 is y^(q-2) and gamma/x is
 gamma * x^(q^2-2), so every family is total on its domain.
@@ -28,8 +30,8 @@ Linearized polynomials are sums of terms "x", "x^E" or "<el>*x^E" where every
 exponent E must be a power of p.  Elements are "0", "w^k" (base field), "W^k"
 (extension field) or a decimal prime-subfield literal 0..p-1.  Inner
 functions for h slots: "inv", "id", "gold:<k>" (k >= 0), "pow:<e>",
-"lin:<linpoly>".  genericbiv and genericuni take value tables, which only
-``func_spec`` can pass.
+"lin:<linpoly>".  genericbiv takes value tables, which only ``func_spec``
+can pass.
 """
 
 from __future__ import annotations
@@ -43,10 +45,6 @@ from .quadext import BivElem, QuadExtCtx
 
 BIV = "biv"
 EXT = "ext"
-UNI = "uni"
-
-G_PLUS_BETA_H = "G+bH"
-H_PLUS_BETA_G = "H+bG"
 
 
 class DomainMismatch(CduError):
@@ -185,7 +183,7 @@ def parse_inner(s) -> InnerFunc:
 
 FAMILIES = ("genlinh", "genlingold", "sumprod", "goldpair", "prodlin",
             "splitgh", "traceinv", "tracext", "normfirst", "identity",
-            "genericbiv", "genericuni")
+            "genericbiv")
 
 _EXT_FAMILIES = ("traceinv", "tracext", "normfirst")
 
@@ -203,19 +201,22 @@ class FuncSpec:
                 return v
         return default
 
+    def required(self, name):
+        """The value of parameter ``name``; InvalidParams if it is absent."""
+        v = self.param(name)
+        if v is None:
+            raise InvalidParams(f"{self.family} needs parameter {name}")
+        return v
+
     @property
     def domain(self):
-        if self.family in _EXT_FAMILIES:
-            return EXT
-        if self.family == "genericuni":
-            return UNI
-        return BIV
+        return EXT if self.family in _EXT_FAMILIES else BIV
 
     def to_string(self):
         if not self.params:
             return self.family
         body = ";".join(f"{k}={v}" for k, v in self.params
-                        if k not in ("table", "gtable", "htable"))
+                        if k not in ("gtable", "htable"))
         return f"{self.family}{{{body}}}" if body else self.family
 
     def __repr__(self):
@@ -231,14 +232,14 @@ def func_spec(family, **params):
 def parse_func_spec(s) -> FuncSpec:
     """Parse one construction string, e.g. ``genlinh{L=x;h=inv}``.
 
-    genericbiv and genericuni take their value tables from ``func_spec``
-    only, so no string names them.
+    genericbiv takes its value tables from ``func_spec`` only, so no string
+    names it.
     """
     s = s.strip()
     head = s.split("{", 1)[0]
     if head not in FAMILIES:
         raise SpecParseError(f"unknown family {head!r} (position 0)")
-    if head in ("genericbiv", "genericuni"):
+    if head == "genericbiv":
         raise SpecParseError(
             f"{head} takes its tables from the library (func_spec), not a spec string")
     if head == s:
@@ -333,13 +334,8 @@ class UniTable:
         return len(self.f)
 
 
-def parse_int(spec, name, required=True):
-    v = spec.param(name)
-    if v is None:
-        if required:
-            raise InvalidParams(f"{spec.family} needs parameter {name}")
-        return None
-    return _int(v, f"{spec.family} parameter {name}")
+def parse_int(spec, name):
+    return _int(spec.required(name), f"{spec.family} parameter {name}")
 
 
 def parse_gold_k(spec):
@@ -350,12 +346,8 @@ def parse_gold_k(spec):
     return k
 
 
-def parse_base_elem(spec, name, ctx, required=True):
-    v = spec.param(name)
-    if v is None:
-        if required:
-            raise InvalidParams(f"{spec.family} needs parameter {name}")
-        return None
+def parse_base_elem(spec, name, ctx):
+    v = spec.required(name)
     if isinstance(v, int):
         if not 0 <= v < ctx.q:
             raise InvalidParams(f"{name}={v} is not an element index of F_{ctx.q}")
@@ -364,17 +356,11 @@ def parse_base_elem(spec, name, ctx, required=True):
 
 
 def linpoly(spec, name, ctx) -> LinearizedPoly:
-    v = spec.param(name)
-    if v is None:
-        raise InvalidParams(f"{spec.family} needs parameter {name}")
-    return parse_linpoly(str(v), ctx)
+    return parse_linpoly(str(spec.required(name)), ctx)
 
 
 def inner(spec, name) -> InnerFunc:
-    v = spec.param(name)
-    if v is None:
-        raise InvalidParams(f"{spec.family} needs parameter {name}")
-    return parse_inner(str(v))
+    return parse_inner(str(spec.required(name)))
 
 
 def parse_gammas(spec, ctx):
@@ -409,8 +395,8 @@ def build_tables(spec: FuncSpec, qctx: QuadExtCtx):
         if fam == "identity":
             return PairTables(BIV, X.copy(), Y.copy(), qctx)
         if fam == "genericbiv":
-            g = np.asarray(spec.param("gtable"), dtype=np.int32)
-            h = np.asarray(spec.param("htable"), dtype=np.int32)
+            g = np.asarray(spec.required("gtable"), dtype=np.int32)
+            h = np.asarray(spec.required("htable"), dtype=np.int32)
             if len(g) != q * q or len(h) != q * q:
                 raise InvalidParams("generic bivariate tables must have q^2 entries")
             return PairTables(BIV, g, h, qctx)
@@ -485,45 +471,38 @@ def build_tables(spec: FuncSpec, qctx: QuadExtCtx):
             return PairTables(BIV, gt[X], h, qctx)
         raise InvalidParams(f"unhandled bivariate family {fam!r}")
 
-    if spec.domain == EXT:
-        Z = np.arange(ext.q, dtype=np.int32)
-        tr = _trace_to_base(qctx, Z)
-        if fam == "traceinv":
-            gamma = ext.parse_elem(str(spec.param("gamma")), letter="W")
-            if qctx.unembed[gamma] >= 0:
-                raise InvalidParams("traceinv needs gamma outside F_q")
-            h = _trace_to_base(qctx, ext.mul_vec(np.int32(gamma), ext.inv_table))
-            return PairTables(EXT, tr, h, qctx)
-        if fam == "tracext":
-            variant = str(spec.param("H"))
-            if variant == "gold":
-                k = parse_gold_k(spec)
-                gamma = ext.parse_elem(str(spec.param("gamma")), letter="W")
-                if ext.add(ext.frobenius(gamma, base.m), gamma) == 0:
-                    raise InvalidParams("tracext gold needs Tr(gamma) != 0")
-                h = _trace_to_base(
-                    qctx, ext.mul_vec(np.int32(gamma),
-                                      ext.pow_vec(Z, base.p ** k + 1)))
-            elif variant == "norm":
-                h = qctx.unembed[ext.pow_vec(Z, q + 1)].astype(np.int32)
-            else:
-                raise InvalidParams(f"tracext H must be gold or norm, got {variant!r}")
-            return PairTables(EXT, tr, h, qctx)
-        if fam == "normfirst":
-            variant = str(spec.param("H"))
-            if not variant.startswith("tr"):
-                raise InvalidParams(f"normfirst H must look like tr<e>, got {variant!r}")
-            e = _int(variant[2:], "normfirst exponent")
-            g = qctx.unembed[ext.pow_vec(Z, q + 1)].astype(np.int32)
-            h = _trace_to_base(qctx, ext.pow_vec(Z, e))
-            return PairTables(EXT, g, h, qctx)
-        raise InvalidParams(f"unhandled extension-domain family {fam!r}")
-
-    # univariate
-    tab = np.asarray(spec.param("table"), dtype=np.int32)
-    if len(tab) != ext.q:
-        raise InvalidParams("generic univariate table must have q^2 entries")
-    return UniTable(tab, ext)
+    Z = np.arange(ext.q, dtype=np.int32)
+    tr = _trace_to_base(qctx, Z)
+    if fam == "traceinv":
+        gamma = ext.parse_elem(str(spec.required("gamma")), letter="W")
+        if qctx.unembed[gamma] >= 0:
+            raise InvalidParams("traceinv needs gamma outside F_q")
+        h = _trace_to_base(qctx, ext.mul_vec(np.int32(gamma), ext.inv_table))
+        return PairTables(EXT, tr, h, qctx)
+    if fam == "tracext":
+        variant = str(spec.required("H"))
+        if variant == "gold":
+            k = parse_gold_k(spec)
+            gamma = ext.parse_elem(str(spec.required("gamma")), letter="W")
+            if ext.add(ext.frobenius(gamma, base.m), gamma) == 0:
+                raise InvalidParams("tracext gold needs Tr(gamma) != 0")
+            h = _trace_to_base(
+                qctx, ext.mul_vec(np.int32(gamma),
+                                  ext.pow_vec(Z, base.p ** k + 1)))
+        elif variant == "norm":
+            h = qctx.unembed[ext.pow_vec(Z, q + 1)].astype(np.int32)
+        else:
+            raise InvalidParams(f"tracext H must be gold or norm, got {variant!r}")
+        return PairTables(EXT, tr, h, qctx)
+    if fam == "normfirst":
+        variant = str(spec.required("H"))
+        if not variant.startswith("tr"):
+            raise InvalidParams(f"normfirst H must look like tr<e>, got {variant!r}")
+        e = _int(variant[2:], "normfirst exponent")
+        g = qctx.unembed[ext.pow_vec(Z, q + 1)].astype(np.int32)
+        h = _trace_to_base(qctx, ext.pow_vec(Z, e))
+        return PairTables(EXT, g, h, qctx)
+    raise InvalidParams(f"unhandled extension-domain family {fam!r}")
 
 
 def tables_for(spec: FuncSpec, qctx: QuadExtCtx):
@@ -536,41 +515,27 @@ def tables_for(spec: FuncSpec, qctx: QuadExtCtx):
 # ---------------------------------------------------------------------------
 
 def eval_func(spec: FuncSpec, qctx: QuadExtCtx, point):
-    """Evaluate one point.  biv: BivElem -> BivElem; ext: FieldElem -> BivElem;
-    uni: FieldElem -> FieldElem."""
+    """Evaluate one point.  biv: BivElem -> BivElem; ext: FieldElem -> BivElem."""
     tabs = tables_for(spec, qctx)
     if spec.domain == BIV:
         if not isinstance(point, BivElem):
             raise DomainMismatch("bivariate spec expects a BivElem point")
         pt = qctx.pt(point.x.idx, point.y.idx)
-        return qctx.biv(int(tabs.g[pt]), int(tabs.h[pt]))
-    if spec.domain == EXT:
+    else:
         if not (hasattr(point, "ctx") and point.ctx is qctx.ext):
             raise DomainMismatch("extension-domain spec expects an ext FieldElem")
-        return qctx.biv(int(tabs.g[point.idx]), int(tabs.h[point.idx]))
-    if not (hasattr(point, "ctx") and point.ctx is qctx.ext):
-        raise DomainMismatch("univariate spec expects an ext FieldElem")
-    return qctx.ext.elem(int(tabs.f[point.idx]))
+        pt = point.idx
+    return qctx.biv(int(tabs.g[pt]), int(tabs.h[pt]))
 
 
-def univariate_lift(spec: FuncSpec, qctx: QuadExtCtx,
-                    ordering=G_PLUS_BETA_H) -> FuncSpec:
-    """The correspondence z -> phi(F(phi^-1(z))) as a univariate value table.
+def univariate_lift(spec: FuncSpec, qctx: QuadExtCtx) -> UniTable:
+    """The correspondence z -> phi(F(phi^-1(z))) as a value table of F_{q^2}
+    to itself.
 
-    ``ordering`` selects which coordinate multiplies beta: the default
-    G+bH pairs phi(g, h) = g + beta*h, which is the identification under
-    which the bivariate differential system is exactly c*(lifted F).
+    phi(g, h) = g + beta*h is the identification under which the bivariate
+    differential system is exactly c*(lifted F).
     """
     if spec.domain != BIV:
         raise DomainMismatch("univariate_lift needs a bivariate spec")
-    tabs = tables_for(spec, qctx)
-    q = qctx.base.q
-    pts = qctx.phi_inv_table  # z -> pt
-    if ordering == G_PLUS_BETA_H:
-        lifted = qctx.phi_table[tabs.g[pts] * q + tabs.h[pts]]
-    elif ordering == H_PLUS_BETA_G:
-        lifted = qctx.phi_table[tabs.h[pts] * q + tabs.g[pts]]
-    else:
-        raise InvalidParams(f"unknown ordering {ordering!r}")
-    return func_spec("genericuni", table=tuple(int(v) for v in lifted),
-                     ordering=ordering)
+    key = tables_for(spec, qctx).key  # F(pt) as the pair point g*q + h
+    return UniTable(qctx.phi_table[key[qctx.phi_inv_table]], qctx.ext)

@@ -247,7 +247,7 @@ def _predict_prodlin(spec, qctx, c1, c2):
 
 def _predict_tracext(spec, qctx, c1, c2):
     base = qctx.base
-    variant = str(spec.param("H"))
+    variant = str(spec.required("H"))
     if variant == "norm":
         if c2 != 0:
             return _not_covered(reason="norm branch covers only c = (c1, 0)")

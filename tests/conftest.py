@@ -17,6 +17,24 @@ def pytest_configure(config):
         ddt._rowk[:] = [ddt._bind(ctypes.CDLL(path))]
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace the sweep's thread pool with a serial stand-in, so that no
+    thread is started; returns the list of worker counts asked for."""
+    sizes = []
+
+    class Serial:
+        def map(self, fn, items):
+            return map(fn, items)
+
+    def pool(workers):
+        sizes.append(workers)
+        return Serial()
+
+    monkeypatch.setattr(ddt, "_pool", pool)
+    return sizes
+
+
 @pytest.fixture(scope="session")
 def f2():
     return make_field(2, 1)

@@ -3,6 +3,7 @@ import csv
 import gc
 import io
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,6 +172,19 @@ def test_thread_count_output_identical(capsys):
                 == out.replace(f"threads: {threads}", "threads: N")
 
 
+def test_large_thread_count_starts_few_workers(capsys, serial_pool):
+    """--threads 5000 asks for at most 5000 workers: the sweep takes one
+    per c and per CPU at most, and the header keeps the value asked for."""
+    argv = ["sweep", "-p", "2", "-m", "2", "--spec", "identity", "--c", "all"]
+    _, out1, _ = run_cli(capsys, *argv, "--threads", "1")
+    code, out, err = run_cli(capsys, *argv, "--threads", "5000")
+    assert (code, err) == (0, "") and "# threads: 5000\n" in out
+    assert out1.replace("threads: 1", "threads: N") \
+        == out.replace("threads: 5000", "threads: N")
+    workers = min(15, os.cpu_count() or 1)  # 15 c in F_4^2 minus (1, 0)
+    assert serial_pool == ([workers] if workers > 1 else [])
+
+
 _REPEATED_ARGVS = [
     ["sweep", "-p", "2", "-m", "3", "--spec", "genlinh{L=x;h=inv}",
      "--c", "sample:9", "--seed", "5"],
@@ -282,6 +296,18 @@ def test_output_file(tmp_path, capsys):
     assert text.startswith("# cmd: sweep")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("cmd, c", [("sweep", "cq0"), ("ddt", "all")])
+def test_output_write_error_is_one_line(capsys, cmd, c):
+    """A full device fails the write at the close for a short report, and
+    at a write for a report longer than the file buffer."""
+    code, out, err = run_cli(capsys, cmd, "-p", "2", "-m", "4", "--spec",
+                             "identity", "--c", c, "-o", "/dev/full")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot write /dev/full: ")
+    assert err.count("\n") == 1
+
+
 def test_ext_domain_witness_format(capsys):
     code, out, _ = run_cli(capsys, "ddt", "-p", "2", "-m", "4", "-t", "w^3",
                            "--spec", "traceinv{gamma=W^1}", "--c", "0,0")
@@ -347,3 +373,12 @@ def test_malformed_input_exits_one(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec, name", [
+    ("traceinv", "gamma"), ("tracext{H=gold;k=1}", "gamma"),
+    ("tracext", "H"), ("normfirst", "H")])
+def test_missing_parameter_is_named(capsys, spec, name):
+    code, out, err = run_cli(capsys, *_sweep("0,0", spec))
+    family = spec.split("{")[0]
+    assert (code, out, err) == (1, "", f"error: {family} needs parameter {name}\n")

@@ -3,10 +3,10 @@ import random
 import numpy as np
 import pytest
 
-from cdu import (eval_func, func_spec, linpoly_props, parse_func_spec,
-                 parse_linpoly, univariate_lift)
-from cdu.funcs import (DomainMismatch, InvalidParams, SpecParseError,
-                       parse_inner, tables_for, H_PLUS_BETA_G)
+from cdu import (eval_func, func_spec, linpoly_props, make_field, make_quadext,
+                 parse_func_spec, parse_linpoly, predict, univariate_lift)
+from cdu.funcs import (DomainMismatch, InvalidParams, SpecParseError, UniTable,
+                       parse_inner, tables_for)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -32,6 +32,14 @@ def test_parse_errors_have_positions():
         parse_func_spec("genlinh{L=x;h}")
     with pytest.raises(SpecParseError):
         parse_func_spec("genlinh{L=x")
+
+
+def test_no_univariate_family():
+    """A univariate map is no catalog family: only the lift builds one."""
+    with pytest.raises(SpecParseError, match="unknown family"):
+        func_spec("genericuni", table=(0, 1, 2, 3))
+    with pytest.raises(SpecParseError, match="unknown family"):
+        parse_func_spec("genericuni")
 
 
 # -- linearized polynomials ---------------------------------------------------
@@ -144,18 +152,55 @@ def test_family_param_validation(qx16):
         tables_for(parse_func_spec("tracext{H=gold;k=1;gamma=W^0}"), qx16)
 
 
+@pytest.mark.parametrize("spec, name", [
+    ("traceinv", "gamma"),
+    ("tracext{H=gold;k=1}", "gamma"),
+    ("tracext", "H"),
+    ("normfirst", "H"),
+    ("genlinh{h=inv}", "L"),
+    ("genlingold{L=x;alpha=0}", "k"),
+    ("sumprod{i=0;j=1}", "alpha"),
+    ("splitgh{g=id;h1=inv;L1=x;L2=x;gamma1=0;gamma2=1}", "h2"),
+])
+def test_missing_parameter_is_named(qx16, spec, name):
+    spec = parse_func_spec(spec)
+    message = f"^{spec.family} needs parameter {name}$"
+    with pytest.raises(InvalidParams, match=message):
+        tables_for(spec, qx16)
+    if (spec.family, name) == ("tracext", "H"):  # predict reads H first
+        with pytest.raises(InvalidParams, match=message):
+            predict.predict(spec, qx16, 0, 1)
+
+
 # -- univariate lift ----------------------------------------------------------
 
 def test_lift_identity(qx4):
     lift = univariate_lift(parse_func_spec("identity"), qx4)
-    tab = tables_for(lift, qx4).f
-    assert (tab == np.arange(qx4.ext.q)).all()
+    assert (lift.f == np.arange(qx4.ext.q)).all()
+
+
+@pytest.mark.parametrize("field", [(2, 2), (3, 2)])
+def test_lift_is_read_only_table_over_ext(field):
+    qctx = make_quadext(make_field(*field))
+    ext = qctx.ext
+    lift = univariate_lift(parse_func_spec("sumprod{i=0;j=1;alpha=1}"), qctx)
+    assert isinstance(lift, UniTable) and len(lift) == ext.q
+    assert lift.f.dtype == np.int32
+    inputs = [lift.f]
+    if ext.p == 2:
+        assert lift.wide_key is None
+    else:
+        assert (lift.wide_key == ext.carry_free[0][lift.f]).all()
+        inputs.append(lift.wide_key)
+    for a in inputs:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
 
 
 def test_lift_of_linear_function_is_linear(qx4):
     # F(x,y) = (x, y + x): both coordinates F_q-linear, so the lift is too
     spec = parse_func_spec("genlinh{L=x;h=id}")
-    tab = tables_for(univariate_lift(spec, qx4), qx4).f
+    tab = univariate_lift(spec, qx4).f
     ext = qx4.ext
     zs = np.arange(ext.q, dtype=np.int32)
     sums = ext.add_vec(zs[:, None], zs[None, :])
@@ -175,16 +220,9 @@ def test_lift_round_trip_pointwise(qx4):
     for x in range(q):
         for y in range(q):
             z = qx4.phi(qx4.biv(x, y))
-            image = eval_func(lift, qx4, z)
+            image = qx4.ext.elem(int(lift.f[z.idx]))
             back = qx4.phi_inv(image)
             assert back == eval_func(spec, qx4, qx4.biv(x, y))
-
-
-def test_lift_orderings_differ_on_nonsymmetric(qx4):
-    spec = parse_func_spec("genlinh{L=x;h=inv}")
-    a = tables_for(univariate_lift(spec, qx4), qx4).f
-    b = tables_for(univariate_lift(spec, qx4, H_PLUS_BETA_G), qx4).f
-    assert not (a == b).all()
 
 
 def test_lift_requires_bivariate(qx16):
