@@ -1,4 +1,4 @@
-/* Native c-DDT rows for cdu.ddt: one call histograms every row a of one c.
+/* Native c-DDT rows for cdu.ddt: one call histograms the rows a of one c.
  *
  * Row a counts bins[b] = #{x : key[x + a] + trans[x] = b} over the n points
  * of one field, in its digitwise addition: XOR for p = 2, carry-free wide
@@ -7,6 +7,11 @@
  * caller owns (as it owns twp), so the rows share their loads and their
  * increments form independent store chains.  Nothing here is static state,
  * so threads may run calls side by side.
+ *
+ * Row a counts wt[a] times: wt[a] is the size of the orbit of rows that row
+ * a stands for (see cdu.ddt), 1 for every row when there is no symmetry,
+ * and 0 for a row that another row stands for.  A block whose rows all
+ * weigh 0 is not histogrammed, nor, at odd p, a whole a_lo group.
  *
  * Bins are uint16_t, or uint32_t for n >= 2^16, where one entry can reach
  * 2^16.  The body below is compiled once per width: this file includes
@@ -20,9 +25,9 @@
  * maximum reaches SMALL takes a scalar pass adding its larger entries to
  * spec[v], and only a row whose maximum beats the best so far, or ties it at
  * a smaller a (rows may come in any order), is scanned for its first witness
- * b.  Rows a < start are skipped, and a block whose rows all lie below start
- * is not histogrammed.  Returns 0, or -1 when a row's mass is not n, before
- * that row touches spec.  Callers check every key and trans value lies in
+ * b.  Each row adds wt[a] times its counts to spec; rows of weight 0 are only
+ * cleared.  Returns 0, or -1 when a row's mass is not n, before that row
+ * touches spec.  Callers check every key and trans value lies in
  * [0, n); nothing here is bounds-checked.
  */
 
@@ -35,6 +40,14 @@
 #define ROWS 4   /* rows filled by one pass over x */
 
 const int cdu_block_rows = ROWS;  /* read by cdu.ddt to size the bins */
+
+/* Whether any of the r rows a0, a0 + step, ... has a weight. */
+static int weighed(int r, int a0, int step, const int *wt)
+{
+    for (int i = 0; i < r; i++)
+        if (wt[a0 + i * step]) return 1;
+    return 0;
+}
 
 #define CAT_(f, w) f##w
 #define CAT(f, w) CAT_(f, w)
@@ -58,8 +71,8 @@ const int cdu_block_rows = ROWS;  /* read by cdu.ddt to size the bins */
 #if defined(__x86_64__) && defined(__GNUC__) && defined(__GLIBC__)
 __attribute__((target_clones("avx2", "default")))
 #endif
-static int NAME(row_done)(int n, int a, BIN *bins, long long *spec,
-                          long long *best)
+static int NAME(row_done)(int n, int a, long long w, BIN *bins,
+                          long long *spec, long long *best)
 {
     /* The mass is exact: bins start at zero and take at most the n * n
      * <= 2^32 increments of one call (n <= 2^16), so no row wraps to
@@ -75,10 +88,10 @@ static int NAME(row_done)(int n, int a, BIN *bins, long long *spec,
     }
     if (mass != (uint32_t)n) return -1;
     for (int j = 0; j < SMALL && j <= n; j++)  /* spec has n + 1 entries */
-        spec[j] += cnt[j];
+        spec[j] += w * cnt[j];
     if (top >= SMALL)
         for (int b = 0; b < n; b++)
-            if (bins[b] >= SMALL) spec[bins[b]]++;
+            if (bins[b] >= SMALL) spec[bins[b]] += w;
     if (top > best[0] || (top == best[0] && a < best[1])) {
         int b = 0;
         while (bins[b] != top) b++;
@@ -88,16 +101,16 @@ static int NAME(row_done)(int n, int a, BIN *bins, long long *spec,
     return 0;
 }
 
-/* Reduce the r rows a0, a0 + step, ... of one block; rows below start are
+/* Reduce the r rows a0, a0 + step, ... of one block; rows of weight 0 are
  * only cleared. */
-static int NAME(block_done)(int n, int r, int a0, int step, int start,
+static int NAME(block_done)(int n, int r, int a0, int step, const int *wt,
                             BIN *bins, long long *spec, long long *best)
 {
     for (int i = 0; i < r; i++, bins += n) {
         int a = a0 + i * step;
-        if (a < start)
+        if (!wt[a])
             memset(bins, 0, n * sizeof *bins);
-        else if (NAME(row_done)(n, a, bins, spec, best))
+        else if (NAME(row_done)(n, a, wt[a], bins, spec, best))
             return -1;
     }
     return 0;
@@ -120,16 +133,18 @@ void NAME(xor_block)(int n, int r, const int *key, const int *trans, int a0,
 
 /* p = 2: point and key addition are both XOR.  n is a power of 2, so the
  * blocks are ROWS rows, or n rows when n < ROWS. */
-int NAME(cdu_rows_xor)(int n, const int *key, const int *trans, int start,
-                       BIN *bins, long long *spec, long long *best)
+int NAME(cdu_rows_xor)(int n, const int *key, const int *trans,
+                       const int *wt, BIN *bins, long long *spec,
+                       long long *best)
 {
     int r = n < ROWS ? n : ROWS;
-    for (int a0 = start - start % r; a0 < n; a0 += r) {
+    for (int a0 = 0; a0 < n; a0 += r) {
+        if (!weighed(r, a0, 1, wt)) continue;
         if (r == ROWS)  /* a constant row count unrolls the block */
             NAME(xor_block)(n, ROWS, key, trans, a0, bins);
         else
             NAME(xor_block)(n, r, key, trans, a0, bins);
-        if (NAME(block_done)(n, r, a0, 1, start, bins, spec, best)) return -1;
+        if (NAME(block_done)(n, r, a0, 1, wt, bins, spec, best)) return -1;
     }
     return 0;
 }
@@ -168,23 +183,25 @@ void NAME(add_block)(int n, int lo, int r, const int *wide, const int *r_hi,
  * hi % ROWS of them as one smaller block. */
 int NAME(cdu_rows_add)(int n, int lo, const int *wide, const int *r_hi,
                        const int *r_lo, const int *kw, const int *tw, int *twp,
-                       int start, BIN *bins, long long *spec, long long *best)
+                       const int *wt, BIN *bins, long long *spec,
+                       long long *best)
 {
     int xl_of[256], hi = n / lo;
     for (int al = 0; al < lo; al++) {
+        if (!weighed(hi, al, lo, wt)) continue;
         for (int xl = 0; xl < lo; xl++)
             xl_of[r_lo[(wide[xl] + wide[al]) & 0xffff]] = xl;
         for (int x = 0; x < n; x++)
             twp[x] = tw[x - x % lo + xl_of[x % lo]];
         for (int j = 0; j < hi; j += ROWS) {
             int r = hi - j < ROWS ? hi - j : ROWS, a0 = al + j * lo, wa[ROWS];
-            if (a0 + (r - 1) * lo < start) continue;
+            if (!weighed(r, a0, lo, wt)) continue;
             for (int i = 0; i < r; i++) wa[i] = wide[a0 + i * lo];
             if (r == ROWS)  /* as in cdu_rows_xor */
                 NAME(add_block)(n, lo, ROWS, wide, r_hi, r_lo, kw, twp, wa, bins);
             else
                 NAME(add_block)(n, lo, r, wide, r_hi, r_lo, kw, twp, wa, bins);
-            if (NAME(block_done)(n, r, a0, lo, start, bins, spec, best))
+            if (NAME(block_done)(n, r, a0, lo, wt, bins, spec, best))
                 return -1;
         }
     }

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import sys
 
@@ -285,11 +286,16 @@ def main(argv=None):
     try:
         if not path:
             return _run(args, sys.stdout)
+        # the file is opened only once the run is done, so a run that fails
+        # (a bad spec, field or c set) leaves what the file held
+        buf = io.StringIO()
+        code = _run(args, buf)
         try:  # a write may fail as late as the close, with the last flush
             with open(path, "w") as out:
-                return _run(args, out)
+                out.write(buf.getvalue())
         except OSError as e:
             raise CduError(f"cannot write {path}: {e.strerror}") from e
+        return code
     except CduError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1

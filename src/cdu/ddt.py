@@ -10,30 +10,55 @@ Tables of a field to itself (the univariate lift, the inner functions
 ``predict`` measures) use Definition-style F(z+a) - c*F(z).  Every domain
 shape (pair plane, F_{q^2} with pair output, a field to itself) goes through
 one report path, ``_kernel_report``, which histograms the domain once per
-(c, a) and reduces all rows of one c to its uniformity, spectrum and witness.
+row (c, a) it runs and reduces the rows of one c to its uniformity,
+spectrum and witness.
 
-Native kernel.  ``_rowk.c`` does a whole c in one C call.  One pass over the
-points fills a block of four rows: at p = 2 the rows a, a^1, a^2, a^3,
+Row weights.  Most constructions are homogeneous: F(lam*z) = N(F(z)) with
+N(g, h) = (mu1*g, mu2*h) for every lam of a subgroup of F_q^*, lam*z being
+(lam*x, lam*y) on a pair point and embed(lam)*z on a point of F_{q^2}
+(``funcs.find_scaling``, once per table).  Where N commutes with the
+product by c, N_c(lam*a, N(b)) = N_c(a, b): substitute x = lam*x' in
+F(x + lam*a) - c*F(x) = N(b).  So row lam*a holds the entries of row a,
+relabelled, and one row per orbit of a under the subgroup stands for all
+of them.  N commutes with every c on the line c2 = 0, where c is the
+scalar c1; off it, only on the subgroup <lam^j> with mu1^j = mu2^j, which
+may be trivial.  Row a weighs wt[a] (``_weights``): the size of its orbit
+when a is the orbit's smallest point, else 0, and at the identity c row 0
+weighs 0, as the a-quantifier excludes it.  Both kernels run only the rows
+of nonzero weight and add each row's entry counts wt[a] times to the
+spectrum.  The maximum is the same on every row of an orbit, so the
+smallest a attaining it is an orbit's smallest point, and the report is
+identical to that of every row: one c of goldpair at q = 64 runs 66 rows,
+not 4096.  Tables with no scaling, and every table of a field to itself,
+run every row at weight 1.
+
+Native kernel.  ``_rowk.c`` does a whole c in one C call.  One pass over
+the points fills a block of four rows: at p = 2 the rows a, a^1, a^2, a^3,
 which share every key and trans load; at odd p four rows of one a_lo group,
-which share each permuted trans load.  Each row of the block counts
-key[x + a] + trans[x] into its own row of 16-bit bins, or 32-bit bins when
-n >= 2^16, where an entry can reach 2^16.  The bins and the trans scratch
-are allocated here and passed in, so the C code keeps no state and
-threads may share it.  Then one branch-free, vectorized pass per row (16
-lanes to an AVX2 op) sums the row mass exactly, takes the row maximum and
-counts the entries below a small bound in registers.  Only rows whose
-maximum reaches that bound take a scalar pass for their larger entries,
-and only rows that beat the best maximum so far, or tie it at a smaller a,
-are scanned for the first witness.  It is compiled on first use with
-``cc -O3 -shared -fPIC`` (no -march, so the file stays portable; on x86-64
-the reduction carries an AVX2 clone that is picked at load time) and cached
-as $XDG_CACHE_HOME/cdu/rowk-<sha256 of source and flags>.so, default
-~/.cache/cdu; ctypes releases the GIL during the call, so threaded sweeps
-run c values in parallel.  ``_bind`` declares the signatures on any build,
-so the tests can also run a sanitizer build.  Where it cannot be built or
-loaded (no compiler, unwritable cache, compile error) every report falls
-back to the numpy reference ``_rows`` below, which the tests also hold the
-native kernel to.
+which share each permuted trans load.  A block whose four rows all weigh 0
+is skipped, and at odd p so is an a_lo group, with its permutation.  Each
+row of the block counts key[x + a] + trans[x] into its own row of 16-bit
+bins, or 32-bit bins when n >= 2^16, where an entry can reach 2^16.  The
+bins and the trans scratch are allocated here and passed in, so the C code
+keeps no state and threads may share it.  Then one branch-free, vectorized
+pass per weighed row (16 lanes to an AVX2 op) sums the row mass exactly,
+takes the row maximum and counts the entries below a small bound in
+registers.  Only rows whose maximum reaches that bound take a scalar pass
+for their larger entries, and only rows that beat the best maximum so far,
+or tie it at a smaller a, are scanned for the first witness.  It is
+compiled on first use with ``cc -O3 -shared -fPIC`` (no -march, so the file
+stays portable; on x86-64 the reduction carries an AVX2 clone that is
+picked at load time) and cached as $XDG_CACHE_HOME/cdu/rowk-<sha256 of
+source and flags>.so, default ~/.cache/cdu; ctypes releases the GIL during
+the call, so threaded sweeps run c values in parallel.  ``_bind`` declares
+the signatures on any build, so the tests can also run a sanitizer build.
+Arrays pass as bare addresses: those of a table (its key or wide_key, the
+field's codes, its row weights) are taken once, where the arrays are built
+and checked to be read-only contiguous int32 (``funcs.address``), and live
+with the table; only the per-c arrays are converted on each call.  Where it
+cannot be built or loaded (no compiler, unwritable cache, compile error)
+every report falls back to the numpy reference ``_rows`` below, which the
+tests also hold the native kernel to.
 It is one expression over the field's own ``add_vec``, with no addition
 logic of its own:
 
@@ -56,9 +81,11 @@ logic of its own:
   of point+a over all (a, x): one c at q = 125 runs in ~35 MB.
 * Per table.  What the kernel reads of a table whatever the c is built
   with the table (``funcs.kernel_key``) and kept on it, read-only: the
-  int32 key, the key's wide codes at odd p and, for pair output, the
-  F_{q^2} logs of phi(key).  A c then costs its -c*F(x) term (one add and
-  two gathers), that term's check, and one kernel call.
+  int32 key, the key's wide codes at odd p, their addresses, for pair
+  output the F_{q^2} logs of phi(key) and the table's scaling, and the row
+  weights of each subgroup a c has used, built on first use from any
+  worker thread.  A c then costs its -c*F(x) term (one add and two
+  gathers), that term's check, and one kernel call.
 * Threads.  A sweep with threads > 1 maps its c values over a pool of
   min(threads, number of c, CPUs) workers, started on first use and kept
   for the whole process (``_pool``); a larger pool would only add idle OS
@@ -74,6 +101,7 @@ indexes with them.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import random
 import subprocess
@@ -97,7 +125,7 @@ except ImportError:  # Python < 3.12
 from .gf import CduError
 from .quadext import BivElem, QuadExtCtx
 from .funcs import (BIV, FuncSpec, PairTables, UniTable, DomainMismatch,
-                    tables_for, univariate_lift)
+                    address, tables_for, univariate_lift)
 
 
 @dataclass(frozen=True)
@@ -160,12 +188,12 @@ def _rows(field, key, trans, a):
     return np.bincount(out.ravel(), minlength=out.size)[:out.size].reshape(out.shape)
 
 
-def _row_blocks(field, key, trans):
-    """Yield (a0, bins) for every a, about _BLOCK points per block."""
-    n = field.q
-    step = max(1, _BLOCK // n)
-    for a0 in range(0, n, step):
-        yield a0, _rows(field, key, trans, np.arange(a0, min(a0 + step, n)))
+def _row_blocks(field, key, trans, rows):
+    """Yield (a, bins) for the rows ``rows``, about _BLOCK points per block."""
+    step = max(1, _BLOCK // field.q)
+    for i in range(0, len(rows), step):
+        a = rows[i:i + step]
+        yield a, _rows(field, key, trans, a)
 
 
 def _make_report(c, best, spectrum):
@@ -176,24 +204,72 @@ def _make_report(c, best, spectrum):
     return CDdtReport(c, top, spectrum, (a, b), classify(top))
 
 
-def _report(blocks, n, c):
-    """Max entry, spectrum and lexicographically first witness over all rows."""
+def _report(blocks, n, c, wt):
+    """Max entry, spectrum and lexicographically first witness over rows
+    given in increasing a, row a counted wt[a] times in the spectrum."""
     best = (-1, -1, -1)
     spectrum = np.zeros(n + 1, dtype=np.int64)
-    for a0, bins in blocks:
+    for a, bins in blocks:
         if not (bins.sum(axis=1) == n).all():
             raise CduError("row mass conservation violated (engine bug)")
-        start = 1 if (c.is_identity and a0 == 0) else 0
-        sub = bins[start:]
-        if sub.size == 0:
-            continue
-        hist = np.bincount(sub.ravel())
-        spectrum[:len(hist)] += hist
-        bm = len(hist) - 1
+        r = len(a)  # row i's entries counted at i*(n+1) + v
+        hist = np.bincount((bins + np.arange(r)[:, None] * (n + 1)).ravel(),
+                           minlength=r * (n + 1))
+        spectrum += wt[a] @ hist.reshape(r, n + 1)
+        bm = bins.max()
         if bm > best[0]:
-            flat = int(np.argmax(sub == bm))
-            best = (bm, a0 + start + flat // n, flat % n)
+            flat = int(np.argmax(bins == bm))
+            best = (bm, a[flat // n], flat % n)
     return _make_report(c, best, spectrum)
+
+
+# ---------------------------------------------------------------------------
+# row weights
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _full_weights(n, identity):
+    """(weights, their address): every row once, but a = 0 at the identity c."""
+    wt = np.ones(n, dtype=np.int32)
+    wt[0] = not identity
+    wt.flags.writeable = False
+    return wt, address(wt)
+
+
+def _orbit_weights(perm, gen, order, identity):
+    """wt[a] = the size of a's orbit under <perm^gen>, a subgroup of the
+    given order, when a is the smallest point of its orbit, else 0."""
+    g, power = np.arange(len(perm)), perm
+    while gen:  # g = perm^gen
+        if gen & 1:
+            g = power[g]
+        power, gen = power[power], gen >> 1
+    low, span = np.arange(len(g)), 1
+    while span < order:  # low[a] = min of a, g(a), ..., g^(span-1)(a)
+        low, g, span = np.minimum(low, low[g]), g[g], 2 * span
+    wt = np.bincount(low, minlength=len(low)).astype(np.int32)
+    wt[0] = not identity
+    wt.flags.writeable = False
+    return wt, address(wt)
+
+
+def _weights(tab, c):
+    """Row weights of the table ``tab`` at c, with their address (see "Row
+    weights" above): the whole subgroup of its scaling on the line c2 = 0,
+    the subgroup of order ``off_order`` off it.  Built once per table and
+    subgroup, from any thread: two threads may build the same weights, and
+    one of them is kept.
+    """
+    sc = tab.scaling
+    order = sc.order if c.c2 == 0 else sc.off_order
+    if order == 1:
+        return _full_weights(len(tab.key), c.is_identity)
+    slot = (order, c.is_identity)
+    wt = tab.row_weights.get(slot)
+    if wt is None:
+        wt = tab.row_weights.setdefault(slot, _orbit_weights(
+            sc.perm, sc.order // order, order, c.is_identity))
+    return wt
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +315,16 @@ def _compile_rowk():
 def _bind(lib):
     """Declare the kernel signatures on a loaded build of _rowk.c; returns
     lib, with ``block_rows``, the row count of the bins it expects.  Any
-    build loads this way, as the sanitizer run of the tests does."""
-    i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
-    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    c_int = ctypes.c_int
+    build loads this way, as the sanitizer run of the tests does.  Arrays
+    pass as addresses: a table's own at its build (``funcs.address``), and
+    the per-c ones in ``_kernel_report``."""
+    ptr, c_int = ctypes.c_void_p, ctypes.c_int
     for bits in (16, 32):
-        bins = np.ctypeslib.ndpointer(f"uint{bits}", ndim=2,
-                                      flags="C_CONTIGUOUS")
-        tail = [c_int, bins, i64, i64]  # start, bins, spec, best
+        tail = [ptr] * 4  # wt, bins, spec, best
         xor = getattr(lib, f"cdu_rows_xor{bits}")
         add = getattr(lib, f"cdu_rows_add{bits}")
-        xor.argtypes = [c_int, i32, i32] + tail
-        add.argtypes = [c_int, c_int] + [i32] * 6 + tail
+        xor.argtypes = [c_int, ptr, ptr] + tail
+        add.argtypes = [c_int, c_int] + [ptr] * 6 + tail
         xor.restype = add.restype = c_int
     lib.block_rows = c_int.in_dll(lib, "cdu_block_rows").value
     return lib
@@ -268,32 +342,36 @@ def _native():
 
 
 def _kernel_report(field, tab, trans, c):
-    """Report over every row of the table ``tab``: one native call, or the
-    numpy blocks without a compiler.  The table's key was checked when the
-    table was built; trans is checked here, for every c, since the C code
-    indexes bins and keys with both unchecked."""
+    """Report over the rows of the table ``tab``, each row weighted as
+    ``_weights`` gives it: one native call, or the numpy blocks without a
+    compiler.  The table's key was checked when the table was built; trans
+    is checked here, for every c, since the C code indexes bins and keys
+    with both unchecked."""
     n = field.q
     if len(tab.key) != n or len(trans) != n:
         raise CduError("value tables do not span the field (engine bug)")
     if trans.min() < 0 or trans.max() >= n:
         raise CduError("value table outside the codomain (engine bug)")
     trans = np.ascontiguousarray(trans, dtype=np.int32)
+    wt, wt_at = _weights(tab, c)
     lib = _native()
     if lib is None:
-        return _report(_row_blocks(field, tab.key, trans), n, c)
-    start = 1 if c.is_identity else 0
+        return _report(_row_blocks(field, tab.key, trans, np.flatnonzero(wt)),
+                       n, c, wt)
     bits = 16 if n < 1 << 16 else 32  # an entry is at most n
     bins = np.zeros((lib.block_rows, n), dtype=f"uint{bits}")
     spec = np.zeros(n + 1, dtype=np.int64)
     best = np.full(3, -1, dtype=np.int64)
+    tail = (wt_at, bins.ctypes.data, spec.ctypes.data, best.ctypes.data)
     if field.p == 2:
-        rc = getattr(lib, f"cdu_rows_xor{bits}")(n, tab.key, trans, start,
-                                                  bins, spec, best)
+        rc = getattr(lib, f"cdu_rows_xor{bits}")(
+            n, *tab.kernel_args, trans.ctypes.data, *tail)
     else:
-        wide, r_hi, r_lo = field.carry_free
+        tw = field.carry_free[0][trans]
+        twp = np.empty_like(trans)
         rc = getattr(lib, f"cdu_rows_add{bits}")(
-            n, field.lo, wide, r_hi, r_lo, tab.wide_key, wide[trans],
-            np.empty_like(trans), start, bins, spec, best)
+            n, field.lo, *tab.kernel_args, tw.ctypes.data, twp.ctypes.data,
+            *tail)
     if rc:
         raise CduError("row mass conservation violated (engine bug)")
     return _make_report(c, best, spec)

@@ -37,6 +37,7 @@ can pass.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from math import gcd
 
 import numpy as np
 
@@ -256,7 +257,10 @@ def parse_func_spec(s) -> FuncSpec:
         if "=" not in part:
             raise SpecParseError(f"expected key=value at position {pos} in {s!r}")
         k, v = part.split("=", 1)
-        params[k.strip()] = v.strip()
+        k = k.strip()
+        if k in params:
+            raise SpecParseError(f"repeated key {k!r} at position {pos} in {s!r}")
+        params[k] = v.strip()
         pos += len(part) + 1
     return func_spec(head, **params)
 
@@ -266,25 +270,98 @@ def parse_func_spec(s) -> FuncSpec:
 # ---------------------------------------------------------------------------
 
 def kernel_key(field, values):
-    """(key, wide_key): the value table ``values`` over ``field`` as the c-DDT
-    kernel reads it whatever the c.  The key is a read-only int32 copy,
-    checked here, once, to span the field and to lie in it, since the native
-    kernel indexes with it unchecked; at odd p, wide_key is its carry-free
-    codes (``FieldCtx.carry_free``), read-only too, and None at p = 2."""
+    """(key, wide_key, arrays, args): the value table ``values`` over
+    ``field`` as the c-DDT kernel reads it whatever the c.  The key is a
+    read-only int32 copy, checked here, once, to span the field and to lie
+    in it, since the native kernel indexes with it unchecked; at odd p,
+    wide_key is its carry-free codes (``FieldCtx.carry_free``), read-only
+    too, and None at p = 2.  args are the addresses of ``arrays``, which the
+    native kernel takes for the table: the key at p = 2, and the field's
+    three code arrays and wide_key at odd p.  A table keeps both, so the
+    arrays live as long as their addresses."""
     n = field.q
     if len(values) != n:
         raise CduError("value tables do not span the field (engine bug)")
     if values.min() < 0 or values.max() >= n:
         raise CduError("value table outside the codomain (engine bug)")
-    key = np.array(values, dtype=np.int32)
-    wide_key = field.carry_free[0][key] if field.p > 2 else None
-    return _read_only(key), _read_only(wide_key)
+    key = _read_only(np.array(values, dtype=np.int32))
+    if field.p == 2:
+        wide_key, arrays = None, (key,)
+    else:
+        wide_key = _read_only(field.carry_free[0][key])
+        arrays = (*field.carry_free, wide_key)
+    return key, wide_key, arrays, tuple(address(a) for a in arrays)
 
 
 def _read_only(a):
-    if a is not None:
-        a.flags.writeable = False
+    a.flags.writeable = False
     return a
+
+
+def address(a):
+    """The address of ``a`` for the native kernel, which reads it unchecked
+    in later calls: so ``a`` must be a read-only, C-contiguous int32 array,
+    kept alive while the address is used."""
+    if a.dtype != np.int32 or not a.flags.c_contiguous or a.flags.writeable:
+        raise CduError("kernel input is not a read-only int32 array (engine bug)")
+    return a.ctypes.data
+
+
+@dataclass(frozen=True)
+class Scaling:
+    """F(lam*z) = (mu1*G(z), mu2*H(z)) at every point z, for the generator
+    lam = w^d of a subgroup of F_q^* with ``order`` elements.  ``perm[z]`` is
+    the index of lam*z: (lam*x, lam*y) for a pair point, embed(lam)*z for a
+    point of F_{q^2}.  ``off_order`` is the order of the subgroup <lam^j>
+    on which mu1^j = mu2^j, the part that also serves c off the line c2 = 0
+    (see ``ddt``)."""
+
+    order: int = 1
+    off_order: int = 1
+    mu1: int = 1
+    mu2: int = 1
+    perm: np.ndarray = None
+
+
+NO_SCALING = Scaling()
+
+
+def _ratio(base, v, w):
+    """mu with w = mu*v at every point, None when v = w = 0 everywhere (any
+    mu then holds), and 0 when there is no such mu."""
+    nz = np.flatnonzero(v)
+    if not len(nz):
+        return None if not w.any() else 0
+    mu = base.div(int(w[nz[0]]), int(v[nz[0]]))
+    return mu if (base.mul_row(mu)[v] == w).all() else 0
+
+
+def find_scaling(qctx, domain, g, h):
+    """The Scaling of the largest subgroup <w^d> of F_q^* under which the
+    pair function (g, h) on ``domain`` is homogeneous, checked at every
+    point; NO_SCALING when only lam = 1 is.  Every divisor d of q - 1 is
+    tried, smallest first: the set of such lam is a subgroup, so the first
+    d that holds gives the largest."""
+    base = qctx.base
+    q, qm1 = base.q, base.q - 1
+    for d in (d for d in range(1, qm1) if qm1 % d == 0):
+        lam = int(base.antilog_table[d])
+        if domain == BIV:
+            row = base.mul_row(lam)
+            perm = (row[:, None] * q + row[None, :]).ravel()
+        else:
+            perm = qctx.ext.mul_row(int(qctx.embed[lam]))
+        for part in (slice(0, 64), slice(None)):  # fail fast, then every point
+            mu1, mu2 = (_ratio(base, v[part], v[perm[part]]) for v in (g, h))
+            if mu1 == 0 or mu2 == 0:
+                break
+        else:
+            mu1, mu2 = mu1 or mu2 or 1, mu2 or mu1 or 1  # a zero half takes any mu
+            order = qm1 // d
+            # mu1^j = mu2^j for the multiples j of the order of mu1/mu2
+            j = qm1 // gcd(int(base.log_table[base.div(mu1, mu2)]), qm1)
+            return Scaling(order, order // j, mu1, mu2, _read_only(perm))
+    return NO_SCALING
 
 
 @dataclass
@@ -294,9 +371,12 @@ class PairTables:
     ``key`` packs each pair into the one codomain index g*q + h, the
     encoding of reported b values; both domains have q^2 points.  With the
     key, built once over ``qctx`` and read-only, come the other inputs the
-    c-DDT kernel takes of the tables for every c: ``wide_key`` (see
-    ``kernel_key``) and ``log_phi``, the F_{q^2} logs of phi(key), so that
-    the -c*F(x) term is one add and two lookups per point.
+    c-DDT kernel takes of the tables for every c: ``wide_key``,
+    ``kernel_arrays`` and their addresses ``kernel_args`` (see
+    ``kernel_key``), ``log_phi``, the F_{q^2} logs of phi(key), so that the
+    -c*F(x) term is one add and two lookups per point, and ``scaling`` (see
+    ``find_scaling``).  ``row_weights`` holds the kernel's row weights per
+    subgroup, as ``ddt`` builds them.
     """
 
     domain: str
@@ -306,24 +386,29 @@ class PairTables:
 
     def __post_init__(self, qctx):
         ext = qctx.ext
-        self.key, self.wide_key = kernel_key(
-            ext, self.g.astype(np.intp) * qctx.base.q + self.h)
+        self.key, self.wide_key, self.kernel_arrays, self.kernel_args = \
+            kernel_key(ext, self.g.astype(np.intp) * qctx.base.q + self.h)
         self.log_phi = _read_only(ext.log_table[qctx.phi_table[self.key]])
+        self.scaling = find_scaling(qctx, self.domain, self.g, self.h)
+        self.row_weights = {}
 
 
 @dataclass
 class UniTable:
     """Value table of a univariate function of ``field`` to itself.
 
-    ``f`` is the kernel's key: read-only and checked, with ``wide_key``
-    beside it (see ``kernel_key``).
+    ``f`` is the kernel's key: read-only and checked, with ``wide_key``,
+    ``kernel_arrays`` and ``kernel_args`` beside it (see ``kernel_key``).
+    No scaling is looked for, so the kernel weighs every row alike.
     """
 
     f: np.ndarray
     field: InitVar[FieldCtx]
+    scaling = NO_SCALING
 
     def __post_init__(self, field):
-        self.f, self.wide_key = kernel_key(field, np.asarray(self.f))
+        self.f, self.wide_key, self.kernel_arrays, self.kernel_args = \
+            kernel_key(field, np.asarray(self.f))
 
     @property
     def key(self):

@@ -282,7 +282,8 @@ class FieldCtx:
 
     @cached_property
     def carry_free(self):
-        """(wide, r_hi, r_lo), int32: addition with no carries, odd p only.
+        """(wide, r_hi, r_lo), read-only int32: addition with no carries,
+        odd p only.
 
         wide[x] re-reads the digits of x_hi and of x_lo in base B = 2p - 1
         and packs them as code_hi << 16 | code_lo.  No digit of a sum of
@@ -297,8 +298,11 @@ class FieldCtx:
             raise FieldTooLarge(f"F_{p} is too large for carry-free addition")
         idx = np.arange(self.q, dtype=np.int32)
         wide = _rebase(idx // lo, k, p, b) << 16 | _rebase(idx % lo, m // 2, p, b)
-        return (wide, _rebase(np.arange(b ** k), k, b, p) * lo,
-                _rebase(np.arange(b ** (m // 2)), m // 2, b, p))
+        codes = (wide, _rebase(np.arange(b ** k), k, b, p) * lo,
+                 _rebase(np.arange(b ** (m // 2)), m // 2, b, p))
+        for a in codes:  # the native kernel reads them by address
+            a.flags.writeable = False
+        return codes
 
     def _build_aux_tables(self):
         p, m, q = self.p, self.m, self.q

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from cdu import (equivalence_check, eval_func, func_spec, make_field,
                  make_quadext, parse_func_spec, univariate_lift)
 from cdu import ddt
 from cdu.ddt import CParam
-from cdu.funcs import BIV, EXT, PairTables, UniTable, tables_for
+from cdu.funcs import BIV, EXT, NO_SCALING, PairTables, UniTable, tables_for
 
 
 def _pair_terms(qctx, tabs, c):
@@ -371,6 +372,30 @@ def test_table_kernel_inputs_fresh_and_read_only(p, m, spec):
     for a in inputs:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
+    # the kernel reads the table's arrays by address, and the table keeps them
+    assert tabs.kernel_args == tuple(a.ctypes.data for a in tabs.kernel_arrays)
+    kept = (tabs.key,) if p == 2 else (*ext.carry_free, tabs.wide_key)
+    assert list(map(id, tabs.kernel_arrays)) == list(map(id, kept))
+
+
+def _native_rows(lib, field, key, trans, wt, bins, spec, best):
+    """One native kernel call on int32 arrays, passed by address as
+    ``ddt._kernel_report`` passes them; row a weighs wt[a]."""
+    def at(a):
+        assert a.flags.c_contiguous
+        return a.ctypes.data
+
+    n = field.q
+    bits = 8 * bins.itemsize
+    wt = np.ascontiguousarray(wt, dtype=np.int32)
+    tail = (at(wt), at(bins), at(spec), at(best))
+    if field.p == 2:
+        return getattr(lib, f"cdu_rows_xor{bits}")(n, at(key), at(trans), *tail)
+    wide, r_hi, r_lo = field.carry_free
+    kw, tw, twp = wide[key], wide[trans], np.empty_like(key)
+    return getattr(lib, f"cdu_rows_add{bits}")(
+        n, field.lo, at(wide), at(r_hi), at(r_lo), at(kw), at(tw), at(twp),
+        *tail)
 
 
 def test_row_mass_check_rejects_broken_row():
@@ -380,7 +405,8 @@ def test_row_mass_check_rejects_broken_row():
     bins[:, 0] = 9
     bins[1, 5] = 1
     with pytest.raises(cdu.CduError, match="row mass"):
-        ddt._report(iter([(0, bins)]), 9, CParam.uni(0))
+        ddt._report(iter([(np.arange(2), bins)]), 9, CParam.uni(0),
+                    np.ones(9, dtype=np.int32))
     lib = ddt._native()
     if lib is None:
         pytest.skip("no C compiler: the native kernel cannot be built")
@@ -391,13 +417,7 @@ def test_row_mass_check_rejects_broken_row():
         bins[0, 5] = 1  # a count that belongs to no row
         spec = np.zeros(n + 1, dtype=np.int64)
         best = np.full(3, -1, dtype=np.int64)
-        if field.p == 2:
-            rc = lib.cdu_rows_xor16(n, key, key, 0, bins, spec, best)
-        else:
-            wide, r_hi, r_lo = field.carry_free
-            rc = lib.cdu_rows_add16(n, field.lo, wide, r_hi, r_lo,
-                                    wide[key], wide[key], np.empty_like(key),
-                                    0, bins, spec, best)
+        rc = _native_rows(lib, field, key, key, np.ones(n), bins, spec, best)
         assert rc == -1
         assert not spec.any() and (best == -1).all()
 
@@ -422,9 +442,10 @@ def test_row_blocks_with_a_short_tail(field, identity):
 
 @pytest.mark.parametrize("field", [(2, 3), (3, 2), (3, 3)])
 def test_native_kernel_reports_rows_from_start(field):
-    """For any start the kernel reports exactly the rows a >= start, as the
-    numpy rows of those a give them; starts fall on, inside and past the
-    edges of its row blocks, so whole blocks below start are skipped."""
+    """With weights 0 below start and 1 from it, the kernel reports exactly
+    the rows a >= start, as the numpy rows of those a give them; starts fall
+    on, inside and past the edges of its row blocks, so whole blocks (and
+    at odd p whole a_lo groups) of weight 0 are skipped."""
     lib = ddt._native()
     if lib is None:
         pytest.skip("no C compiler: the native kernel cannot be built")
@@ -438,16 +459,41 @@ def test_native_kernel_reports_rows_from_start(field):
         bins = np.zeros((lib.block_rows, n), dtype=np.uint16)
         spec = np.zeros(n + 1, dtype=np.int64)
         best = np.full(3, -1, dtype=np.int64)
-        if f.p == 2:
-            rc = lib.cdu_rows_xor16(n, key, trans, start, bins, spec, best)
-        else:
-            wide, r_hi, r_lo = f.carry_free
-            rc = lib.cdu_rows_add16(n, f.lo, wide, r_hi, r_lo, wide[key],
-                                    wide[trans], np.empty_like(key), start,
-                                    bins, spec, best)
+        rc = _native_rows(lib, f, key, trans, np.arange(n) >= start, bins,
+                          spec, best)
         assert rc == 0 and not bins.any()
         assert spec.tolist() == np.bincount(rows.ravel(), minlength=n + 1).tolist()
         assert best.tolist() == [top, start + flat // n, flat % n]
+
+
+@pytest.mark.parametrize("field", [(2, 2), (2, 8), (3, 2), (3, 5), (5, 3)])
+def test_native_kernel_weighs_rows(field):
+    """Row a adds wt[a] times its entries to the spectrum, and the witness
+    is the first maximal (a, b) over the rows of nonzero weight, for sparse
+    weights of any size, as the numpy reference reduces the same rows."""
+    lib = ddt._native()
+    if lib is None:
+        pytest.skip("no C compiler: the native kernel cannot be built")
+    f = make_field(*field)
+    n = f.q
+    rng = np.random.default_rng(n)
+    key, trans = rng.integers(0, n, (2, n), dtype=np.int32)
+    for density in (0.02, 0.3, 1.0):
+        wt = np.where(rng.random(n) < density, rng.integers(1, 300, n), 0)
+        wt[rng.integers(n)] = 1  # at least one row runs
+        wt = wt.astype(np.int32)
+        rows = np.flatnonzero(wt)
+        ref = ddt._report(ddt._row_blocks(f, key, trans, rows), n,
+                          CParam.uni(0), wt)
+        bins = np.zeros((lib.block_rows, n), dtype=np.uint16)
+        spec = np.zeros(n + 1, dtype=np.int64)
+        best = np.full(3, -1, dtype=np.int64)
+        assert _native_rows(lib, f, key, trans, wt, bins, spec, best) == 0
+        assert not bins.any()
+        assert ddt._make_report(CParam.uni(0), best, spec) == ref
+        full = ddt._rows(f, key, trans, rows)
+        assert spec.tolist() == [int(wt[rows] @ (full == v).sum(axis=1))
+                                 for v in range(n + 1)]
 
 
 def test_native_kernel_at_n_2_16_counts_past_16_bits():
@@ -456,16 +502,159 @@ def test_native_kernel_at_n_2_16_counts_past_16_bits():
     lib = ddt._native()
     if lib is None:
         pytest.skip("no C compiler: the native kernel cannot be built")
-    n = 1 << 16
+    f = make_field(2, 16)
+    n = f.q
     key = np.arange(n, dtype=np.int32)
     bins = np.zeros((lib.block_rows, n), dtype=np.uint32)
     spec = np.zeros(n + 1, dtype=np.int64)
     best = np.full(3, -1, dtype=np.int64)
-    assert lib.cdu_rows_xor32(n, key, key, n - 4, bins, spec, best) == 0
+    wt = np.arange(n) >= n - 4
+    assert _native_rows(lib, f, key, key, wt, bins, spec, best) == 0
     assert spec[n] == 4 and spec[0] == 4 * (n - 1)
     assert spec.sum() == 4 * n
     assert best.tolist() == [n, n - 4, n - 4]
     assert not bins.any()
+
+
+def _scale(qctx, domain, lam, z):
+    """lam*z for the domain index z, by scalar field operations."""
+    base = qctx.base
+    if domain == BIV:
+        x, y = divmod(z, base.q)
+        return qctx.pt(base.mul(lam, x), base.mul(lam, y))
+    return qctx.ext.mul(int(qctx.embed[lam]), z)
+
+
+def _planted_tables(qctx, domain, d, e1, e2, rng):
+    """Random pair tables with F(lam*z) = (lam^e1*G(z), lam^e2*H(z)) for
+    lam = w^d: random values at the first point of each orbit of <lam>,
+    carried along the orbit."""
+    base = qctx.base
+    n = base.q ** 2
+    lam = int(base.antilog_table[d])
+    mus = (base.pow(lam, e1), base.pow(lam, e2))
+    g, h = np.full((2, n), -1)
+    for z0 in range(n):
+        if g[z0] >= 0:
+            continue
+        orbit = [z0]
+        while (z := _scale(qctx, domain, lam, orbit[-1])) != z0:
+            orbit.append(z)
+        vals = [int(v) for v in rng.integers(0, base.q, 2)]
+        for i, mu in enumerate(mus):  # the orbit {0}: F(0) = N(F(0))
+            if base.pow(mu, len(orbit)) != 1:
+                vals[i] = 0
+        for z in orbit:
+            g[z], h[z] = vals
+            vals = [base.mul(mu, v) for mu, v in zip(mus, vals)]
+    return PairTables(domain, g.astype(np.int32), h.astype(np.int32), qctx)
+
+
+def _unreduced(qctx, tabs):
+    """The same tables with no scaling, so every row runs at weight 1."""
+    plain = PairTables(tabs.domain, tabs.g, tabs.h, qctx)
+    plain.scaling = NO_SCALING
+    return plain
+
+
+# (p, m, d, e1, e2): F(lam*z) = (lam^e1*G(z), lam^e2*H(z)) for lam = w^d
+_PLANTED = [
+    (2, 2, 1, 1, 2),    # F_4: mu1/mu2 of order 3, the line c only
+    (2, 3, 1, 3, 1),    # F_8: the line c only
+    (2, 4, 1, 2, 5),    # F_16, as normfirst: off the line, <lam^5>
+    (2, 4, 3, 1, 1),    # F_16: mu1 = mu2 on <w^3>, every c
+    (3, 2, 1, 1, -1),   # F_9, as traceinv: off the line, lam = -1
+    (5, 1, 1, 1, 3),    # F_5: off the line, lam = -1
+    (5, 2, 2, 1, 1),    # F_25: mu1 = mu2 on <w^2>, every c
+    (3, 4, 1, 2, 2),    # F_81: mu1 = mu2 on all of F_q^*, every c
+    (3, 2, 0, 0, 0),    # F_9, random tables: no symmetry
+]
+
+
+@pytest.mark.parametrize("domain", [BIV, EXT])
+@pytest.mark.parametrize("p, m, d, e1, e2", _PLANTED)
+def test_planted_scaling_reports_exact(p, m, d, e1, e2, domain):
+    """Tables homogeneous by construction: the native and numpy kernels,
+    each on one row per orbit, give the uniformity, spectrum and witness of
+    the naive counter (of every row on the native kernel from q = 25), at a
+    line c, c = 0, the identity c and an off-line c; and the rows that run
+    are the orbit minima of the whole subgroup on the line."""
+    qctx = make_quadext(make_field(p, m))
+    base = qctx.base
+    q, n = base.q, base.q ** 2
+    rng = np.random.default_rng([p, m, d, e1 % q, e2 % q, domain == BIV])
+    if d:
+        tabs = _planted_tables(qctx, domain, d, e1, e2, rng)
+        order = (q - 1) // d
+        assert tabs.scaling.order % order == 0
+        if e1 == e2:
+            assert tabs.scaling.off_order == tabs.scaling.order
+    else:
+        g, h = rng.integers(0, q, (2, n), dtype=np.int32)
+        tabs = PairTables(domain, g, h, qctx)
+        assert tabs.scaling == NO_SCALING
+    c1 = int(rng.integers(2, q)) if q > 2 else 0
+    cs = [CParam.biv(c1, 0), CParam.biv(0, 0), CParam.biv(1, 0),
+          CParam.biv(int(rng.integers(0, q)), int(rng.integers(1, q)))]
+    for c in cs:
+        wt, _ = ddt._weights(tabs, c)
+        assert wt.sum() == n - c.is_identity
+        if c.c2 == 0:
+            assert np.count_nonzero(wt) == 1 + (n - 1) // tabs.scaling.order \
+                - c.is_identity
+        with _kernel("native"):
+            native = ddt.pair_report(qctx, tabs, c)
+            full = ddt.pair_report(qctx, _unreduced(qctx, tabs), c)
+        with _kernel("numpy"):
+            reference = ddt.pair_report(qctx, tabs, c)
+        assert native == reference == full
+        if n <= 81:
+            assert (native.uniformity, native.spectrum, native.witness) \
+                == naive_report(_pair_terms(qctx, tabs, c), c.is_identity)
+
+
+def test_goldpair_line_c_runs_q_plus_2_rows(qx16, monkeypatch):
+    """goldpair{L=x} is homogeneous under all of F_q^*: (lam*x, lam*y) maps
+    F to (lam^(p^k+1)*G, lam*H).  So a line c runs one row per orbit,
+    1 + (q^2 - 1)/(q - 1) = q + 2 of them, weighted to cover all q^2, and
+    reports what every row gives."""
+    q = qx16.base.q
+    tabs = tables_for(parse_func_spec("goldpair{k=1;gamma=w^5;L=x}"), qx16)
+    c = CParam.biv(qx16.base.parse_elem("w^3"), 0)
+    wt, _ = ddt._weights(tabs, c)
+    assert np.count_nonzero(wt) == q + 2 and wt.sum() == q * q
+    ran, rows = [], ddt._rows
+    monkeypatch.setattr(ddt, "_rows",
+                        lambda f, k, t, a: ran.extend(a.tolist()) or rows(f, k, t, a))
+    with _kernel("numpy"):
+        reduced = ddt.pair_report(qx16, tabs, c)
+        full = ddt.pair_report(qx16, _unreduced(qx16, tabs), c)
+    assert ran[:q + 2] == np.flatnonzero(wt).tolist() and len(ran) == q + 2 + q * q
+    assert reduced == full
+
+
+def test_weights_at_n_2_16_past_16_bits():
+    """The identity map F(z) = z at q = 256 scales with mu1 = mu2 = lam, so
+    every c runs 258 of the 2^16 rows, on 32-bit bins.  Its c-DDT is known
+    whole: (1 - c)*z + a is a bijection for c != 1, so every entry is 1 and
+    the first is at (0, 0); at the identity c, row a != 0 puts all 2^16
+    points in bin a."""
+    qctx = make_quadext(make_field(2, 8))
+    n = qctx.ext.q
+    tabs = tables_for(parse_func_spec("identity"), qctx)
+    assert tabs.scaling.order == tabs.scaling.off_order == 255
+    cases = [(CParam.biv(0, 0), 1, {1: n * n}, (0, 0)),
+             (CParam.biv(7, 0), 1, {1: n * n}, (0, 0)),
+             (CParam.biv(3, 9), 1, {1: n * n}, (0, 0)),
+             (CParam.biv(1, 0), n, {0: (n - 1) ** 2, n: n - 1}, (1, 1))]
+    for kernel in ("native", "numpy"):
+        with _kernel(kernel):
+            for c, top, spectrum, witness in cases:
+                assert np.count_nonzero(ddt._weights(tabs, c)[0]) \
+                    == 258 - c.is_identity
+                rep = ddt.pair_report(qctx, tabs, c)
+                assert (rep.uniformity, rep.spectrum, rep.witness) \
+                    == (top, spectrum, witness)
 
 
 def test_native_kernel_compiles_without_warnings(tmp_path):
@@ -674,6 +863,32 @@ def test_sweep_thread_determinism(qx16):
     par = ddt.sweep(spec, qx16, cs, threads=4)
     assert [(r.c, r.uniformity, r.witness, r.spectrum) for r in seq] \
         == [(r.c, r.uniformity, r.witness, r.spectrum) for r in par]
+
+
+def test_row_weights_built_from_many_threads(qx16):
+    """Eight threads (more than the cores) report on one fresh table at
+    once, with the interpreter switching threads every microsecond, so the
+    row weights of each subgroup are built while others read them.  Every
+    report equals the serial one, and each subgroup keeps one set of
+    weights."""
+    spec = parse_func_spec("normfirst{H=tr5}")  # order 15 on the line, 3 off
+    g, h = tables_for(spec, qx16).g, tables_for(spec, qx16).h
+    cs = [CParam.biv(c1, c2) for c1 in range(16) for c2 in (0, 5)] * 2
+    serial = [ddt.pair_report(qx16, PairTables(EXT, g, h, qx16), c) for c in cs]
+    tabs = PairTables(EXT, g, h, qx16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(ddt.pair_report, qx16, tabs, c) for c in cs]
+            reports = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports == serial
+    assert sorted(tabs.row_weights) == [(3, False), (15, False), (15, True)]
+    for c in cs:
+        slot = (15 if c.c2 == 0 else 3, c.is_identity)
+        assert ddt._weights(tabs, c) is tabs.row_weights[slot]
 
 
 def test_sweep_workers_capped_by_c_count_and_cpus(qx4, monkeypatch,
