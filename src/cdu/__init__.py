@@ -18,7 +18,7 @@ from .gf import (FieldCtx, FieldElem, make_field, CduError, SQ, NSQ, ZERO)
 from .quadext import BivElem, QuadExtCtx, make_quadext, select_t
 from .funcs import (FuncSpec, LinearizedPoly, InnerFunc, func_spec,
                     parse_func_spec, parse_linpoly, linpoly_props,
-                    eval_func, univariate_lift)
+                    univariate_lift)
 from .ddt import CParam, CDdtReport, c_uniformity, sweep, equivalence_check
 
 __all__ = [
@@ -26,7 +26,7 @@ __all__ = [
     "FieldCtx", "FieldElem", "make_field", "CduError", "SQ", "NSQ", "ZERO",
     "BivElem", "QuadExtCtx", "make_quadext", "select_t",
     "FuncSpec", "LinearizedPoly", "InnerFunc", "func_spec", "parse_func_spec",
-    "parse_linpoly", "linpoly_props", "eval_func", "univariate_lift",
+    "parse_linpoly", "linpoly_props", "univariate_lift",
     "CParam", "CDdtReport", "c_uniformity", "sweep", "equivalence_check",
 ]
 

@@ -12,7 +12,7 @@ The univariate lift of a biv function, z -> phi(F(phi^-1(z))), is no family:
 Inverses follow the 0 -> 0 convention: y^-1 is y^(q-2) and gamma/x is
 gamma * x^(q^2-2), so every family is total on its domain.
 
-Spec strings (the CLI mini-language):
+Spec strings (the CLI mini-language), one per family in ``FAMILIES``:
 
   genlinh{L=x;h=inv}                   (L(x), h(y)+L(x))
   genlingold{L=x;k=2;alpha=w^1}        (L(x), y^(p^k+1)+alpha*y+L(x))
@@ -26,23 +26,28 @@ Spec strings (the CLI mini-language):
   normfirst{H=tr5}                     z -> (z^(q+1), Tr(z^5))
   identity                             (x, y)
 
-Linearized polynomials are sums of terms "x", "x^E" or "<el>*x^E" where every
-exponent E must be a power of p.  Elements are "0", "w^k" (base field), "W^k"
-(extension field) or a decimal prime-subfield literal 0..p-1.  Inner
-functions for h slots: "inv", "id", "gold:<k>" (k >= 0), "pow:<e>",
-"lin:<linpoly>".  genericbiv takes value tables, which only ``func_spec``
-can pass.
+A key the family does not declare is an error, and so is a missing one,
+except prodlin's gammas (default: none) and tracext's k and gamma, which
+only H=gold reads.  Linearized polynomials are sums of terms "x", "x^E" or
+"<el>*x^E" where every exponent E must be a power of p.  Elements are "0",
+a decimal prime-subfield literal 0..p-1, or a power of a primitive element:
+"w^k" in F_q and "W^k" in F_{q^2}.  The letter names the field, so a spec
+that writes W^k where an element of F_q goes (or w^k for one of F_{q^2}) is
+rejected.  Inner functions for h slots: "inv", "id", "gold:<k>" (k >= 0),
+"pow:<e>", "lin:<linpoly>".  genericbiv takes value tables, which only
+``func_spec`` can pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
 from .gf import CduError, FieldCtx
-from .quadext import BivElem, QuadExtCtx
+from .quadext import QuadExtCtx
 
 BIV = "biv"
 EXT = "ext"
@@ -68,6 +73,16 @@ def _int(s, what):
         raise SpecParseError(f"{what} must be an integer, got {s!r}") from None
 
 
+def _elem(ctx: FieldCtx, s, letter):
+    """``ctx.parse_elem(s, letter)``, where a spec writes w^k for F_q and W^k
+    for F_{q^2}: the other letter is rejected, not read in the wrong field."""
+    s = str(s).strip()
+    if s.startswith(letter.swapcase() + "^"):
+        raise SpecParseError(
+            f"{s!r}: an element of F_{ctx.q} is written {letter}^k here")
+    return ctx.parse_elem(s, letter)
+
+
 # ---------------------------------------------------------------------------
 # linearized polynomials
 # ---------------------------------------------------------------------------
@@ -90,18 +105,20 @@ class LinearizedPoly:
         return acc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinPolyProps:
+    table: np.ndarray
     kernel_size: int
     is_permutation: bool
 
 
 def linpoly_props(L: LinearizedPoly, ctx: FieldCtx) -> LinPolyProps:
-    """Kernel size s (by exhaustive scan) and permutation flag; image size is q/s."""
+    """Value table, kernel size s (by exhaustive scan) and permutation flag;
+    image size is q/s."""
     tab = L.table(ctx)
     s = int(np.count_nonzero(tab == 0))
     assert s >= 1 and ctx.q % s == 0
-    return LinPolyProps(kernel_size=s, is_permutation=(s == 1))
+    return LinPolyProps(tab, s, s == 1)
 
 
 def parse_linpoly(s, ctx: FieldCtx) -> LinearizedPoly:
@@ -114,7 +131,7 @@ def parse_linpoly(s, ctx: FieldCtx) -> LinearizedPoly:
         coeff = 1
         if "*" in raw:
             cs, raw = raw.split("*", 1)
-            coeff = ctx.parse_elem(cs)
+            coeff = _elem(ctx, cs, "w")
         raw = raw.strip()
         if raw == "x":
             e = 1
@@ -182,40 +199,38 @@ def parse_inner(s) -> InnerFunc:
 # function specs
 # ---------------------------------------------------------------------------
 
-FAMILIES = ("genlinh", "genlingold", "sumprod", "goldpair", "prodlin",
-            "splitgh", "traceinv", "tracext", "normfirst", "identity",
-            "genericbiv")
-
-_EXT_FAMILIES = ("traceinv", "tracext", "normfirst")
+# family -> (domain, {parameter: kind}), in the order parse_params reads
+# them; it lists the kinds.  A "?" marks an optional parameter.
+FAMILIES = {
+    "genlinh": (BIV, {"L": "linpoly", "h": "inner"}),
+    "genlingold": (BIV, {"k": "int", "alpha": "base", "L": "linpoly"}),
+    "sumprod": (BIV, {"i": "int", "j": "int", "alpha": "base"}),
+    "goldpair": (BIV, {"k": "gold_k", "gamma": "base", "L": "linpoly"}),
+    "prodlin": (BIV, {"L": "linpoly", "gammas": "gammas?"}),
+    "splitgh": (BIV, {"gamma1": "base", "gamma2": "base", "g": "inner",
+                      "h1": "inner", "h2": "inner", "L1": "linpoly",
+                      "L2": "linpoly"}),
+    "traceinv": (EXT, {"gamma": "ext"}),
+    "tracext": (EXT, {"H": "variant", "k": "gold_k?", "gamma": "ext?"}),
+    "normfirst": (EXT, {"H": "variant"}),
+    "identity": (BIV, {}),
+    "genericbiv": (BIV, {"gtable": "table", "htable": "table"}),
+}
 
 
 @dataclass(frozen=True)
 class FuncSpec:
-    """A construction-family descriptor, evaluable at any point of its domain."""
+    """A construction-family descriptor: the family and its (key, value)
+    parameters as given, sorted by key."""
 
     family: str
     params: tuple = ()
 
-    def param(self, name, default=None):
-        for k, v in self.params:
-            if k == name:
-                return v
-        return default
-
-    def required(self, name):
-        """The value of parameter ``name``; InvalidParams if it is absent."""
-        v = self.param(name)
-        if v is None:
-            raise InvalidParams(f"{self.family} needs parameter {name}")
-        return v
-
     @property
     def domain(self):
-        return EXT if self.family in _EXT_FAMILIES else BIV
+        return FAMILIES[self.family][0]
 
     def to_string(self):
-        if not self.params:
-            return self.family
         body = ";".join(f"{k}={v}" for k, v in self.params
                         if k not in ("gtable", "htable"))
         return f"{self.family}{{{body}}}" if body else self.family
@@ -227,6 +242,11 @@ class FuncSpec:
 def func_spec(family, **params):
     if family not in FAMILIES:
         raise SpecParseError(f"unknown family {family!r}")
+    declared = FAMILIES[family][1]
+    for k in params:
+        if k not in declared:
+            raise SpecParseError(f"unknown key {k!r} for {family}, which takes "
+                                 f"{', '.join(declared) or 'no parameters'}")
     return FuncSpec(family, tuple(sorted(params.items())))
 
 
@@ -376,13 +396,15 @@ class PairTables:
     ``kernel_key``), ``log_phi``, the F_{q^2} logs of phi(key), so that the
     -c*F(x) term is one add and two lookups per point, and ``scaling`` (see
     ``find_scaling``).  ``row_weights`` holds the kernel's row weights per
-    subgroup, as ``ddt`` builds them.
+    subgroup, as ``ddt`` builds them.  ``args`` holds the spec's parameters
+    as ``parse_params`` parsed them, which the predictors read.
     """
 
     domain: str
     g: np.ndarray
     h: np.ndarray
     qctx: InitVar[QuadExtCtx]
+    args: dict = None
 
     def __post_init__(self, qctx):
         ext = qctx.ext
@@ -419,45 +441,64 @@ class UniTable:
         return len(self.f)
 
 
-def parse_int(spec, name):
-    return _int(spec.required(name), f"{spec.family} parameter {name}")
+class Inner(NamedTuple):
+    """An inner function parsed over F_q."""
+
+    func: InnerFunc
+    table: UniTable
+    permutes: bool
 
 
-def parse_gold_k(spec):
-    """The exponent index k >= 0 of a Gold power x^(p^k+1) in a spec."""
-    k = parse_int(spec, "k")
-    if k < 0:
-        raise InvalidParams(f"{spec.family} needs k >= 0, got k={k}")
-    return k
+def parse_params(spec: FuncSpec, qctx: QuadExtCtx) -> dict:
+    """Every parameter of ``spec`` parsed by its kind in ``FAMILIES``, into:
 
+      int, gold_k   an int; gold_k, a Gold exponent index k >= 0
+      base, ext     an element of F_q, of F_{q^2} (an int index is one of F_q)
+      linpoly       its LinPolyProps over F_q: table, kernel size, permutation
+      inner         its Inner: InnerFunc, UniTable, whether it permutes F_q
+      gammas        prodlin's [(i, gamma_i)] from "4:1,2:w^3"
+      variant       the string, which the family's builder checks
+      table         an int32 array, from func_spec only
 
-def parse_base_elem(spec, name, ctx):
-    v = spec.required(name)
-    if isinstance(v, int):
-        if not 0 <= v < ctx.q:
-            raise InvalidParams(f"{name}={v} is not an element index of F_{ctx.q}")
-        return v
-    return ctx.parse_elem(str(v))
-
-
-def linpoly(spec, name, ctx) -> LinearizedPoly:
-    return parse_linpoly(str(spec.required(name)), ctx)
-
-
-def inner(spec, name) -> InnerFunc:
-    return parse_inner(str(spec.required(name)))
-
-
-def parse_gammas(spec, ctx):
-    """prodlin's [(i, gamma_i)] from "4:1,2:w^3"."""
-    gammas = spec.param("gammas", "")
-    out = []
-    for term in filter(None, gammas.split(",")):
-        i, sep, c = term.partition(":")
-        if not sep:
-            raise SpecParseError(f"prodlin gamma term {term!r} is not i:gamma")
-        out.append((_int(i, "prodlin exponent index"), ctx.parse_elem(c)))
-    return out
+    A missing parameter that is not optional is an InvalidParams error."""
+    base, fam = qctx.base, spec.family
+    given, args = dict(spec.params), {}
+    for name, kind in FAMILIES[fam][1].items():
+        if name not in given:
+            if not kind.endswith("?"):
+                raise InvalidParams(f"{fam} needs parameter {name}")
+            continue
+        v, kind = given[name], kind.rstrip("?")
+        if kind in ("int", "gold_k"):
+            v = _int(v, f"{fam} parameter {name}")
+            if kind == "gold_k" and v < 0:
+                raise InvalidParams(f"{fam} needs {name} >= 0, got {name}={v}")
+        elif kind == "base" and isinstance(v, int):
+            if not 0 <= v < base.q:
+                raise InvalidParams(f"{name}={v} is not an element index of F_{base.q}")
+        elif kind == "base":
+            v = _elem(base, v, "w")
+        elif kind == "ext":
+            v = _elem(qctx.ext, v, "W")
+        elif kind == "linpoly":
+            v = linpoly_props(parse_linpoly(str(v), base), base)
+        elif kind == "inner":
+            f = parse_inner(str(v))
+            table = UniTable(f.table_over(base), base)
+            v = Inner(f, table, len(np.unique(table.f)) == base.q)
+        elif kind == "gammas":
+            terms, v = v, []
+            for term in filter(None, terms.split(",")):
+                i, sep, c = term.partition(":")
+                if not sep:
+                    raise SpecParseError(f"prodlin gamma term {term!r} is not i:gamma")
+                v.append((_int(i, "prodlin exponent index"), _elem(base, c, "w")))
+        elif kind == "table":
+            v = np.asarray(v, dtype=np.int32)
+        else:
+            v = str(v)  # variant
+        args[name] = v
+    return args
 
 
 def _trace_to_base(qctx, vals):
@@ -468,107 +509,100 @@ def _trace_to_base(qctx, vals):
 
 
 def build_tables(spec: FuncSpec, qctx: QuadExtCtx):
-    """Materialize the value table(s) of a spec over the given contexts."""
+    """Materialize the value tables of a spec over the given contexts, with
+    its parameters parsed (``parse_params``) and checked."""
+    args = parse_params(spec, qctx)
+    g, h = _values(spec.family, args, qctx)
+    return PairTables(spec.domain, g, h, qctx, args)
+
+
+def _values(fam, args, qctx: QuadExtCtx):
+    """(g, h) of family ``fam`` with parameters ``args``, once they pass the
+    family's validity checks."""
     base, ext = qctx.base, qctx.ext
     q = base.q
-    fam = spec.family
 
-    if spec.domain == BIV:
+    if FAMILIES[fam][0] == BIV:
         X = np.repeat(np.arange(q, dtype=np.int32), q)
         Y = np.tile(np.arange(q, dtype=np.int32), q)
 
         if fam == "identity":
-            return PairTables(BIV, X.copy(), Y.copy(), qctx)
+            return X, Y
         if fam == "genericbiv":
-            g = np.asarray(spec.required("gtable"), dtype=np.int32)
-            h = np.asarray(spec.required("htable"), dtype=np.int32)
+            g, h = args["gtable"], args["htable"]
             if len(g) != q * q or len(h) != q * q:
                 raise InvalidParams("generic bivariate tables must have q^2 entries")
-            return PairTables(BIV, g, h, qctx)
+            return g, h
         if fam == "genlinh":
-            Lt = linpoly(spec, "L", base).table(base)
-            ht = inner(spec, "h").table_over(base)
-            g = Lt[X]
-            return PairTables(BIV, g, base.add_vec(ht[Y], g), qctx)
+            g = args["L"].table[X]
+            return g, base.add_vec(args["h"].table.f[Y], g)
         if fam == "genlingold":
-            k = parse_int(spec, "k")
+            k, alpha = args["k"], args["alpha"]
             if not 0 < k < base.m:
                 raise InvalidParams(f"genlingold needs 0 < k < m, got k={k}")
-            alpha = parse_base_elem(spec, "alpha", base)
-            Lt = linpoly(spec, "L", base).table(base)
-            g = Lt[X]
+            g = args["L"].table[X]
             hy = base.pow_vec(np.arange(q, dtype=np.int32), base.p ** k + 1)
             if alpha:
                 hy = base.add_vec(hy, base.mul_row(alpha))
-            return PairTables(BIV, g, base.add_vec(hy[Y], g), qctx)
+            return g, base.add_vec(hy[Y], g)
         if fam == "sumprod":
-            i = parse_int(spec, "i")
-            j = parse_int(spec, "j")
-            alpha = parse_base_elem(spec, "alpha", base)
+            i, j, alpha = args["i"], args["j"], args["alpha"]
             if alpha == 0:
                 raise InvalidParams("sumprod needs alpha != 0")
             if not (0 <= i < base.m and 0 <= j < base.m):
                 raise InvalidParams("sumprod exponents must satisfy 0 <= i,j < m")
-            g = base.add_vec(X, Y)
             h = base.add_vec(
                 base.mul_vec(base.frobenius_vec(X, i), Y),
                 base.mul_vec(np.int32(alpha),
                              base.mul_vec(X, base.frobenius_vec(Y, j))))
-            return PairTables(BIV, g, h, qctx)
+            return base.add_vec(X, Y), h
         if fam == "goldpair":
-            k = parse_gold_k(spec)
-            gamma = parse_base_elem(spec, "gamma", base)
+            gamma, L = args["gamma"], args["L"]
             if gamma == base.neg(1):
                 raise InvalidParams("goldpair needs gamma != -1")
-            L = linpoly(spec, "L", base)
-            if not linpoly_props(L, base).is_permutation:
+            if not L.is_permutation:
                 raise InvalidParams("goldpair needs a linearized permutation L")
-            e = base.p ** k + 1
-            pk = base.pow_vec(np.arange(q, dtype=np.int32), e)
+            pk = base.pow_vec(np.arange(q, dtype=np.int32), base.p ** args["k"] + 1)
             g = base.add_vec(pk[X], base.mul_vec(np.int32(gamma), pk[Y]))
-            return PairTables(BIV, g, L.table(base)[base.add_vec(X, Y)], qctx)
+            return g, L.table[base.add_vec(X, Y)]
         if fam == "prodlin":
-            L = linpoly(spec, "L", base)
-            if not linpoly_props(L, base).is_permutation:
+            L = args["L"]
+            if not L.is_permutation:
                 raise InvalidParams("prodlin needs a linearized permutation L")
             xy = base.mul_vec(X, Y)
-            h = L.table(base)[base.add_vec(X, Y)]
-            for i, coeff in parse_gammas(spec, base):
+            h = L.table[base.add_vec(X, Y)]
+            for i, coeff in args.get("gammas", ()):
                 if not 1 <= i <= base.m:
                     raise InvalidParams("prodlin exponent indices must be in 1..m")
                 term = base.pow_vec(xy, base.p ** (i % base.m))
                 h = base.add_vec(h, base.mul_vec(np.int32(coeff), term))
-            return PairTables(BIV, xy, h, qctx)
+            return xy, h
         if fam == "splitgh":
-            g1 = parse_base_elem(spec, "gamma1", base)
-            g2 = parse_base_elem(spec, "gamma2", base)
-            if g2 == 0:
+            if args["gamma2"] == 0:
                 raise InvalidParams("splitgh needs gamma2 != 0")
-            gt = inner(spec, "g").table_over(base)
-            h1 = inner(spec, "h1").table_over(base)
-            h2 = inner(spec, "h2").table_over(base)
-            L1 = linpoly(spec, "L1", base).table(base)
-            L2 = linpoly(spec, "L2", base).table(base)
+            gt, h1, h2 = (args[name].table.f for name in ("g", "h1", "h2"))
+            L1, L2 = args["L1"].table, args["L2"].table
             h = base.add_vec(
                 base.add_vec(base.mul_vec(h1[X], L1[Y]),
-                             base.mul_vec(np.int32(g1), h2[X])),
-                base.mul_vec(np.int32(g2), L2[Y]))
-            return PairTables(BIV, gt[X], h, qctx)
+                             base.mul_vec(np.int32(args["gamma1"]), h2[X])),
+                base.mul_vec(np.int32(args["gamma2"]), L2[Y]))
+            return gt[X], h
         raise InvalidParams(f"unhandled bivariate family {fam!r}")
 
     Z = np.arange(ext.q, dtype=np.int32)
     tr = _trace_to_base(qctx, Z)
     if fam == "traceinv":
-        gamma = ext.parse_elem(str(spec.required("gamma")), letter="W")
+        gamma = args["gamma"]
         if qctx.unembed[gamma] >= 0:
             raise InvalidParams("traceinv needs gamma outside F_q")
-        h = _trace_to_base(qctx, ext.mul_vec(np.int32(gamma), ext.inv_table))
-        return PairTables(EXT, tr, h, qctx)
+        return tr, _trace_to_base(qctx, ext.mul_vec(np.int32(gamma), ext.inv_table))
     if fam == "tracext":
-        variant = str(spec.required("H"))
+        variant = args["H"]
         if variant == "gold":
-            k = parse_gold_k(spec)
-            gamma = ext.parse_elem(str(spec.required("gamma")), letter="W")
+            for name in ("k", "gamma"):  # optional for H=norm only
+                if name not in args:
+                    raise InvalidParams(f"tracext needs parameter {name}")
+            k, gamma = args["k"], args["gamma"]
             if ext.add(ext.frobenius(gamma, base.m), gamma) == 0:
                 raise InvalidParams("tracext gold needs Tr(gamma) != 0")
             h = _trace_to_base(
@@ -578,15 +612,14 @@ def build_tables(spec: FuncSpec, qctx: QuadExtCtx):
             h = qctx.unembed[ext.pow_vec(Z, q + 1)].astype(np.int32)
         else:
             raise InvalidParams(f"tracext H must be gold or norm, got {variant!r}")
-        return PairTables(EXT, tr, h, qctx)
+        return tr, h
     if fam == "normfirst":
-        variant = str(spec.required("H"))
+        variant = args["H"]
         if not variant.startswith("tr"):
             raise InvalidParams(f"normfirst H must look like tr<e>, got {variant!r}")
         e = _int(variant[2:], "normfirst exponent")
         g = qctx.unembed[ext.pow_vec(Z, q + 1)].astype(np.int32)
-        h = _trace_to_base(qctx, ext.pow_vec(Z, e))
-        return PairTables(EXT, g, h, qctx)
+        return g, _trace_to_base(qctx, ext.pow_vec(Z, e))
     raise InvalidParams(f"unhandled extension-domain family {fam!r}")
 
 
@@ -596,22 +629,8 @@ def tables_for(spec: FuncSpec, qctx: QuadExtCtx):
 
 
 # ---------------------------------------------------------------------------
-# evaluation and the univariate lift
+# the univariate lift
 # ---------------------------------------------------------------------------
-
-def eval_func(spec: FuncSpec, qctx: QuadExtCtx, point):
-    """Evaluate one point.  biv: BivElem -> BivElem; ext: FieldElem -> BivElem."""
-    tabs = tables_for(spec, qctx)
-    if spec.domain == BIV:
-        if not isinstance(point, BivElem):
-            raise DomainMismatch("bivariate spec expects a BivElem point")
-        pt = qctx.pt(point.x.idx, point.y.idx)
-    else:
-        if not (hasattr(point, "ctx") and point.ctx is qctx.ext):
-            raise DomainMismatch("extension-domain spec expects an ext FieldElem")
-        pt = point.idx
-    return qctx.biv(int(tabs.g[pt]), int(tabs.h[pt]))
-
 
 def univariate_lift(spec: FuncSpec, qctx: QuadExtCtx) -> UniTable:
     """The correspondence z -> phi(F(phi^-1(z))) as a value table of F_{q^2}

@@ -15,11 +15,8 @@ from math import gcd
 
 import numpy as np
 
-from .gf import FieldCtx
 from .quadext import QuadExtCtx
-from .funcs import (FuncSpec, InnerFunc, UniTable, inner, linpoly,
-                    linpoly_props, parse_base_elem, parse_gammas,
-                    parse_gold_k, parse_int, tables_for)
+from .funcs import FuncSpec, tables_for
 from .oracles import IdentityC, inverse_c_uniformity_predict
 from . import ddt
 
@@ -85,51 +82,33 @@ def compute_AB(qctx: QuadExtCtx, c1, c2):
     return a, b
 
 
-def _h_uniformity_at(base: FieldCtx, h: InnerFunc, htab, c):
-    """delta of the inner h at scalar c: oracle for the inverse, engine else."""
-    if h.tag == "inv":
-        return inverse_c_uniformity_predict(base, c)
-    return ddt.uni_report(base, htab, ddt.CParam.uni(c)).uniformity
-
-
-def _genlinh_parts(spec, qctx):
-    """(s, h, h's table, whether h permutes F_q): the c-free part of the
-    genlinh prediction, built once and cached by the context."""
-    def build():
-        base = qctx.base
-        s = linpoly_props(linpoly(spec, "L", base), base).kernel_size
-        h = inner(spec, "h")
-        htab = UniTable(h.table_over(base), base)
-        return s, h, htab, len(np.unique(htab.f)) == base.q
-
-    return qctx.cached(("predict", spec), build)
-
-
-def _predict_genlinh(spec, qctx, c1, c2):
+def _predict_genlinh(tabs, qctx, c1, c2):
     base = qctx.base
-    s, h, htab, h_permutes = _genlinh_parts(spec, qctx)
-    if not h_permutes:
+    h = tabs.args["h"]
+    if not h.permutes:
         return _not_covered(reason="h is not a permutation")
+    s = tabs.args["L"].kernel_size
     a, b = compute_AB(qctx, c1, c2)
     tr = {"A": base.elem_str(a), "B": base.elem_str(b), "s": s}
     if a == 0 or b == 0:
         return _exact(s, **tr)
     ratio = base.div(a, b)
     assert ratio != 1, "A/B = 1 contradicts the nonvanishing condition"
-    delta = _h_uniformity_at(base, h, htab, ratio)
+    if h.func.tag == "inv":  # delta of h at A/B: the oracle, else the engine
+        delta = inverse_c_uniformity_predict(base, ratio)
+    else:
+        delta = ddt.uni_report(base, h.table, ddt.CParam.uni(ratio)).uniformity
     tr.update({"A/B": base.elem_str(ratio), "delta_h": delta})
     if s == 1:
         return _exact(delta, **tr)
     return _upper(delta * s, **tr)
 
 
-def _predict_genlingold(spec, qctx, c1, c2):
+def _predict_genlingold(tabs, qctx, c1, c2):
     base = qctx.base
     p, m = base.p, base.m
-    k = parse_int(spec, "k")
-    alpha = parse_base_elem(spec, "alpha", base)
-    L = linpoly(spec, "L", base)
-    if not linpoly_props(L, base).is_permutation:
+    k, alpha = tabs.args["k"], tabs.args["alpha"]
+    if not tabs.args["L"].is_permutation:
         return _not_covered(reason="L is not a permutation")
     d = gcd(m, k)
     one_c1 = base.sub(1, c1)
@@ -160,12 +139,10 @@ def _sumprod_in_A(qctx, c1, c2):
     return t1 == 0 and t2 == 0
 
 
-def _predict_sumprod(spec, qctx, c1, c2):
+def _predict_sumprod(tabs, qctx, c1, c2):
     base = qctx.base
     p, m, q = base.p, base.m, base.q
-    i = parse_int(spec, "i")
-    j = parse_int(spec, "j")
-    alpha = parse_base_elem(spec, "alpha", base)
+    i, j, alpha = tabs.args["i"], tabs.args["j"], tabs.args["alpha"]
     minus_one = base.neg(1)
     in_a = _sumprod_in_A(qctx, c1, c2)
     tr = {"in_A": in_a, "alpha": base.elem_str(alpha), "i": i, "j": j}
@@ -186,7 +163,7 @@ def _predict_sumprod(spec, qctx, c1, c2):
     return _not_covered(reason="(alpha, i, j) outside the theorem's branches")
 
 
-def _predict_traceinv(spec, qctx, c1, c2):
+def _predict_traceinv(tabs, qctx, c1, c2):
     base = qctx.base
     if c1 == 0 and c2 == 0:
         return _exact(2, branch="c=0")
@@ -198,16 +175,14 @@ def _predict_traceinv(spec, qctx, c1, c2):
     return _upper(6, restricted=False)
 
 
-def _predict_splitgh(spec, qctx, c1, c2):
+def _predict_splitgh(tabs, qctx, c1, c2):
     base = qctx.base
     if c2 != 0:
         return _not_covered(reason="covers only c = (c1, 0)")
-    gtab = inner(spec, "g").table_over(base)
-    g_uni = ddt.uni_report(base, gtab, ddt.CParam.uni(c1)).uniformity
+    g_uni = ddt.uni_report(base, tabs.args["g"].table, ddt.CParam.uni(c1)).uniformity
     if g_uni != 1:
         return _not_covered(reason=f"g is not PcN at c1 (delta={g_uni})")
-    L1 = linpoly(spec, "L1", base).table(base)
-    L2 = linpoly(spec, "L2", base).table(base)
+    L1, L2 = tabs.args["L1"].table, tabs.args["L2"].table
     for gamma in range(base.q):
         comb = base.add_vec(L2, base.mul_vec(np.int32(gamma), L1))
         s = int(np.count_nonzero(comb == 0))
@@ -217,12 +192,11 @@ def _predict_splitgh(spec, qctx, c1, c2):
     return _upper(2, g_uniformity=1)
 
 
-def _predict_goldpair(spec, qctx, c1, c2):
+def _predict_goldpair(tabs, qctx, c1, c2):
     base = qctx.base
     if c2 != 0:
         return _not_covered(reason="covers only c = (c1, 0)")
-    k = parse_gold_k(spec)
-    gamma = parse_base_elem(spec, "gamma", base)
+    k, gamma = tabs.args["k"], tabs.args["gamma"]
     d = gcd(base.m, k)
     dgold = gcd(base.p ** k + 1, base.q - 1)
     both_in = base.in_subfield(c1, d) and base.in_subfield(gamma, d)
@@ -232,12 +206,12 @@ def _predict_goldpair(spec, qctx, c1, c2):
     return _exact(base.p ** d + 1, **tr)
 
 
-def _predict_prodlin(spec, qctx, c1, c2):
+def _predict_prodlin(tabs, qctx, c1, c2):
     base = qctx.base
     if c2 != 0:
         return _not_covered(reason="covers only c = (c1, 0)")
     d = base.m
-    for i, _ in parse_gammas(spec, base):
+    for i, _ in tabs.args.get("gammas", ()):
         d = gcd(d, i)
     tr = {"d": d}
     if base.in_subfield(c1, d):
@@ -245,14 +219,13 @@ def _predict_prodlin(spec, qctx, c1, c2):
     return _not_covered(reason="c1 outside F_p^d", **tr)
 
 
-def _predict_tracext(spec, qctx, c1, c2):
+def _predict_tracext(tabs, qctx, c1, c2):
     base = qctx.base
-    variant = str(spec.required("H"))
-    if variant == "norm":
+    if tabs.args["H"] == "norm":
         if c2 != 0:
             return _not_covered(reason="norm branch covers only c = (c1, 0)")
         return _exact(2, branch="norm")
-    k = parse_gold_k(spec)
+    k = tabs.args["k"]
     d = gcd(k, base.m)
     if k % base.m == 0:
         # z^(p^k) is z or z^q, so h is Tr(gamma*z^2) or Tr(gamma)*N(z)
@@ -270,7 +243,7 @@ def _predict_tracext(spec, qctx, c1, c2):
     return _not_covered(reason="needs gcd(k,m)=1 or c2=0", d=d)
 
 
-def _predict_normfirst(spec, qctx, c1, c2):
+def _predict_normfirst(tabs, qctx, c1, c2):
     """Exact delta by scanning H(x+a) - c1*H(x) over every norm coset.
 
     The first coordinate pins the solutions of the system to one coset
@@ -281,9 +254,9 @@ def _predict_normfirst(spec, qctx, c1, c2):
     base, ext = qctx.base, qctx.ext
     if c2 != 0:
         return _not_covered(reason="covers only c = (c1, 0)")
-    htab = tables_for(spec, qctx).h
+    htab = tabs.h
     zs = np.arange(ext.q, dtype=np.int32)
-    norm_q = qctx.unembed[ext.pow_vec(zs, base.q + 1)].astype(np.intp) * base.q
+    norm_q = tabs.g.astype(np.intp) * base.q  # g is the norm z^(q+1)
     shift_unit = int(qctx.embed[base.inv(base.sub(c1, 1))])
     mc1 = base.mul_row(c1)
     delta = 0
@@ -309,13 +282,15 @@ _FAMILY_PREDICTORS = {
 
 
 def predict(spec: FuncSpec, qctx: QuadExtCtx, c1, c2) -> Prediction:
-    """Closed-form prediction for one c; NotCovered outside the theorems."""
+    """Closed-form prediction for one c; NotCovered outside the theorems.
+    A predictor reads the spec's tables and its parameters, parsed once per
+    context with them (see ``tables_for``)."""
     if c1 == 1 and c2 == 0:
         raise IdentityC("predictions exclude the identity c")
     fn = _FAMILY_PREDICTORS.get(spec.family)
     if fn is None:
         return _not_covered(reason=f"no closed form for family {spec.family!r}")
-    return fn(spec, qctx, c1, c2)
+    return fn(tables_for(spec, qctx), qctx, c1, c2)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ import gc
 import io
 import json
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdu import ddt, predict
+from cdu import ddt, funcs, predict
 from cdu.cli import argv_from_header, main
 
 
@@ -313,6 +314,77 @@ def test_failed_run_leaves_output_file(tmp_path, capsys, argv):
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert target.read_text() == "earlier results\n"
+
+
+@pytest.mark.parametrize("spec, key", [
+    ("genlinh{L=x;h=inv;zzz=1}", "zzz"),
+    ("goldpair{k=1;gama=w^5;L=x}", "gama"),
+    ("traceinv{gamma=W^1;H=norm}", "H"),
+    ("identity{L=x}", "L"),
+    ("tracext{H=norm;k=zz}", "k"),
+])
+def test_unknown_or_bad_spec_key_is_named(capsys, spec, key):
+    """A key the family does not declare, or a declared one that does not
+    parse even where the variant ignores it, is one error line naming it."""
+    code, out, err = run_cli(capsys, *_sweep("0,0", spec))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{key!r}" in err or f" {key} " in err
+
+
+@pytest.mark.parametrize("spec, elem", [
+    ("traceinv{gamma=w^3}", "w^3"),                  # base letter for F_{q^2}
+    ("goldpair{k=1;gamma=W^5;L=x}", "W^5"),          # extension letter for F_q
+    ("goldpair{k=1;gamma=w^5;L=W^3*x^2+x}", "W^3"),  # in a linearized coefficient
+    ("prodlin{gammas=4:W^1;L=x}", "W^1"),
+    ("genlinh{L=x;h=lin:W^2*x}", "W^2"),
+])
+def test_spec_element_letter_names_its_field(capsys, spec, elem):
+    """In a spec, w^k is an element of F_q and W^k one of F_{q^2}; the other
+    letter is an error, not an element of the wrong field."""
+    code, out, err = run_cli(capsys, *_sweep("0,0", spec))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: '{elem}': an element of F_") and err.count("\n") == 1
+
+
+GOLDEN = sorted((Path(__file__).parent / "golden").glob("*.csv"))
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
+def test_golden_verify_output(capsys, path):
+    """verify output per family, at p = 2 and p = 3, recorded when each
+    consumer still parsed the spec strings itself: the run its header
+    records reproduces it byte for byte."""
+    text = path.read_text()
+    assert run_cli(capsys, *argv_from_header(text))[:2] == (0, text)
+
+
+# the runs of bench/workloads.py's q16-verify
+Q16_VERIFY_SPECS = [
+    "genlinh{L=x;h=inv}", "genlingold{L=x;k=2;alpha=0}",
+    "genlingold{L=x;k=2;alpha=w^1}", "genlingold{L=x;k=2;alpha=1}",
+    "sumprod{i=0;j=1;alpha=1}", "sumprod{i=0;j=3;alpha=1}",
+    "sumprod{i=1;j=1;alpha=w^1}", "sumprod{i=3;j=3;alpha=w^1}",
+    "prodlin{gammas=4:1,2:1;L=x}", "normfirst{H=tr5}", "traceinv{gamma=W^1}"]
+
+
+def test_specs_build_once_per_context(capsys, monkeypatch):
+    """A spec's tables and parsed parameters share one cache entry, so the
+    q16-verify round's specs stay cached: a second round builds nothing."""
+    builds = []
+    build = funcs.build_tables
+
+    def counted(spec, qctx):
+        builds.append(spec)
+        return build(spec, qctx)
+
+    monkeypatch.setattr(funcs, "build_tables", counted)
+    for _ in range(2):
+        builds.clear()
+        for spec in Q16_VERIFY_SPECS:
+            assert run_cli(capsys, "verify", "-p", "2", "-m", "4", "-t", "w^3",
+                           "--spec", spec, "--c", "sample:3")[0] == 0
+    assert builds == []
 
 
 def test_repeated_spec_key_is_named(capsys):

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cdu
-from cdu import (equivalence_check, eval_func, func_spec, make_field,
-                 make_quadext, parse_func_spec, univariate_lift)
+from cdu import (equivalence_check, func_spec, make_field, make_quadext,
+                 parse_func_spec, univariate_lift)
 from cdu import ddt
 from cdu.ddt import CParam
 from cdu.funcs import BIV, EXT, NO_SCALING, PairTables, UniTable, tables_for
@@ -90,10 +90,12 @@ def test_c_derivative_at_c_zero_is_shift(qx16):
     spec = parse_func_spec("genlinh{L=x;h=inv}")
     c = CParam.biv(0, 0)
     a = qx16.biv(5, 9)
+    tabs = tables_for(spec, qx16)
     for x, y in [(0, 0), (2, 13)]:
         pt = qx16.biv(x, y)
-        shifted = qx16.biv(qx16.base.add(x, 5), qx16.base.add(y, 9))
-        assert ddt.c_derivative(spec, qx16, c, a, pt) == eval_func(spec, qx16, shifted)
+        shifted = qx16.pt(qx16.base.add(x, 5), qx16.base.add(y, 9))
+        assert (ddt.c_derivative(spec, qx16, c, a, pt)
+                == qx16.biv(int(tabs.g[shifted]), int(tabs.h[shifted])))
 
 
 def test_c_derivative_identity_function_product_law(qx16):

@@ -1,12 +1,13 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cdu import (eval_func, func_spec, linpoly_props, make_field, make_quadext,
+from cdu import (func_spec, linpoly_props, make_field, make_quadext,
                  parse_func_spec, parse_linpoly, predict, univariate_lift)
-from cdu.funcs import (DomainMismatch, InvalidParams, SpecParseError, UniTable,
-                       parse_inner, tables_for)
+from cdu.funcs import (FAMILIES, DomainMismatch, InvalidParams, SpecParseError,
+                       UniTable, parse_inner, tables_for)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -40,6 +41,67 @@ def test_no_univariate_family():
         func_spec("genericuni", table=(0, 1, 2, 3))
     with pytest.raises(SpecParseError, match="unknown family"):
         parse_func_spec("genericuni")
+
+
+# -- the declaration table ----------------------------------------------------
+
+def _readme_specs():
+    """family -> the construction strings of README's "Construction strings"."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("Construction strings:\n\n```\n", 1)[1].split("```", 1)[0]
+    out = {}
+    for line in block.splitlines():
+        if line and not line[0].isspace():
+            s = line.split()[0]
+            out.setdefault(s.split("{")[0], []).append(s)
+    return out
+
+
+@pytest.mark.parametrize("family", [f for f in FAMILIES if f != "genericbiv"])
+def test_readme_example_per_family(qx16, family):
+    """Every family but genericbiv (library only) has a README example that
+    parses, round-trips through to_string and builds."""
+    for s in _readme_specs()[family]:
+        spec = parse_func_spec(s)
+        assert parse_func_spec(spec.to_string()) == spec
+        tables_for(spec, qx16)
+
+
+@pytest.mark.parametrize("family, key", [(f, k) for f, (_, keys) in FAMILIES.items()
+                                         for k in keys])
+def test_misspelt_key_is_named(family, key):
+    params = {k: "1" for k in FAMILIES[family][1] if k != key}
+    params[key + key[-1]] = "1"
+    message = f"^unknown key '{key + key[-1]}' for {family}, "
+    with pytest.raises(SpecParseError, match=message):
+        func_spec(family, **params)
+    if family != "genericbiv":  # no spec string names it
+        body = ";".join(f"{k}={v}" for k, v in params.items())
+        with pytest.raises(SpecParseError, match=message):
+            parse_func_spec(f"{family}{{{body}}}")
+
+
+def test_unknown_key_in_library_call():
+    with pytest.raises(SpecParseError, match="'zzz'"):
+        func_spec("genlinh", L="x", h="inv", zzz=1)
+
+
+def test_predictors_are_declared_families():
+    assert set(predict._FAMILY_PREDICTORS) <= set(FAMILIES)
+
+
+@pytest.mark.parametrize("spec, right", [
+    ("traceinv{gamma=w^3}", "traceinv{gamma=W^3}"),
+    ("goldpair{k=1;gamma=W^5;L=x}", "goldpair{k=1;gamma=w^5;L=x}"),
+    ("genlinh{L=W^1*x^2+x;h=inv}", "genlinh{L=w^1*x^2+x;h=inv}"),
+])
+def test_spec_element_in_the_wrong_letter_is_rejected(qx16, spec, right):
+    """The letter of a spec element names its field, though parse_elem
+    reads either case: w^3 of F_16 is W^51 of F_256, not W^3.  The wrong
+    letter is an error, where it was read as the right one."""
+    tables_for(parse_func_spec(right), qx16)
+    with pytest.raises(SpecParseError, match="an element of F_"):
+        tables_for(parse_func_spec(spec), qx16)
 
 
 # -- linearized polynomials ---------------------------------------------------
@@ -89,32 +151,28 @@ def test_inner_funcs(f16):
 
 # -- evaluation ---------------------------------------------------------------
 
+def value_at(spec, qctx, pt):
+    """F at the domain index pt (x*q + y, or an F_{q^2} index) as a BivElem."""
+    tabs = tables_for(spec, qctx)
+    return qctx.biv(int(tabs.g[pt]), int(tabs.h[pt]))
+
+
 def test_eval_genlinh_zero(qx16):
     spec = parse_func_spec("genlinh{L=x;h=inv}")
-    out = eval_func(spec, qx16, qx16.biv(0, 0))
-    assert out == qx16.biv(0, 0)  # 0^-1 := 0
+    assert value_at(spec, qx16, qx16.pt(0, 0)) == qx16.biv(0, 0)  # 0^-1 := 0
 
 
 def test_eval_sumprod_direct_substitution(qx16):
     # p=2, i=0, j=1, alpha=1 at (1,1): (1+1, 1*1 + 1*1^2) = (0, 0)
     spec = parse_func_spec("sumprod{i=0;j=1;alpha=1}")
-    assert eval_func(spec, qx16, qx16.biv(1, 1)) == qx16.biv(0, 0)
+    assert value_at(spec, qx16, qx16.pt(1, 1)) == qx16.biv(0, 0)
 
 
 def test_eval_traceinv_f4_over_f2(qx2):
     # gamma = beta: at z=1, (Tr(1), Tr(beta)) = (0, 1) since beta+conj(beta)=1
     gamma = qx2.ext.elem_str(qx2.beta, "W")
     spec = parse_func_spec(f"traceinv{{gamma={gamma}}}")
-    out = eval_func(spec, qx2, qx2.ext.elem(1))
-    assert out == qx2.biv(0, 1)
-
-
-def test_eval_domain_mismatch(qx16):
-    spec = parse_func_spec("genlinh{L=x;h=inv}")
-    with pytest.raises(DomainMismatch):
-        eval_func(spec, qx16, qx16.ext.elem(3))
-    with pytest.raises(DomainMismatch):
-        eval_func(parse_func_spec("traceinv{gamma=W^1}"), qx16, qx16.biv(1, 1))
+    assert value_at(spec, qx2, 1) == qx2.biv(0, 1)
 
 
 def test_prodlin_first_coordinate_symmetric(qx16):
@@ -222,7 +280,7 @@ def test_lift_round_trip_pointwise(qx4):
             z = qx4.phi(qx4.biv(x, y))
             image = qx4.ext.elem(int(lift.f[z.idx]))
             back = qx4.phi_inv(image)
-            assert back == eval_func(spec, qx4, qx4.biv(x, y))
+            assert back == value_at(spec, qx4, qx4.pt(x, y))
 
 
 def test_lift_requires_bivariate(qx16):
