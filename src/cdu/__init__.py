@@ -14,19 +14,18 @@ the closed-form predictions:
 """
 
 from . import ddt, funcs, gf, oracles, predict, quadext
-from .gf import (FieldCtx, FieldElem, make_field, CduError, SQ, NSQ, ZERO)
-from .quadext import BivElem, QuadExtCtx, make_quadext, select_t
-from .funcs import (FuncSpec, LinearizedPoly, InnerFunc, func_spec,
-                    parse_func_spec, parse_linpoly, linpoly_props,
+from .gf import FieldCtx, make_field, CduError, SQ, NSQ, ZERO
+from .quadext import QuadExtCtx, make_quadext, select_t
+from .funcs import (FuncSpec, func_spec, parse_func_spec, parse_linpoly,
                     univariate_lift)
 from .ddt import CParam, CDdtReport, c_uniformity, sweep, equivalence_check
 
 __all__ = [
     "ddt", "funcs", "gf", "oracles", "predict", "quadext",
-    "FieldCtx", "FieldElem", "make_field", "CduError", "SQ", "NSQ", "ZERO",
-    "BivElem", "QuadExtCtx", "make_quadext", "select_t",
-    "FuncSpec", "LinearizedPoly", "InnerFunc", "func_spec", "parse_func_spec",
-    "parse_linpoly", "linpoly_props", "univariate_lift",
+    "FieldCtx", "make_field", "CduError", "SQ", "NSQ", "ZERO",
+    "QuadExtCtx", "make_quadext", "select_t",
+    "FuncSpec", "func_spec", "parse_func_spec", "parse_linpoly",
+    "univariate_lift",
     "CParam", "CDdtReport", "c_uniformity", "sweep", "equivalence_check",
 ]
 

@@ -1,4 +1,4 @@
-"""c-DDT measurement engine: entries, row spectra, uniformity, sweeps.
+"""c-DDT measurement engine: uniformity, spectrum and witness per c, sweeps.
 
 The bivariate c-derivative of F = (G, H) at c = (c1, c2), a = (a1, a2) is
 
@@ -123,7 +123,7 @@ except ImportError:  # Python < 3.12
         from hashlib import sha256
 
 from .gf import CduError
-from .quadext import BivElem, QuadExtCtx
+from .quadext import QuadExtCtx
 from .funcs import (BIV, FuncSpec, PairTables, UniTable, DomainMismatch,
                     address, tables_for, univariate_lift)
 
@@ -405,35 +405,6 @@ def uni_report(field, table, c: CParam) -> CDdtReport:
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
-
-def c_derivative(spec: FuncSpec, qctx: QuadExtCtx, c: CParam, a, point):
-    """One c-derivative value; shapes follow the spec's domain."""
-    tabs = tables_for(spec, qctx)
-    base, ext = qctx.base, qctx.ext
-    if tabs.domain == BIV:
-        if not isinstance(point, BivElem) or not isinstance(a, BivElem):
-            raise DomainMismatch("bivariate derivative expects BivElem a and point")
-        pt = qctx.pt(point.x.idx, point.y.idx)
-        av = qctx.pt(a.x.idx, a.y.idx)
-    else:
-        pt, av = point.idx, a.idx
-    sh = ext.add(pt, av)  # pair points add digitwise, as F_{q^2} indices
-    g, h = int(tabs.g[pt]), int(tabs.h[pt])
-    d1 = base.add(base.sub(int(tabs.g[sh]), base.mul(c.c1, g)),
-                  base.mul(qctx.t, base.mul(c.c2, h)))
-    d2 = base.sub(base.sub(int(tabs.h[sh]), base.mul(base.sub(c.c1, c.c2), h)),
-                  base.mul(c.c2, g))
-    return qctx.biv(d1, d2)
-
-
-def c_row_spectrum(spec: FuncSpec, qctx: QuadExtCtx, c: CParam, a_index):
-    """Histogram over the codomain for one (c, a); a_index is the domain index."""
-    tabs = tables_for(spec, qctx)
-    if not 0 <= a_index < qctx.ext.q:
-        raise CduError(f"a index {a_index} outside the domain")
-    return _rows(qctx.ext, tabs.key, _pair_trans(qctx, tabs, c),
-                 np.array([a_index]))[0]
-
 
 def c_uniformity(spec: FuncSpec, qctx: QuadExtCtx, c: CParam) -> CDdtReport:
     return sweep(spec, qctx, [c])[0]

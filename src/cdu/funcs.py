@@ -28,14 +28,19 @@ Spec strings (the CLI mini-language), one per family in ``FAMILIES``:
 
 A key the family does not declare is an error, and so is a missing one,
 except prodlin's gammas (default: none) and tracext's k and gamma, which
-only H=gold reads.  Linearized polynomials are sums of terms "x", "x^E" or
-"<el>*x^E" where every exponent E must be a power of p.  Elements are "0",
-a decimal prime-subfield literal 0..p-1, or a power of a primitive element:
-"w^k" in F_q and "W^k" in F_{q^2}.  The letter names the field, so a spec
-that writes W^k where an element of F_q goes (or w^k for one of F_{q^2}) is
-rejected.  Inner functions for h slots: "inv", "id", "gold:<k>" (k >= 0),
-"pow:<e>", "lin:<linpoly>".  genericbiv takes value tables, which only
-``func_spec`` can pass.
+only H=gold reads.  Elements are "0", a decimal prime-subfield literal
+0..p-1, or a power of a primitive element: "w^k" in F_q and "W^k" in
+F_{q^2}.  The letter names the field, so a spec that writes W^k where an
+element of F_q goes (or w^k for one of F_{q^2}) is rejected.  genericbiv
+takes value tables of F_q indices, which only ``func_spec`` can pass.
+
+A linearized polynomial is a sum of terms "x", "x^E" or "<el>*x^E", every
+exponent E a power of p; ``parse_linpoly`` reads it over F_q straight to its
+value table, kernel size and permutation flag.  An inner function, for h
+slots, is "inv", "id", "gold:<k>" (k >= 0), "pow:<e>" or "lin:<linpoly>";
+``parse_inner`` reads it over F_q straight to its tag, its ``UniTable`` and
+whether it permutes F_q.  A Gold exponent k of any size costs the same:
+x^(p^k+1) is x^(p^(k mod m)) * x (``FieldCtx.gold_vec``).
 """
 
 from __future__ import annotations
@@ -84,46 +89,23 @@ def _elem(ctx: FieldCtx, s, letter):
 
 
 # ---------------------------------------------------------------------------
-# linearized polynomials
+# linearized polynomials and inner functions, parsed over a field
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinearizedPoly:
-    """L(x) = sum of coeff * x^(p^i), held as ((coeff index, i), ...)."""
+class LinPoly(NamedTuple):
+    """A linearized polynomial over F_q: its value table, its kernel size s
+    (the image has q/s elements) and whether it permutes F_q."""
 
-    terms: tuple
-
-    def table(self, ctx: FieldCtx):
-        xs = np.arange(ctx.q, dtype=np.int32)
-        acc = np.zeros(ctx.q, dtype=np.int32)
-        for coeff, i in self.terms:
-            term = ctx.pow_vec(xs, ctx.p ** (i % ctx.m))
-            if coeff != 1:
-                acc = ctx.add_vec(acc, ctx.mul_vec(np.int32(coeff), term))
-            else:
-                acc = ctx.add_vec(acc, term)
-        return acc
-
-
-@dataclass(frozen=True, eq=False)
-class LinPolyProps:
     table: np.ndarray
     kernel_size: int
-    is_permutation: bool
+    permutes: bool
 
 
-def linpoly_props(L: LinearizedPoly, ctx: FieldCtx) -> LinPolyProps:
-    """Value table, kernel size s (by exhaustive scan) and permutation flag;
-    image size is q/s."""
-    tab = L.table(ctx)
-    s = int(np.count_nonzero(tab == 0))
-    assert s >= 1 and ctx.q % s == 0
-    return LinPolyProps(tab, s, s == 1)
-
-
-def parse_linpoly(s, ctx: FieldCtx) -> LinearizedPoly:
-    """Parse "x", "x^3+x", "w^3*x^9+x", ... exponents must be powers of p."""
-    terms = []
+def parse_linpoly(s, ctx: FieldCtx) -> LinPoly:
+    """Parse "x", "x^3+x", "w^3*x^9+x", ... over ``ctx``; every exponent
+    must be a power of p.  The kernel is counted by exhaustive scan."""
+    xs = np.arange(ctx.q, dtype=np.int32)
+    table = np.zeros(ctx.q, dtype=np.int32)
     for raw in s.split("+"):
         raw = raw.strip()
         if not raw:
@@ -147,52 +129,43 @@ def parse_linpoly(s, ctx: FieldCtx) -> LinearizedPoly:
         if pe != e:
             raise InvalidParams(
                 f"exponent {e} in {s!r} is not a power of p={ctx.p}")
-        terms.append((coeff, i))
-    return LinearizedPoly(tuple(terms))
+        term = ctx.frobenius_vec(xs, i)
+        table = ctx.add_vec(table, term if coeff == 1
+                            else ctx.mul_vec(np.int32(coeff), term))
+    size = int(np.count_nonzero(table == 0))
+    assert size >= 1 and ctx.q % size == 0
+    return LinPoly(table, size, size == 1)
 
 
-# ---------------------------------------------------------------------------
-# inner univariate building blocks (for h slots)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InnerFunc:
-    """Total univariate map of F_q: inverse, identity, Gold, power or linearized."""
+class Inner(NamedTuple):
+    """An inner function of F_q (for h slots): its tag, its value table and
+    whether it permutes F_q."""
 
     tag: str
-    k: int = 0
-    e: int = 0
-    lin: str = ""
-
-    def table_over(self, ctx: FieldCtx):
-        xs = np.arange(ctx.q, dtype=np.int32)
-        if self.tag == "inv":
-            return ctx.inv_table.copy()
-        if self.tag == "id":
-            return xs.copy()
-        if self.tag == "gold":
-            return ctx.pow_vec(xs, ctx.p ** self.k + 1)
-        if self.tag == "pow":
-            return ctx.pow_vec(xs, self.e)
-        if self.tag == "lin":
-            return parse_linpoly(self.lin, ctx).table(ctx)
-        raise InvalidParams(f"unknown inner function {self.tag!r}")
+    table: UniTable
+    permutes: bool
 
 
-def parse_inner(s) -> InnerFunc:
+def parse_inner(s, ctx: FieldCtx) -> Inner:
+    """Parse "inv", "id", "gold:<k>" (k >= 0), "pow:<e>" or "lin:<linpoly>"
+    over ``ctx``."""
     s = s.strip()
+    tag, xs = s.split(":", 1)[0], np.arange(ctx.q, dtype=np.int32)
     if s in ("inv", "id"):
-        return InnerFunc(tag=s)
-    if s.startswith("gold:"):
+        values = ctx.inv_table if s == "inv" else xs
+    elif s.startswith("gold:"):
         k = _int(s[5:], "gold exponent")
         if k < 0:
             raise SpecParseError(f"gold exponent must be >= 0, got {k}")
-        return InnerFunc(tag="gold", k=k)
-    if s.startswith("pow:"):
-        return InnerFunc(tag="pow", e=_int(s[4:], "pow exponent"))
-    if s.startswith("lin:"):
-        return InnerFunc(tag="lin", lin=s[4:])
-    raise SpecParseError(f"unknown inner function spec {s!r}")
+        values = ctx.gold_vec(xs, k)
+    elif s.startswith("pow:"):
+        values = ctx.pow_vec(xs, _int(s[4:], "pow exponent"))
+    elif s.startswith("lin:"):
+        values = parse_linpoly(s[4:], ctx).table
+    else:
+        raise SpecParseError(f"unknown inner function spec {s!r}")
+    table = UniTable(values, ctx)
+    return Inner(tag, table, len(np.unique(table.f)) == ctx.q)
 
 
 # ---------------------------------------------------------------------------
@@ -441,24 +414,16 @@ class UniTable:
         return len(self.f)
 
 
-class Inner(NamedTuple):
-    """An inner function parsed over F_q."""
-
-    func: InnerFunc
-    table: UniTable
-    permutes: bool
-
-
 def parse_params(spec: FuncSpec, qctx: QuadExtCtx) -> dict:
     """Every parameter of ``spec`` parsed by its kind in ``FAMILIES``, into:
 
       int, gold_k   an int; gold_k, a Gold exponent index k >= 0
       base, ext     an element of F_q, of F_{q^2} (an int index is one of F_q)
-      linpoly       its LinPolyProps over F_q: table, kernel size, permutation
-      inner         its Inner: InnerFunc, UniTable, whether it permutes F_q
+      linpoly       its LinPoly over F_q: table, kernel size, permutation
+      inner         its Inner over F_q: tag, UniTable, permutation
       gammas        prodlin's [(i, gamma_i)] from "4:1,2:w^3"
       variant       the string, which the family's builder checks
-      table         an int32 array, from func_spec only
+      table         an int32 array of F_q indices, from func_spec only
 
     A missing parameter that is not optional is an InvalidParams error."""
     base, fam = qctx.base, spec.family
@@ -481,11 +446,9 @@ def parse_params(spec: FuncSpec, qctx: QuadExtCtx) -> dict:
         elif kind == "ext":
             v = _elem(qctx.ext, v, "W")
         elif kind == "linpoly":
-            v = linpoly_props(parse_linpoly(str(v), base), base)
+            v = parse_linpoly(str(v), base)
         elif kind == "inner":
-            f = parse_inner(str(v))
-            table = UniTable(f.table_over(base), base)
-            v = Inner(f, table, len(np.unique(table.f)) == base.q)
+            v = parse_inner(str(v), base)
         elif kind == "gammas":
             terms, v = v, []
             for term in filter(None, terms.split(",")):
@@ -495,6 +458,9 @@ def parse_params(spec: FuncSpec, qctx: QuadExtCtx) -> dict:
                 v.append((_int(i, "prodlin exponent index"), _elem(base, c, "w")))
         elif kind == "table":
             v = np.asarray(v, dtype=np.int32)
+            if ((v < 0) | (v >= base.q)).any():
+                raise InvalidParams(f"{name} has a value outside F_{base.q}, "
+                                    f"whose indices are 0..{base.q - 1}")
         else:
             v = str(v)  # variant
         args[name] = v
@@ -541,7 +507,7 @@ def _values(fam, args, qctx: QuadExtCtx):
             if not 0 < k < base.m:
                 raise InvalidParams(f"genlingold needs 0 < k < m, got k={k}")
             g = args["L"].table[X]
-            hy = base.pow_vec(np.arange(q, dtype=np.int32), base.p ** k + 1)
+            hy = base.gold_vec(np.arange(q, dtype=np.int32), k)
             if alpha:
                 hy = base.add_vec(hy, base.mul_row(alpha))
             return g, base.add_vec(hy[Y], g)
@@ -560,14 +526,14 @@ def _values(fam, args, qctx: QuadExtCtx):
             gamma, L = args["gamma"], args["L"]
             if gamma == base.neg(1):
                 raise InvalidParams("goldpair needs gamma != -1")
-            if not L.is_permutation:
+            if not L.permutes:
                 raise InvalidParams("goldpair needs a linearized permutation L")
-            pk = base.pow_vec(np.arange(q, dtype=np.int32), base.p ** args["k"] + 1)
+            pk = base.gold_vec(np.arange(q, dtype=np.int32), args["k"])
             g = base.add_vec(pk[X], base.mul_vec(np.int32(gamma), pk[Y]))
             return g, L.table[base.add_vec(X, Y)]
         if fam == "prodlin":
             L = args["L"]
-            if not L.is_permutation:
+            if not L.permutes:
                 raise InvalidParams("prodlin needs a linearized permutation L")
             xy = base.mul_vec(X, Y)
             h = L.table[base.add_vec(X, Y)]
@@ -605,9 +571,7 @@ def _values(fam, args, qctx: QuadExtCtx):
             k, gamma = args["k"], args["gamma"]
             if ext.add(ext.frobenius(gamma, base.m), gamma) == 0:
                 raise InvalidParams("tracext gold needs Tr(gamma) != 0")
-            h = _trace_to_base(
-                qctx, ext.mul_vec(np.int32(gamma),
-                                  ext.pow_vec(Z, base.p ** k + 1)))
+            h = _trace_to_base(qctx, ext.mul_vec(np.int32(gamma), ext.gold_vec(Z, k)))
         elif variant == "norm":
             h = qctx.unembed[ext.pow_vec(Z, q + 1)].astype(np.int32)
         else:

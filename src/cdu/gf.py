@@ -16,7 +16,6 @@ as a block of known powers times the matrix of the next power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -46,10 +45,6 @@ class ReducibleModulus(CduError):
 
 
 class DivisionByZero(CduError):
-    pass
-
-
-class ContextMismatch(CduError):
     pass
 
 
@@ -416,6 +411,11 @@ class FieldCtx:
     def frobenius_vec(self, u, e):
         return self.pow_vec(u, self.p ** (e % self.m))
 
+    def gold_vec(self, u, k):
+        """Elementwise u^(p^k+1), as u^(p^k) * u: k is taken mod m, so no
+        power p^k is ever formed, whatever the size of k."""
+        return self.mul_vec(self.frobenius_vec(u, k), u)
+
     def trace_rel_vec(self, l, u):
         """Relative trace to F_{p^l}: sum of u^(p^(l*i)), i < m/l, elementwise."""
         if self.m % l != 0:
@@ -496,9 +496,6 @@ class FieldCtx:
     def modulus_str(self):
         return ",".join(str(c) for c in self.modulus)
 
-    def elem(self, x):
-        return FieldElem(int(x), self)
-
     def __repr__(self):
         return f"FieldCtx(p={self.p}, m={self.m}, modulus={self.modulus_str()})"
 
@@ -529,40 +526,3 @@ def make_field(p, m, modulus=None):
         ctx = FieldCtx(p, m, modulus)
         _field_cache[key] = ctx
     return ctx
-
-
-@dataclass(frozen=True)
-class FieldElem:
-    """One field element: an index plus its owning context."""
-
-    idx: int
-    ctx: FieldCtx
-
-    def _check(self, other):
-        if not isinstance(other, FieldElem) or other.ctx is not self.ctx:
-            raise ContextMismatch("operands belong to different field contexts")
-        return other
-
-    def __add__(self, other):
-        return FieldElem(self.ctx.add(self.idx, self._check(other).idx), self.ctx)
-
-    def __sub__(self, other):
-        return FieldElem(self.ctx.sub(self.idx, self._check(other).idx), self.ctx)
-
-    def __mul__(self, other):
-        return FieldElem(self.ctx.mul(self.idx, self._check(other).idx), self.ctx)
-
-    def __truediv__(self, other):
-        return FieldElem(self.ctx.div(self.idx, self._check(other).idx), self.ctx)
-
-    def __neg__(self):
-        return FieldElem(self.ctx.neg(self.idx), self.ctx)
-
-    def __pow__(self, e):
-        return FieldElem(self.ctx.pow(self.idx, e), self.ctx)
-
-    def __bool__(self):
-        return self.idx != 0
-
-    def __repr__(self):
-        return self.ctx.elem_str(self.idx)

@@ -144,7 +144,7 @@ class BluherCount:
 
 def _gold_values(ctx, k):
     xs = np.arange(ctx.q, dtype=np.int32)
-    return xs, ctx.pow_vec(xs, ctx.p ** k + 1)
+    return xs, ctx.gold_vec(xs, k)
 
 
 def bluher_root_count(ctx: FieldCtx, k, a, b) -> BluherCount:

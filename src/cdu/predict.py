@@ -94,7 +94,7 @@ def _predict_genlinh(tabs, qctx, c1, c2):
         return _exact(s, **tr)
     ratio = base.div(a, b)
     assert ratio != 1, "A/B = 1 contradicts the nonvanishing condition"
-    if h.func.tag == "inv":  # delta of h at A/B: the oracle, else the engine
+    if h.tag == "inv":  # delta of h at A/B: the oracle, else the engine
         delta = inverse_c_uniformity_predict(base, ratio)
     else:
         delta = ddt.uni_report(base, h.table, ddt.CParam.uni(ratio)).uniformity
@@ -108,7 +108,7 @@ def _predict_genlingold(tabs, qctx, c1, c2):
     base = qctx.base
     p, m = base.p, base.m
     k, alpha = tabs.args["k"], tabs.args["alpha"]
-    if not tabs.args["L"].is_permutation:
+    if not tabs.args["L"].permutes:
         return _not_covered(reason="L is not a permutation")
     d = gcd(m, k)
     one_c1 = base.sub(1, c1)
@@ -179,16 +179,20 @@ def _predict_splitgh(tabs, qctx, c1, c2):
     base = qctx.base
     if c2 != 0:
         return _not_covered(reason="covers only c = (c1, 0)")
-    g_uni = ddt.uni_report(base, tabs.args["g"].table, ddt.CParam.uni(c1)).uniformity
+    args = tabs.args
+    g_uni = ddt.uni_report(base, args["g"].table, ddt.CParam.uni(c1)).uniformity
     if g_uni != 1:
         return _not_covered(reason=f"g is not PcN at c1 (delta={g_uni})")
-    L1, L2 = tabs.args["L1"].table, tabs.args["L2"].table
-    for gamma in range(base.q):
-        comb = base.add_vec(L2, base.mul_vec(np.int32(gamma), L1))
-        s = int(np.count_nonzero(comb == 0))
-        if s > 2:
-            return _not_covered(
-                reason=f"L2 + gamma*L1 has kernel {s} at gamma={base.elem_str(gamma)}")
+    if "wide_kernel" not in args:  # c-free: one q x q scan per table
+        gammas = np.arange(base.q, dtype=np.int32)[:, None]
+        comb = base.add_vec(args["L2"].table, base.mul_vec(gammas, args["L1"].table))
+        sizes = np.count_nonzero(comb == 0, axis=1)
+        wide = np.flatnonzero(sizes > 2)  # the first such gamma is reported
+        args["wide_kernel"] = len(wide) and (
+            f"L2 + gamma*L1 has kernel {int(sizes[wide[0]])} "
+            f"at gamma={base.elem_str(int(wide[0]))}")
+    if args["wide_kernel"]:
+        return _not_covered(reason=args["wide_kernel"])
     return _upper(2, g_uniformity=1)
 
 
@@ -198,7 +202,7 @@ def _predict_goldpair(tabs, qctx, c1, c2):
         return _not_covered(reason="covers only c = (c1, 0)")
     k, gamma = tabs.args["k"], tabs.args["gamma"]
     d = gcd(base.m, k)
-    dgold = gcd(base.p ** k + 1, base.q - 1)
+    dgold = gcd(pow(base.p, k, base.q - 1) + 1, base.q - 1)
     both_in = base.in_subfield(c1, d) and base.in_subfield(gamma, d)
     tr = {"d": d, "gcd(p^k+1,q-1)": dgold, "c,gamma in F_p^d": both_in}
     if both_in:

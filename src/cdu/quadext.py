@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
 
-from .gf import (NSQ, CduError, FieldCtx, FieldElem, make_field)
+from .gf import NSQ, CduError, FieldCtx, make_field
 
 
 class InvalidT(CduError):
@@ -51,21 +50,6 @@ def select_t(base, override=None):
         if t_condition_holds(base, t):
             return t
     raise InvalidT("no valid t exists (cannot happen for a genuine field)")
-
-
-@dataclass(frozen=True)
-class BivElem:
-    """A point (x, y) of F_q x F_q; both coordinates share one context."""
-
-    x: FieldElem
-    y: FieldElem
-
-    def __post_init__(self):
-        if self.x.ctx is not self.y.ctx:
-            raise CduError("BivElem coordinates from different contexts")
-
-    def __repr__(self):
-        return f"({self.x},{self.y})"
 
 
 _CACHE_ENTRIES = 16  # derived tables kept per context, least recently used out
@@ -200,28 +184,15 @@ class QuadExtCtx:
         """Pack coordinate indices into the flat point index x*q + y."""
         return xi * self.base.q + yi
 
-    def pt_split(self, pt):
-        return pt // self.base.q, pt % self.base.q
-
-    def biv(self, xi, yi):
-        return BivElem(self.base.elem(xi), self.base.elem(yi))
-
-    # -- the correspondence ------------------------------------------------------
-
-    def phi(self, v: BivElem) -> FieldElem:
-        return self.ext.elem(int(self.phi_table[self.pt(v.x.idx, v.y.idx)]))
-
-    def phi_inv(self, z: FieldElem) -> BivElem:
-        pt = int(self.phi_inv_table[z.idx])
-        return self.biv(*self.pt_split(pt))
-
-    def biv_mul(self, u: BivElem, v: BivElem) -> BivElem:
+    def biv_mul(self, u, v):
+        """The pair product of u = (x1, y1) and v = (x2, y2), index pairs
+        of F_q: the scalar reference for the product phi carries it to."""
         base = self.base
-        x1, y1, x2, y2 = u.x.idx, u.y.idx, v.x.idx, v.y.idx
+        (x1, y1), (x2, y2) = u, v
         g = base.sub(base.mul(x1, x2), base.mul(self.t, base.mul(y1, y2)))
         h = base.sub(base.add(base.mul(x1, y2), base.mul(x2, y1)),
                      base.mul(y1, y2))
-        return self.biv(g, h)
+        return g, h
 
     def check_nonvanishing(self, c1, c2):
         """t*c2^2 + (1-c1)*c2 + (1-c1)^2 != 0; false exactly at c = (1,0)."""

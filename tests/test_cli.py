@@ -4,6 +4,8 @@ import gc
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -480,3 +482,56 @@ def test_missing_parameter_is_named(capsys, spec, name):
     code, out, err = run_cli(capsys, *_sweep("0,0", spec))
     family = spec.split("{")[0]
     assert (code, out, err) == (1, "", f"error: {family} needs parameter {name}\n")
+
+
+# over F_9 (m = 2); a "{k}" field takes the Gold exponent
+_GOLD_ARGVS = [
+    ["verify", "-p", "3", "-m", "2", "--c", "cq0",
+     "--spec", "goldpair{{k={k};gamma=w^1;L=x}}"],
+    ["verify", "-p", "3", "-m", "2", "--c", "cq0",
+     "--spec", "tracext{{H=gold;k={k};gamma=W^1}}"],
+    ["verify", "-p", "3", "-m", "2", "--c", "cq0",
+     "--spec", "genlinh{{L=x;h=gold:{k}}}"],
+    ["oracle", "bluher", "-p", "3", "-m", "2", "--k", "{k}",
+     "--a", "w^1", "--b", "w^2"],
+]
+
+
+def _as_k1(out, k):
+    """``out`` with the Gold exponent k written as 1 where it is echoed."""
+    for echo in ("k={}", "gold:{}", "p^{}+"):
+        out = out.replace(echo.format(k), echo.format(1))
+    return out
+
+
+def _gold_run(capsys, argv, k):
+    """Exit code and stdout of ``argv`` at the Gold exponent k, as at k = 1."""
+    code, out, _ = run_cli(capsys, *(a.format(k=k) for a in argv))
+    return code, _as_k1(out, k)
+
+
+def test_huge_gold_exponent_finishes(capsys):
+    """k = 10^8*m + 1 runs as fast as k = 1 and prints the same: no power
+    p^k is formed.  The runs go in a child process with a 2 GiB address
+    space and a time limit, so a program that forms 3^k fails this test
+    rather than hanging."""
+    k = 10 ** 8 * 2 + 1
+    script = (
+        "import contextlib, io, json, resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from cdu.cli import main\n"
+        "runs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        runs.append((main(argv), out.getvalue()))\n"
+        "print(json.dumps(runs))\n")
+    argvs = [[a.format(k=k) for a in argv] for argv in _GOLD_ARGVS]
+    src = str(Path(funcs.__file__).parents[1])
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr[-2000:]
+    for argv, (code, out) in zip(_GOLD_ARGVS, json.loads(run.stdout)):
+        assert (code, _as_k1(out, k)) == _gold_run(capsys, argv, 1)

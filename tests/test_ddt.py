@@ -78,51 +78,56 @@ def naive_report(terms, identity):
     return best, {v: k for v, k in spectrum.items() if k}, witness
 
 
+def _engine_row(qctx, tabs, c, a):
+    """The engine's row a at c, on the numpy reference: bins[b] for every
+    codomain index b."""
+    return ddt._rows(qctx.ext, tabs.key, ddt._pair_trans(qctx, tabs, c),
+                     np.array([a]))[0]
+
+
 def test_c_derivative_at_identity_c(qx16):
-    spec = parse_func_spec("genlinh{L=x;h=inv}")
-    c = CParam.biv(1, 0)
-    a = qx16.biv(0, 0)
+    tabs = tables_for(parse_func_spec("genlinh{L=x;h=inv}"), qx16)
+    shift, vals, trans, add = _pair_terms(qx16, tabs, CParam.biv(1, 0))
     for x, y in [(0, 0), (3, 7), (15, 1)]:
-        assert ddt.c_derivative(spec, qx16, c, a, qx16.biv(x, y)) == qx16.biv(0, 0)
+        pt = qx16.pt(x, y)
+        assert add(vals[shift(pt, 0)], trans[pt]) == 0
 
 
 def test_c_derivative_at_c_zero_is_shift(qx16):
-    spec = parse_func_spec("genlinh{L=x;h=inv}")
-    c = CParam.biv(0, 0)
-    a = qx16.biv(5, 9)
-    tabs = tables_for(spec, qx16)
+    tabs = tables_for(parse_func_spec("genlinh{L=x;h=inv}"), qx16)
+    shift, vals, trans, add = _pair_terms(qx16, tabs, CParam.biv(0, 0))
+    a = qx16.pt(5, 9)
     for x, y in [(0, 0), (2, 13)]:
-        pt = qx16.biv(x, y)
+        pt = qx16.pt(x, y)
         shifted = qx16.pt(qx16.base.add(x, 5), qx16.base.add(y, 9))
-        assert (ddt.c_derivative(spec, qx16, c, a, pt)
-                == qx16.biv(int(tabs.g[shifted]), int(tabs.h[shifted])))
+        assert (add(vals[shift(pt, a)], trans[pt])
+                == qx16.pt(int(tabs.g[shifted]), int(tabs.h[shifted])))
 
 
 def test_c_derivative_identity_function_product_law(qx16):
     # F = id, a = 0: derivative is (x,y) - c*(x,y) under the pair product
-    spec = parse_func_spec("identity")
+    tabs = tables_for(parse_func_spec("identity"), qx16)
     base = qx16.base
-    a = qx16.biv(0, 0)
     rng = random.Random(1)
     for _ in range(30):
         c1, c2 = rng.randrange(16), rng.randrange(16)
         x, y = rng.randrange(16), rng.randrange(16)
-        pt = qx16.biv(x, y)
-        got = ddt.c_derivative(spec, qx16, CParam.biv(c1, c2), a, pt)
-        prod = qx16.biv_mul(qx16.biv(c1, c2), pt)
-        want = qx16.biv(base.sub(x, prod.x.idx), base.sub(y, prod.y.idx))
-        assert got == want
+        shift, vals, trans, add = _pair_terms(qx16, tabs, CParam.biv(c1, c2))
+        pt = qx16.pt(x, y)
+        g, h = qx16.biv_mul((c1, c2), (x, y))
+        assert (add(vals[shift(pt, 0)], trans[pt])
+                == qx16.pt(base.sub(x, g), base.sub(y, h)))
 
 
 def test_row_spectrum_examples(qx16):
     q = qx16.base.q
     # bijection at c = 0: every bucket 1
-    spec = parse_func_spec("genlinh{L=x;h=inv}")
-    row = ddt.c_row_spectrum(spec, qx16, CParam.biv(0, 0), qx16.pt(3, 4))
+    tabs = tables_for(parse_func_spec("genlinh{L=x;h=inv}"), qx16)
+    row = _engine_row(qx16, tabs, CParam.biv(0, 0), qx16.pt(3, 4))
     assert (row == 1).all()
     # identity F at c = (1,0), a = (1,0): constant derivative a
-    row = ddt.c_row_spectrum(parse_func_spec("identity"), qx16,
-                             CParam.biv(1, 0), qx16.pt(1, 0))
+    tabs = tables_for(parse_func_spec("identity"), qx16)
+    row = _engine_row(qx16, tabs, CParam.biv(1, 0), qx16.pt(1, 0))
     assert row[qx16.pt(1, 0)] == q * q and row.sum() == q * q
 
 
@@ -146,7 +151,7 @@ def test_engine_matches_naive_counting_q4(qx4):
             c = CParam.biv(c1, c2)
             for apt in range(q * q):
                 hist = naive_row_histogram(qx4, tabs, c, apt)
-                row = ddt.c_row_spectrum(spec, qx4, c, apt)
+                row = _engine_row(qx4, tabs, c, apt)
                 for b in range(q * q):
                     assert row[b] == hist.get(b, 0)
 
@@ -160,15 +165,14 @@ def test_engine_matches_naive_counting_q8_sampled(qx8):
         c = CParam.biv(rng.randrange(q), rng.randrange(q))
         apt = rng.randrange(q * q)
         hist = naive_row_histogram(qx8, tabs, c, apt)
-        row = ddt.c_row_spectrum(spec, qx8, c, apt)
+        row = _engine_row(qx8, tabs, c, apt)
         for b in range(q * q):
             assert row[b] == hist.get(b, 0)
 
 
 @pytest.mark.parametrize("field", [(3, 1), (3, 2), (5, 2)])
 def test_row_spectrum_and_derivative_match_naive_odd_p(field):
-    """Odd p: c_row_spectrum's row and every c_derivative value in it agree
-    with the scalar naive counter."""
+    """Odd p: the engine's row agrees with the scalar naive counter."""
     qctx = make_quadext(make_field(*field))
     q, n = qctx.base.q, qctx.ext.q
     rng = np.random.default_rng(q)
@@ -179,18 +183,10 @@ def test_row_spectrum_and_derivative_match_naive_odd_p(field):
     tabs = tables_for(spec, qctx)
     for c in cs:
         terms = _pair_terms(qctx, tabs, c)
-        shift, vals, trans, add = terms
         for a in (0, n - 1, int(rng.integers(1, n - 1))):
-            row = ddt.c_row_spectrum(spec, qctx, c, a)
+            row = _engine_row(qctx, tabs, c, a)
             hist = _naive_row(terms, a)
             assert row.tolist() == [hist.get(b, 0) for b in range(n)]
-            for x in range(n):
-                d = ddt.c_derivative(spec, qctx, c, qctx.biv(*qctx.pt_split(a)),
-                                     qctx.biv(*qctx.pt_split(x)))
-                assert qctx.pt(d.x.idx, d.y.idx) == add(vals[shift(x, a)],
-                                                        trans[x])
-    with pytest.raises(cdu.CduError, match="outside the domain"):
-        ddt.c_row_spectrum(spec, qctx, cs[0], n)
 
 
 # F_4, F_8, F_9, F_25, F_3, F_7: both characteristics, p >= 5, and prime
@@ -926,5 +922,5 @@ def test_witness_attains_uniformity(qx16):
     for c in [CParam.biv(0, 0), CParam.biv(3, 7), CParam.biv(1, 0)]:
         rep = ddt.c_uniformity(spec, qx16, c)
         a_idx, b_idx = rep.witness
-        row = ddt.c_row_spectrum(spec, qx16, c, a_idx)
+        row = _engine_row(qx16, tables_for(spec, qx16), c, a_idx)
         assert row[b_idx] == rep.uniformity

@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdu import (func_spec, linpoly_props, make_field, make_quadext,
-                 parse_func_spec, parse_linpoly, predict, univariate_lift)
+from cdu import (ddt, func_spec, make_field, make_quadext, parse_func_spec,
+                 parse_linpoly, predict, univariate_lift)
 from cdu.funcs import (FAMILIES, DomainMismatch, InvalidParams, SpecParseError,
                        UniTable, parse_inner, tables_for)
 
@@ -108,25 +108,24 @@ def test_spec_element_in_the_wrong_letter_is_rejected(qx16, spec, right):
 
 def test_linpoly_identity(f16):
     L = parse_linpoly("x", f16)
-    props = linpoly_props(L, f16)
-    assert props.kernel_size == 1 and props.is_permutation
+    assert L.kernel_size == 1 and L.permutes
+    assert (L.table == np.arange(16)).all()
 
 
 def test_linpoly_s_to_1_over_f8(f8):
     # x^2 + x has kernel {0, 1}
-    props = linpoly_props(parse_linpoly("x^2+x", f8), f8)
-    assert props.kernel_size == 2 and not props.is_permutation
-    tab = parse_linpoly("x^2+x", f8).table(f8)
-    assert tab[0] == 0 and tab[1] == 0
+    L = parse_linpoly("x^2+x", f8)
+    assert L.kernel_size == 2 and not L.permutes
+    assert L.table[0] == 0 and L.table[1] == 0
 
 
 def test_linpoly_permutation_over_f27(f27):
-    props = linpoly_props(parse_linpoly("x^3+x", f27), f27)
-    assert props.kernel_size == 1 and props.is_permutation
+    L = parse_linpoly("x^3+x", f27)
+    assert L.kernel_size == 1 and L.permutes
 
 
 def test_linpoly_additive(f16):
-    tab = parse_linpoly("w^3*x^4+x^2+x", f16).table(f16)
+    tab = parse_linpoly("w^3*x^4+x^2+x", f16).table
     xs = np.arange(16, dtype=np.int32)
     pairs = f16.add_vec(xs[:, None], xs[None, :])
     assert (tab[pairs] == f16.add_vec(tab[xs][:, None], tab[xs][None, :])).all()
@@ -140,39 +139,69 @@ def test_linpoly_rejects_non_p_power(f16):
 
 
 def test_inner_funcs(f16):
-    inv = parse_inner("inv").table_over(f16)
-    assert inv[0] == 0
+    inv = parse_inner("inv", f16)
+    assert inv.tag == "inv" and inv.permutes and inv.table.f[0] == 0
     for y in range(1, 16):
-        assert f16.mul(y, int(inv[y])) == 1
-    gold = parse_inner("gold:2").table_over(f16)
-    assert (gold == f16.pow_vec(np.arange(16, dtype=np.int32), 5)).all()
-    assert (parse_inner("id").table_over(f16) == np.arange(16)).all()
+        assert f16.mul(y, int(inv.table.f[y])) == 1
+    gold = parse_inner("gold:2", f16)
+    assert gold.tag == "gold" and not gold.permutes  # gcd(5, 15) = 5
+    assert (gold.table.f == f16.pow_vec(np.arange(16, dtype=np.int32), 5)).all()
+    assert (parse_inner("id", f16).table.f == np.arange(16)).all()
+    lin = parse_inner("lin:x^2+x", f16)
+    assert lin.tag == "lin" and not lin.permutes
+    assert (lin.table.f == parse_linpoly("x^2+x", f16).table).all()
+
+
+@pytest.mark.parametrize("spec, step", [
+    ("goldpair{{k={k};gamma=w^5;L=x}}", 1),
+    ("genlinh{{L=x;h=gold:{k}}}", 1),
+    ("tracext{{H=gold;k={k};gamma=W^1}}", 2),  # a Gold map of F_{q^2}
+])
+def test_gold_exponent_taken_mod_degree(qx16, qx27, spec, step):
+    """x^(p^k) = x^(p^(k mod m)) on F_q, so k and k + m give one table
+    (k + 2m over F_{q^2}); tests/golden pins the tables of small k."""
+    for qx in (qx16, qx27):
+        for k in (0, 1, 2):
+            want = tables_for(parse_func_spec(spec.format(k=k)), qx).key
+            other = spec.format(k=k + step * qx.base.m)
+            assert (tables_for(parse_func_spec(other), qx).key == want).all()
+
+
+def test_generic_table_outside_the_field_is_named(qx4):
+    """A genericbiv value outside [0, q) is the caller's fault: an
+    InvalidParams naming the table, not an engine bug in the kernel."""
+    for name, gt, ht in [("gtable", (7,) * 16, (0,) * 16),
+                         ("htable", (0,) * 16, (0,) * 15 + (-1,))]:
+        spec = func_spec("genericbiv", gtable=gt, htable=ht)
+        with pytest.raises(InvalidParams, match=f"^{name} has a value outside"):
+            ddt.c_uniformity(spec, qx4, ddt.CParam.biv(0, 0))
 
 
 # -- evaluation ---------------------------------------------------------------
 
 def value_at(spec, qctx, pt):
-    """F at the domain index pt (x*q + y, or an F_{q^2} index) as a BivElem."""
+    """F at the domain index pt (x*q + y, or an F_{q^2} index) as the index
+    pair (g, h)."""
     tabs = tables_for(spec, qctx)
-    return qctx.biv(int(tabs.g[pt]), int(tabs.h[pt]))
+    return int(tabs.g[pt]), int(tabs.h[pt])
 
 
 def test_eval_genlinh_zero(qx16):
     spec = parse_func_spec("genlinh{L=x;h=inv}")
-    assert value_at(spec, qx16, qx16.pt(0, 0)) == qx16.biv(0, 0)  # 0^-1 := 0
+    assert value_at(spec, qx16, qx16.pt(0, 0)) == (0, 0)  # 0^-1 := 0
 
 
 def test_eval_sumprod_direct_substitution(qx16):
     # p=2, i=0, j=1, alpha=1 at (1,1): (1+1, 1*1 + 1*1^2) = (0, 0)
     spec = parse_func_spec("sumprod{i=0;j=1;alpha=1}")
-    assert value_at(spec, qx16, qx16.pt(1, 1)) == qx16.biv(0, 0)
+    assert value_at(spec, qx16, qx16.pt(1, 1)) == (0, 0)
 
 
 def test_eval_traceinv_f4_over_f2(qx2):
     # gamma = beta: at z=1, (Tr(1), Tr(beta)) = (0, 1) since beta+conj(beta)=1
     gamma = qx2.ext.elem_str(qx2.beta, "W")
     spec = parse_func_spec(f"traceinv{{gamma={gamma}}}")
-    assert value_at(spec, qx2, 1) == qx2.biv(0, 1)
+    assert value_at(spec, qx2, 1) == (0, 1)
 
 
 def test_prodlin_first_coordinate_symmetric(qx16):
@@ -277,9 +306,8 @@ def test_lift_round_trip_pointwise(qx4):
     lift = univariate_lift(spec, qx4)
     for x in range(q):
         for y in range(q):
-            z = qx4.phi(qx4.biv(x, y))
-            image = qx4.ext.elem(int(lift.f[z.idx]))
-            back = qx4.phi_inv(image)
+            image = lift.f[qx4.phi_table[qx4.pt(x, y)]]
+            back = divmod(int(qx4.phi_inv_table[image]), q)
             assert back == value_at(spec, qx4, qx4.pt(x, y))
 
 

@@ -153,10 +153,22 @@ def test_inverse_predict_rejects_identity(f16):
                                  (3, 3), (5, 2)])
 def test_inverse_predict_matches_brute_force(p, m):
     ctx = make_field(p, m)
-    tab = parse_inner("inv").table_over(ctx)
+    tab = parse_inner("inv", ctx).table
     for c in range(ctx.q):
         if c == 1:
             continue
         want = inverse_c_uniformity_predict(ctx, c)
         got = ddt.uni_report(ctx, tab, ddt.CParam.uni(c)).uniformity
         assert want == got, c
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 2)])
+def test_bluher_gold_exponent_taken_mod_m(p, m):
+    """x^(p^k) = x^(p^(k mod m)) on F_q: k and k + m count the same roots."""
+    ctx = make_field(p, m)
+    for k in (1, 2):
+        assert (bluher_special_b_count(ctx, k)
+                == bluher_special_b_count(ctx, k + m))
+        for a, b in ((1, 1), (2, ctx.q - 1)):
+            assert (bluher_root_count(ctx, k, a, b)
+                    == bluher_root_count(ctx, k + m, a, b))

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cdu import make_field, make_quadext, parse_func_spec
+from cdu import make_field, make_quadext, parse_func_spec, parse_linpoly
 from cdu import ddt, predict
 from cdu.oracles import IdentityC, inverse_c_uniformity_predict
 from cdu.predict import (CLASS, EXACT, NOT_COVERED, UPPER, Prediction,
@@ -289,3 +289,31 @@ def test_verify_skips_identity_c_by_construction(qx16):
     # the default c sets never contain (1,0)
     cs = ddt.c_all_biv(16)
     assert all(not c.is_identity for c in cs)
+
+
+@pytest.mark.parametrize("fixture, L1, L2", [
+    ("qx16", "x", "x^2"), ("qx16", "x", "x^4"), ("qx16", "x^2+x", "x^8"),
+    ("qx27", "x", "x^3"), ("qx27", "x^3+x", "x^9")])
+def test_splitgh_reports_the_first_wide_kernel(fixture, L1, L2, request):
+    """Once g is PcN at c1, splitgh's bound needs every L2 + gamma*L1 to
+    have at most 2 roots; the reason names the first gamma that has more,
+    as a scalar scan over gamma finds it, and is the same for every c."""
+    qx = request.getfixturevalue(fixture)
+    base = qx.base
+    spec = parse_func_spec(f"splitgh{{g=id;h1=inv;h2=id;L1={L1};L2={L2};"
+                           f"gamma1=w^1;gamma2=1}}")
+    l1, l2 = (parse_linpoly(L, base).table for L in (L1, L2))
+    want = None
+    for gamma in range(base.q):
+        s = sum(base.add(int(l2[x]), base.mul(gamma, int(l1[x]))) == 0
+                for x in range(base.q))
+        if s > 2:
+            want = f"L2 + gamma*L1 has kernel {s} at gamma={base.elem_str(gamma)}"
+            break
+    for c1 in (0, 2, 0):
+        pred = predict.predict(spec, qx, c1, 0)
+        if want is None:
+            assert (pred.kind, pred.value) == (UPPER, 2)
+        else:
+            assert (pred.kind, pred.trace) == (NOT_COVERED, {"reason": want})
+    assert (want is None) == (L2 == "x^2")

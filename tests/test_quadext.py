@@ -68,10 +68,9 @@ def test_beta_conjugate_relations(qx16, qx27):
 
 
 def test_phi_basics(qx16):
-    assert qx16.phi(qx16.biv(0, 0)).idx == 0
-    assert qx16.phi(qx16.biv(1, 0)).idx == int(qx16.embed[1]) == 1
-    v = qx16.phi_inv(qx16.ext.elem(qx16.beta))
-    assert (v.x.idx, v.y.idx) == (0, 1)
+    assert qx16.phi_table[qx16.pt(0, 0)] == 0
+    assert qx16.phi_table[qx16.pt(1, 0)] == int(qx16.embed[1]) == 1
+    assert qx16.phi_inv_table[qx16.beta] == qx16.pt(0, 1)
 
 
 def test_phi_round_trip_exhaustive(qx16):
@@ -84,9 +83,8 @@ def test_phi_round_trip_exhaustive(qx16):
 def test_biv_mul_examples(qx16):
     base = qx16.base
     x, y = 7, 11
-    assert qx16.biv_mul(qx16.biv(1, 0), qx16.biv(x, y)) == qx16.biv(x, y)
-    got = qx16.biv_mul(qx16.biv(0, 1), qx16.biv(0, 1))
-    assert got == qx16.biv(base.neg(qx16.t), base.neg(1))
+    assert qx16.biv_mul((1, 0), (x, y)) == (x, y)
+    assert qx16.biv_mul((0, 1), (0, 1)) == (base.neg(qx16.t), base.neg(1))
 
 
 def test_biv_mul_matches_extension_product(qx8):

@@ -1,0 +1,45 @@
+"""The documented public surface runs: README's library sketch, the package
+docstring's example and every name ``cdu.__all__`` exports."""
+
+import textwrap
+from pathlib import Path
+
+import cdu
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_sketch():
+    """The python block under README's "## Library sketch" heading."""
+    text = README.read_text().split("## Library sketch", 1)[1]
+    return text.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def _docstring_example(doc):
+    """The indented block of ``doc``, dedented."""
+    lines = doc.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("    "))
+    block = []
+    for line in lines[start:]:
+        if line.strip() and not line.startswith("    "):
+            break
+        block.append(line)
+    return textwrap.dedent("\n".join(block))
+
+
+def test_readme_library_sketch_runs(capsys):
+    exec(compile(_readme_sketch(), str(README), "exec"), {})
+    uniformity, classification = capsys.readouterr().out.split()[:2]
+    assert int(uniformity) >= 1 and classification
+
+
+def test_package_docstring_example_runs():
+    example = _docstring_example(cdu.__doc__)
+    assert "predict.verify" in example
+    exec(compile(example, cdu.__file__, "exec"), {})
+
+
+def test_every_exported_name_resolves():
+    assert len(set(cdu.__all__)) == len(cdu.__all__)
+    for name in cdu.__all__:
+        assert getattr(cdu, name) is not None, name
