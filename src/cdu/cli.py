@@ -150,16 +150,17 @@ def _c_cols(qctx, c):
     return qctx.base.elem_str(c.c1), qctx.base.elem_str(c.c2)
 
 
-def _spectrum_str(spectrum):
-    return " ".join(f"{v}:{n}" for v, n in sorted(spectrum.items()))
-
-
-def _emit(out, args, header, columns, rows, json_rows):
+def _emit(out, args, header, columns, rows):
+    """Write the header and the rows, one cell per column; a spectrum cell
+    is a {str(v): n} dict in value order, written "v:n v:n" outside JSON."""
     if args.format == "json":
-        doc = {"config": dict(header), "columns": columns, "rows": json_rows}
+        doc = {"config": dict(header), "columns": columns,
+               "rows": [dict(zip(columns, r)) for r in rows]}
         out.write(json.dumps(doc, indent=1, sort_keys=True))
         out.write("\n")
         return
+    rows = [[" ".join(f"{v}:{n}" for v, n in x.items()) if isinstance(x, dict)
+             else x for x in r] for r in rows]
     for k, v in header:
         out.write(f"# {k}: {v}\n")
     if args.format == "csv":
@@ -195,19 +196,14 @@ def cmd_ddt_or_sweep(args, out, with_spectrum):
     columns = ["c1", "c2", "uniformity", "class", "witness_a", "witness_b"]
     if with_spectrum:
         columns.append("spectrum")
-    rows, json_rows = [], []
+    rows = []
     for rep in reports:
-        c1s, c2s = _c_cols(qctx, rep.c)
-        wa, wb = _fmt_witness(qctx, spec, rep)
-        row = [c1s, c2s, rep.uniformity, rep.classification, wa, wb]
-        jrow = {"c1": c1s, "c2": c2s, "uniformity": rep.uniformity,
-                "class": rep.classification, "witness_a": wa, "witness_b": wb}
+        row = [*_c_cols(qctx, rep.c), rep.uniformity, rep.classification,
+               *_fmt_witness(qctx, spec, rep)]
         if with_spectrum:
-            row.append(_spectrum_str(rep.spectrum))
-            jrow["spectrum"] = {str(k): v for k, v in rep.spectrum.items()}
+            row.append({str(v): n for v, n in rep.spectrum.items()})
         rows.append(row)
-        json_rows.append(jrow)
-    _emit(out, args, header, columns, rows, json_rows)
+    _emit(out, args, header, columns, rows)
     return 0
 
 
@@ -218,14 +214,9 @@ def cmd_verify(args, out):
     result = predict.verify(spec, qctx, cs, threads=args.threads)
     header = _config_lines(args, base, qctx)
     columns = ["c1", "c2", "predicted", "observed", "verdict"]
-    rows, json_rows = [], []
-    for r in result.rows:
-        c1s, c2s = _c_cols(qctx, r.c)
-        rows.append([c1s, c2s, r.prediction.describe(), r.observed, r.verdict])
-        json_rows.append({"c1": c1s, "c2": c2s,
-                          "predicted": r.prediction.describe(),
-                          "observed": r.observed, "verdict": r.verdict})
-    _emit(out, args, header, columns, rows, json_rows)
+    rows = [[*_c_cols(qctx, r.c), r.prediction.describe(), r.observed, r.verdict]
+            for r in result.rows]
+    _emit(out, args, header, columns, rows)
     if not result.ok:
         for r in result.rows:
             if r.verdict == "VIOLATION":

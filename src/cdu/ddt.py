@@ -30,7 +30,8 @@ spectrum.  The maximum is the same on every row of an orbit, so the
 smallest a attaining it is an orbit's smallest point, and the report is
 identical to that of every row: one c of goldpair at q = 64 runs 66 rows,
 not 4096.  Tables with no scaling, and every table of a field to itself,
-run every row at weight 1.
+run every row at weight 1.  Every table keeps its own weights, in its
+``row_weights`` slot per subgroup, order 1 included.
 
 Native kernel.  ``_rowk.c`` does a whole c in one C call.  One pass over
 the points fills a block of four rows: at p = 2 the rows a, a^1, a^2, a^3,
@@ -83,8 +84,9 @@ logic of its own:
   with the table (``funcs.kernel_key``) and kept on it, read-only: the
   int32 key, the key's wide codes at odd p, their addresses, for pair
   output the F_{q^2} logs of phi(key) and the table's scaling, and the row
-  weights of each subgroup a c has used, built on first use from any
-  worker thread.  A c then costs its -c*F(x) term (one add and two
+  weights of each subgroup a c has used (the all-ones weights of order 1
+  too, on a table with no scaling or of a field to itself), built on first
+  use from any worker thread.  A c then costs its -c*F(x) term (one add and two
   gathers), that term's check, and one kernel call.
 * Threads.  A sweep with threads > 1 maps its c values over a pool of
   min(threads, number of c, CPUs) workers, started on first use and kept
@@ -101,7 +103,6 @@ indexes with them.
 from __future__ import annotations
 
 import ctypes
-import functools
 import os
 import random
 import subprocess
@@ -111,6 +112,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,29 +130,25 @@ from .funcs import (BIV, FuncSpec, PairTables, UniTable, DomainMismatch,
                     address, tables_for, univariate_lift)
 
 
-@dataclass(frozen=True)
-class CParam:
-    """The multiplier c: a pair (c1, c2) over F_q or a scalar over F_{q^2}."""
+class CParam(NamedTuple):
+    """The multiplier c = (c1, c2) over F_q.  For a function of a field to
+    itself, c1 is the multiplier, an element of that field, and c2 is 0."""
 
-    kind: str
-    c1: int = 0
+    c1: int
     c2: int = 0
-    c: int = 0
 
     @staticmethod
     def biv(c1, c2):
-        return CParam("biv", c1=int(c1), c2=int(c2))
+        return CParam(int(c1), int(c2))
 
     @staticmethod
     def uni(c):
-        return CParam("uni", c=int(c))
+        return CParam(int(c))
 
     @property
     def is_identity(self):
-        """True for c = (1,0) resp. c = 1, which switches the a-quantifier."""
-        if self.kind == "biv":
-            return self.c1 == 1 and self.c2 == 0
-        return self.c == 1
+        """True for c = (1, 0), which switches the a-quantifier."""
+        return self.c1 == 1 and self.c2 == 0
 
 
 @dataclass
@@ -227,24 +225,17 @@ def _report(blocks, n, c, wt):
 # row weights
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _full_weights(n, identity):
-    """(weights, their address): every row once, but a = 0 at the identity c."""
-    wt = np.ones(n, dtype=np.int32)
-    wt[0] = not identity
-    wt.flags.writeable = False
-    return wt, address(wt)
-
-
-def _orbit_weights(perm, gen, order, identity):
+def _orbit_weights(n, perm, gen, order, identity):
     """wt[a] = the size of a's orbit under <perm^gen>, a subgroup of the
-    given order, when a is the smallest point of its orbit, else 0."""
-    g, power = np.arange(len(perm)), perm
-    while gen:  # g = perm^gen
-        if gen & 1:
-            g = power[g]
-        power, gen = power[power], gen >> 1
-    low, span = np.arange(len(g)), 1
+    given order, when a is the smallest point of its orbit, else 0: every
+    one of the n rows weighs 1 at order 1, where perm may be None."""
+    low, span = np.arange(n), 1
+    if order > 1:
+        g, power = np.arange(n), perm
+        while gen:  # g = perm^gen
+            if gen & 1:
+                g = power[g]
+            power, gen = power[power], gen >> 1
     while span < order:  # low[a] = min of a, g(a), ..., g^(span-1)(a)
         low, g, span = np.minimum(low, low[g]), g[g], 2 * span
     wt = np.bincount(low, minlength=len(low)).astype(np.int32)
@@ -262,13 +253,11 @@ def _weights(tab, c):
     """
     sc = tab.scaling
     order = sc.order if c.c2 == 0 else sc.off_order
-    if order == 1:
-        return _full_weights(len(tab.key), c.is_identity)
     slot = (order, c.is_identity)
     wt = tab.row_weights.get(slot)
     if wt is None:
         wt = tab.row_weights.setdefault(slot, _orbit_weights(
-            sc.perm, sc.order // order, order, c.is_identity))
+            len(tab.key), sc.perm, sc.order // order, order, c.is_identity))
     return wt
 
 
@@ -387,7 +376,7 @@ def _pair_trans(qctx, tabs, c):
 
 def _uni_trans(field, table, c):
     """-c*F(x) for a function of a field to itself."""
-    return field.mul_row(field.neg(c.c))[table]
+    return field.mul_row(field.neg(c.c1))[table]
 
 
 def pair_report(qctx, tabs: PairTables, c: CParam) -> CDdtReport:
@@ -399,7 +388,7 @@ def uni_report(field, table, c: CParam) -> CDdtReport:
     as a value array (whose kernel inputs are then built for this call)."""
     if not isinstance(table, UniTable):
         table = UniTable(table, field)
-    return _kernel_report(field, table, _uni_trans(field, table.f, c), c)
+    return _kernel_report(field, table, _uni_trans(field, table.key, c), c)
 
 
 # ---------------------------------------------------------------------------

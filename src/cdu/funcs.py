@@ -165,7 +165,7 @@ def parse_inner(s, ctx: FieldCtx) -> Inner:
     else:
         raise SpecParseError(f"unknown inner function spec {s!r}")
     table = UniTable(values, ctx)
-    return Inner(tag, table, len(np.unique(table.f)) == ctx.q)
+    return Inner(tag, table, len(np.unique(table.key)) == ctx.q)
 
 
 # ---------------------------------------------------------------------------
@@ -388,30 +388,25 @@ class PairTables:
         self.row_weights = {}
 
 
-@dataclass
 class UniTable:
     """Value table of a univariate function of ``field`` to itself.
 
-    ``f`` is the kernel's key: read-only and checked, with ``wide_key``,
+    ``key`` is the kernel's key: read-only and checked, with ``wide_key``,
     ``kernel_arrays`` and ``kernel_args`` beside it (see ``kernel_key``).
-    No scaling is looked for, so the kernel weighs every row alike.
+    No scaling is looked for, so the row weights that ``ddt`` keeps in
+    ``row_weights`` weigh every row alike.
     """
 
-    f: np.ndarray
-    field: InitVar[FieldCtx]
     scaling = NO_SCALING
 
-    def __post_init__(self, field):
-        self.f, self.wide_key, self.kernel_arrays, self.kernel_args = \
-            kernel_key(field, np.asarray(self.f))
-
-    @property
-    def key(self):
-        return self.f
+    def __init__(self, values, field: FieldCtx):
+        self.key, self.wide_key, self.kernel_arrays, self.kernel_args = \
+            kernel_key(field, np.asarray(values))
+        self.row_weights = {}
 
     def __len__(self):
         """The domain size, as for the value array ``uni_report`` also takes."""
-        return len(self.f)
+        return len(self.key)
 
 
 def parse_params(spec: FuncSpec, qctx: QuadExtCtx) -> dict:
@@ -501,7 +496,7 @@ def _values(fam, args, qctx: QuadExtCtx):
             return g, h
         if fam == "genlinh":
             g = args["L"].table[X]
-            return g, base.add_vec(args["h"].table.f[Y], g)
+            return g, base.add_vec(args["h"].table.key[Y], g)
         if fam == "genlingold":
             k, alpha = args["k"], args["alpha"]
             if not 0 < k < base.m:
@@ -546,7 +541,7 @@ def _values(fam, args, qctx: QuadExtCtx):
         if fam == "splitgh":
             if args["gamma2"] == 0:
                 raise InvalidParams("splitgh needs gamma2 != 0")
-            gt, h1, h2 = (args[name].table.f for name in ("g", "h1", "h2"))
+            gt, h1, h2 = (args[name].table.key for name in ("g", "h1", "h2"))
             L1, L2 = args["L1"].table, args["L2"].table
             h = base.add_vec(
                 base.add_vec(base.mul_vec(h1[X], L1[Y]),

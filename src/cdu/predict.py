@@ -1,11 +1,11 @@
 """Closed-form uniformity predictions per construction family.
 
 For each family and admissible c the predictor evaluates the governing
-condition and emits an exact value, an upper bound, or a PcN/APcN class,
-together with a trace of the intermediate quantities.  ``verify`` runs the
-brute-force engine next to it: exact predictions must match, bounds must
-dominate, and any violation is reported with the offending witness rather
-than silently downgraded.
+condition and emits an exact value (described as PcN or APcN at 1 and 2)
+or an upper bound, together with a trace of the intermediate quantities.
+``verify`` runs the brute-force engine next to it: exact predictions must
+match, bounds must dominate, and any violation is reported with the
+offending witness rather than silently downgraded.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from . import ddt
 
 EXACT = "exact"
 UPPER = "upper"
-CLASS = "class"
 NOT_COVERED = "not_covered"
 
 
@@ -30,29 +29,22 @@ NOT_COVERED = "not_covered"
 class Prediction:
     kind: str
     value: int = 0
-    label: str = ""
     trace: dict = field(default_factory=dict)
 
     def describe(self):
         if self.kind == NOT_COVERED:
             return "-"
-        if self.kind == CLASS:
-            return self.label
         if self.kind == UPPER:
             return f"<={self.value}"
-        return str(self.value)
+        return {1: "PcN", 2: "APcN"}.get(self.value, str(self.value))
 
 
 def _exact(value, **trace):
-    if value == 1:
-        return Prediction(CLASS, 1, "PcN", trace)
-    if value == 2:
-        return Prediction(CLASS, 2, "APcN", trace)
-    return Prediction(EXACT, value, "", trace)
+    return Prediction(EXACT, value, trace)
 
 
 def _upper(value, **trace):
-    return Prediction(UPPER, value, "", trace)
+    return Prediction(UPPER, value, trace)
 
 
 def _not_covered(**trace):
@@ -329,7 +321,7 @@ def judge(prediction: Prediction, observed):
 
 
 def verify(spec: FuncSpec, qctx: QuadExtCtx, c_list, threads=1) -> VerifyResult:
-    """Predict and brute-force every c; exact/class must match, bounds dominate."""
+    """Predict and brute-force every c; exact values must match, bounds dominate."""
     reports = ddt.sweep(spec, qctx, c_list, threads=threads)
     rows = []
     violations = 0

@@ -361,6 +361,18 @@ def test_golden_verify_output(capsys, path):
     assert run_cli(capsys, *argv_from_header(text))[:2] == (0, text)
 
 
+REPORT_GOLDEN = sorted((Path(__file__).parent / "golden" / "report").glob("*.argv"))
+
+
+@pytest.mark.parametrize("path", REPORT_GOLDEN, ids=lambda p: p.stem)
+def test_golden_report_output(capsys, path):
+    """ddt, sweep and verify output in JSON and pretty form, both domains, p = 2
+    and odd p, with spectra holding entries >= 10 (JSON sorts "10" before
+    "2"): the argv stored beside each output reproduces it byte for byte."""
+    argv = json.loads(path.read_text())
+    assert run_cli(capsys, *argv)[:2] == (0, path.with_suffix(".out").read_text())
+
+
 # the runs of bench/workloads.py's q16-verify
 Q16_VERIFY_SPECS = [
     "genlinh{L=x;h=inv}", "genlingold{L=x;k=2;alpha=0}",

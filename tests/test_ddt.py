@@ -44,7 +44,7 @@ def _pair_terms(qctx, tabs, c):
 
 def _uni_terms(field, table, c):
     vals = [int(v) for v in table]
-    return field.add, vals, [field.neg(field.mul(c.c, v)) for v in vals], field.add
+    return field.add, vals, [field.neg(field.mul(c.c1, v)) for v in vals], field.add
 
 
 def _naive_row(terms, a):
@@ -350,7 +350,7 @@ def test_table_kernel_inputs_fresh_and_read_only(p, m, spec):
     if spec == "uni":
         key = np.random.default_rng(p).integers(0, ext.q, ext.q)
         tabs = UniTable(key, ext)
-        inputs = [tabs.f]
+        inputs = [tabs.key]
     else:
         tabs = tables_for(parse_func_spec(spec), qctx)
         key = tabs.g.astype(np.int64) * qctx.base.q + tabs.h

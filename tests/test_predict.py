@@ -6,7 +6,7 @@ import pytest
 from cdu import make_field, make_quadext, parse_func_spec, parse_linpoly
 from cdu import ddt, predict
 from cdu.oracles import IdentityC, inverse_c_uniformity_predict
-from cdu.predict import (CLASS, EXACT, NOT_COVERED, UPPER, Prediction,
+from cdu.predict import (EXACT, NOT_COVERED, UPPER, Prediction,
                          compute_AB, judge, verify)
 
 
@@ -127,7 +127,7 @@ def test_prodlin_prediction(qx16):
             continue
         pred = predict.predict(spec, qx16, c1, 0)
         if base.in_subfield(c1, 2):
-            assert pred.kind == CLASS and pred.value == 2
+            assert pred.kind == EXACT and pred.value == 2
             covered.append(c1)
         else:
             assert pred.kind == NOT_COVERED
@@ -141,7 +141,7 @@ def test_goldpair_branches(qx27):
     spec_gw = parse_func_spec("goldpair{k=2;gamma=w^1;L=x^3+x}")
     # gamma = 1 in F_3: exact gcd(10, 26) = 2 on c in F_3, else 4
     p1 = predict.predict(spec_g1, qx27, 2, 0)
-    assert p1.kind == CLASS and p1.value == 2
+    assert p1.kind == EXACT and p1.value == 2
     pw = predict.predict(spec_g1, qx27, base.parse_elem("w^1"), 0)
     assert (pw.kind, pw.value) == (EXACT, 4)
     # gamma = w outside F_3: always 4
@@ -160,7 +160,7 @@ def test_sumprod_not_covered_branch(qx16):
 def test_traceinv_prediction_kinds(qx16):
     spec = parse_func_spec("traceinv{gamma=W^1}")
     p0 = predict.predict(spec, qx16, 0, 0)
-    assert p0.kind == CLASS and p0.value == 2
+    assert p0.kind == EXACT and p0.value == 2
     p_line = predict.predict(spec, qx16, 5, 0)
     assert (p_line.kind, p_line.value) == (UPPER, 4)
     p_open = predict.predict(spec, qx16, 2, 3)
@@ -261,7 +261,7 @@ def test_upper_bounds_dominate_full_sweeps(qx8, qx16):
 def test_judge_verdicts():
     assert judge(Prediction(EXACT, 4), 4) == "MATCH"
     assert judge(Prediction(EXACT, 4), 3) == "VIOLATION"
-    assert judge(Prediction(CLASS, 2, "APcN"), 2) == "MATCH"
+    assert judge(Prediction(EXACT, 2), 2) == "MATCH"
     assert judge(Prediction(UPPER, 6), 6) == "BOUND-OK"
     assert judge(Prediction(UPPER, 6), 7) == "VIOLATION"
     assert judge(Prediction(NOT_COVERED), 99) == "NOT-COVERED"
@@ -274,8 +274,8 @@ def test_corrupted_prediction_reports_violation(qx16, monkeypatch):
 
     def corrupted(spec, qctx, c1, c2):
         pred = real(spec, qctx, c1, c2)
-        if pred.kind in (EXACT, CLASS):
-            return Prediction(EXACT, max(1, pred.value - 1), "", pred.trace)
+        if pred.kind == EXACT:
+            return Prediction(EXACT, max(1, pred.value - 1), pred.trace)
         return pred
 
     monkeypatch.setitem(predict._FAMILY_PREDICTORS, "genlinh", corrupted)
