@@ -167,6 +167,24 @@ def test_traceinv_prediction_kinds(qx16):
     assert p_open.kind == UPPER and p_open.value in (4, 6)
 
 
+@pytest.mark.parametrize("p, gamma", [(2, "W^1"), (2, "W^2"), (3, "W^2"),
+                                      (3, "W^6")])
+def test_traceinv_c0_not_covered_at_q2_and_q3(p, gamma):
+    """z -> (Tr z, Tr(gamma/z)) is a bijection of F_{q^2} onto F_q^2 for
+    every gamma at q = 2 (for gamma = W it sends 0, 1, W, W^2 to (0,0),
+    (0,1), (1,0), (1,1)) and for two of the six at q = 3, so c = 0 is PcN
+    there, not the APcN of the c = 0 branch.  The other c keep their
+    bounds."""
+    qx = make_quadext(make_field(p, 1))
+    res = verify(parse_func_spec(f"traceinv{{gamma={gamma}}}"), qx,
+                 ddt.c_all_biv(p))
+    assert res.ok
+    assert (res.rows[0].c, res.rows[0].observed) == ((0, 0), 1)
+    assert res.rows[0].verdict == "NOT-COVERED"
+    assert "bijection" in res.rows[0].prediction.trace["reason"]
+    assert all(r.verdict == "BOUND-OK" for r in res.rows[1:])
+
+
 @pytest.mark.parametrize("p,m,k,observed", [
     (2, 3, 0, 1), (2, 3, 3, 2), (2, 3, 6, 1), (3, 2, 2, 2), (3, 2, 4, 2),
     (2, 1, 1, 2), (3, 1, 1, 2)])
