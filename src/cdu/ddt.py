@@ -86,8 +86,8 @@ logic of its own:
   output the F_{q^2} logs of phi(key) and the table's scaling, and the row
   weights of each subgroup a c has used (the all-ones weights of order 1
   too, on a table with no scaling or of a field to itself), built on first
-  use from any worker thread.  A c then costs its -c*F(x) term (one add and two
-  gathers), that term's check, and one kernel call.
+  use from any worker thread.  A c then costs its -c*F(x) term (one add
+  and two gathers), that term's check, and one kernel call.
 * Threads.  A sweep with threads > 1 maps its c values over a pool of
   min(threads, number of c, CPUs) workers, started on first use and kept
   for the whole process (``_pool``); a larger pool would only add idle OS

@@ -157,12 +157,12 @@ def _predict_sumprod(tabs, qctx, c1, c2):
 
 def _predict_traceinv(tabs, qctx, c1, c2):
     base = qctx.base
-    if c1 == 0 and c2 == 0 and base.q <= 3:
-        # brute force: z -> (Tr z, Tr(gamma/z)) is a bijection of F_{q^2}
-        # onto F_q^2 for every gamma at q = 2 and for W^2, W^6 at q = 3
-        return _not_covered(reason="at q <= 3, F can be a bijection, so c = 0 "
-                                   "can be PcN, not APcN", branch="c=0")
     if c1 == 0 and c2 == 0:
+        if base.q <= 3:
+            # brute force: z -> (Tr z, Tr(gamma/z)) is a bijection of F_{q^2}
+            # onto F_q^2 for every gamma at q = 2 and for W^2, W^6 at q = 3
+            return _not_covered(reason="at q <= 3, F can be a bijection, so "
+                                       "c = 0 can be PcN, not APcN", branch="c=0")
         return _exact(2, branch="c=0")
     lhs = base.mul(base.sub(1, c1), base.sub(c1, c2))
     rhs = base.mul(qctx.t, base.mul(c2, c2))
