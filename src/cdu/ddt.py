@@ -14,14 +14,14 @@ row (c, a) it runs and reduces the rows of one c to its uniformity,
 spectrum and witness.
 
 Row weights.  Most constructions are homogeneous: F(lam*z) = N(F(z)) with
-N(g, h) = (mu1*g, mu2*h) for every lam of a subgroup of F_q^*, lam*z being
+N(g, h) = (mu*g, nu*h) for every lam of a subgroup of F_q^*, lam*z being
 (lam*x, lam*y) on a pair point and embed(lam)*z on a point of F_{q^2}
 (``funcs.find_scaling``, once per table).  Where N commutes with the
 product by c, N_c(lam*a, N(b)) = N_c(a, b): substitute x = lam*x' in
 F(x + lam*a) - c*F(x) = N(b).  So row lam*a holds the entries of row a,
 relabelled, and one row per orbit of a under the subgroup stands for all
 of them.  N commutes with every c on the line c2 = 0, where c is the
-scalar c1; off it, only on the subgroup <lam^j> with mu1^j = mu2^j, which
+scalar c1; off it, only on the subgroup <lam^j> with mu^j = nu^j, which
 may be trivial.  Row a weighs wt[a] (``_weights``): the size of its orbit
 when a is the orbit's smallest point, else 0, and at the identity c row 0
 weighs 0, as the a-quantifier excludes it.  Both kernels run only the rows
@@ -30,8 +30,7 @@ spectrum.  The maximum is the same on every row of an orbit, so the
 smallest a attaining it is an orbit's smallest point, and the report is
 identical to that of every row: one c of goldpair at q = 64 runs 66 rows,
 not 4096.  Tables with no scaling, and every table of a field to itself,
-run every row at weight 1.  Every table keeps its own weights, in its
-``row_weights`` slot per subgroup, order 1 included.
+run every row at weight 1.
 
 Native kernel.  ``_rowk.c`` does a whole c in one C call.  One pass over
 the points fills a block of four rows: at p = 2 the rows a, a^1, a^2, a^3,
@@ -53,10 +52,10 @@ picked at load time) and cached as $XDG_CACHE_HOME/cdu/rowk-<sha256 of
 source and flags>.so, default ~/.cache/cdu; ctypes releases the GIL during
 the call, so threaded sweeps run c values in parallel.  ``_bind`` declares
 the signatures on any build, so the tests can also run a sanitizer build.
-Arrays pass as bare addresses: those of a table (its key or wide_key, the
-field's codes, its row weights) are taken once, where the arrays are built
-and checked to be read-only contiguous int32 (``funcs.address``), and live
-with the table; only the per-c arrays are converted on each call.  Where it
+Arrays pass as bare addresses: those of a table (its key or its wide
+codes, the field's codes, its row weights) are taken once, where the arrays
+are built and checked to be read-only contiguous int32 (``_address``), and
+live with them; only the per-c arrays are converted on each call.  Where it
 cannot be built or loaded (no compiler, unwritable cache, compile error)
 every report falls back to the numpy reference ``_rows`` below, which the
 tests also hold the native kernel to.
@@ -80,14 +79,14 @@ logic of its own:
   lookups of at most 73^2 entries), no array is larger than a small
   multiple of the domain (q^2 points) or of a block.  There is no table
   of point+a over all (a, x): one c at q = 125 runs in ~35 MB.
-* Per table.  What the kernel reads of a table whatever the c is built
-  with the table (``funcs.kernel_key``) and kept on it, read-only: the
-  int32 key, the key's wide codes at odd p, their addresses, for pair
-  output the F_{q^2} logs of phi(key) and the table's scaling, and the row
-  weights of each subgroup a c has used (the all-ones weights of order 1
-  too, on a table with no scaling or of a field to itself), built on first
-  use from any worker thread.  A c then costs its -c*F(x) term (one add
-  and two gathers), that term's check, and one kernel call.
+* Per table.  ``funcs`` builds values only.  What the kernel reads of a
+  table whatever the c is derived here, read-only (``_kernel_inputs``):
+  the checked int32 key, its wide codes at odd p, and their addresses.  A
+  pair table keeps them in its ``engine`` dict, with the F_{q^2} logs of
+  phi(key) and the row weights of each subgroup a c has used, built on
+  first use from any worker thread.  A c then costs its -c*F(x) term (one
+  add and two gathers), that term's check, and one kernel call.  A value
+  array of a field to itself has them built on every ``uni_report``.
 * Threads.  A sweep with threads > 1 maps its c values over a pool of
   min(threads, number of c, CPUs) workers, started on first use and kept
   for the whole process (``_pool``); a larger pool would only add idle OS
@@ -96,8 +95,8 @@ logic of its own:
 
 Both kernels check row mass conservation (each row sums to the domain size)
 on every report.  Each key is checked to lie in the codomain once, when its
-table is built, and each -c*F(x) term on every c, before the C code
-indexes with them.
+kernel inputs are built, and each -c*F(x) term on every c, before the C
+code indexes with them.
 """
 
 from __future__ import annotations
@@ -126,8 +125,8 @@ except ImportError:  # Python < 3.12
 
 from .gf import CduError
 from .quadext import QuadExtCtx
-from .funcs import (BIV, FuncSpec, PairTables, UniTable, DomainMismatch,
-                    address, tables_for, univariate_lift)
+from .funcs import (BIV, FuncSpec, PairTables, DomainMismatch, _read_only,
+                    tables_for, univariate_lift)
 
 
 class CParam(NamedTuple):
@@ -240,25 +239,56 @@ def _orbit_weights(n, perm, gen, order, identity):
         low, g, span = np.minimum(low, low[g]), g[g], 2 * span
     wt = np.bincount(low, minlength=len(low)).astype(np.int32)
     wt[0] = not identity
-    wt.flags.writeable = False
-    return wt, address(wt)
+    return _read_only(wt), _address(wt)
 
 
 def _weights(tab, c):
-    """Row weights of the table ``tab`` at c, with their address (see "Row
-    weights" above): the whole subgroup of its scaling on the line c2 = 0,
-    the subgroup of order ``off_order`` off it.  Built once per table and
-    subgroup, from any thread: two threads may build the same weights, and
-    one of them is kept.
+    """Row weights of the pair table ``tab`` at c, with their address (see
+    "Row weights" above): the whole subgroup of its scaling on the line
+    c2 = 0, the subgroup of order ``off_order`` off it.  Built once per
+    table and subgroup and kept in ``tab.engine``, from any thread: two
+    threads may build the same weights, and one of them is kept.
     """
     sc = tab.scaling
     order = sc.order if c.c2 == 0 else sc.off_order
     slot = (order, c.is_identity)
-    wt = tab.row_weights.get(slot)
+    wt = tab.engine.get(slot)
     if wt is None:
-        wt = tab.row_weights.setdefault(slot, _orbit_weights(
+        wt = tab.engine.setdefault(slot, _orbit_weights(
             len(tab.key), sc.perm, sc.order // order, order, c.is_identity))
     return wt
+
+
+# ---------------------------------------------------------------------------
+# kernel inputs
+# ---------------------------------------------------------------------------
+
+def _address(a):
+    """The address of ``a`` for the native kernel, which reads it unchecked
+    in later calls: so ``a`` must be a read-only, C-contiguous int32 array,
+    kept alive while the address is used."""
+    if a.dtype != np.int32 or not a.flags.c_contiguous or a.flags.writeable:
+        raise CduError("kernel input is not a read-only int32 array (engine bug)")
+    return a.ctypes.data
+
+
+def _kernel_inputs(field, values):
+    """(key, arrays, addresses): the value table ``values`` over ``field`` as
+    the kernel reads it whatever the c.  The key is a read-only int32 copy,
+    checked here to span the field and to lie in it, since the native kernel
+    indexes with it unchecked.  ``addresses`` are those of ``arrays``, which
+    the native kernel takes for the table: the key at p = 2, and at odd p
+    the field's three carry-free code arrays (``FieldCtx.carry_free``) and
+    the key's wide codes.  Keep the arrays as long as their addresses."""
+    n, values = field.q, np.asarray(values)
+    if len(values) != n:
+        raise CduError("value tables do not span the field (engine bug)")
+    if values.min() < 0 or values.max() >= n:
+        raise CduError("value table outside the codomain (engine bug)")
+    key = _read_only(np.array(values, dtype=np.int32))
+    arrays = ((key,) if field.p == 2 else
+              (*field.carry_free, _read_only(field.carry_free[0][key])))
+    return key, arrays, tuple(map(_address, arrays))
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +335,8 @@ def _bind(lib):
     """Declare the kernel signatures on a loaded build of _rowk.c; returns
     lib, with ``block_rows``, the row count of the bins it expects.  Any
     build loads this way, as the sanitizer run of the tests does.  Arrays
-    pass as addresses: a table's own at its build (``funcs.address``), and
-    the per-c ones in ``_kernel_report``."""
+    pass as addresses: a table's own where they are built (``_address``),
+    and the per-c ones in ``_kernel_report``."""
     ptr, c_int = ctypes.c_void_p, ctypes.c_int
     for bits in (16, 32):
         tail = [ptr] * 4  # wt, bins, spec, best
@@ -330,22 +360,22 @@ def _native():
         return _rowk[0]
 
 
-def _kernel_report(field, tab, trans, c):
-    """Report over the rows of the table ``tab``, each row weighted as
-    ``_weights`` gives it: one native call, or the numpy blocks without a
-    compiler.  The table's key was checked when the table was built; trans
-    is checked here, for every c, since the C code indexes bins and keys
-    with both unchecked."""
+def _kernel_report(field, inputs, weights, trans, c):
+    """Report over the rows of a table given by its kernel ``inputs``
+    (``_kernel_inputs``), row a weighing wt[a] for ``weights`` = (wt, its
+    address): one native call, or the numpy blocks without a compiler.  The
+    key was checked when its inputs were built; trans is checked here, for
+    every c, since the C code indexes bins and keys with both unchecked."""
+    (key, _, args), (wt, wt_at) = inputs, weights
     n = field.q
-    if len(tab.key) != n or len(trans) != n:
+    if len(key) != n or len(trans) != n:
         raise CduError("value tables do not span the field (engine bug)")
     if trans.min() < 0 or trans.max() >= n:
         raise CduError("value table outside the codomain (engine bug)")
     trans = np.ascontiguousarray(trans, dtype=np.int32)
-    wt, wt_at = _weights(tab, c)
     lib = _native()
     if lib is None:
-        return _report(_row_blocks(field, tab.key, trans, np.flatnonzero(wt)),
+        return _report(_row_blocks(field, key, trans, np.flatnonzero(wt)),
                        n, c, wt)
     bits = 16 if n < 1 << 16 else 32  # an entry is at most n
     bins = np.zeros((lib.block_rows, n), dtype=f"uint{bits}")
@@ -354,24 +384,24 @@ def _kernel_report(field, tab, trans, c):
     tail = (wt_at, bins.ctypes.data, spec.ctypes.data, best.ctypes.data)
     if field.p == 2:
         rc = getattr(lib, f"cdu_rows_xor{bits}")(
-            n, *tab.kernel_args, trans.ctypes.data, *tail)
+            n, *args, trans.ctypes.data, *tail)
     else:
         tw = field.carry_free[0][trans]
         twp = np.empty_like(trans)
         rc = getattr(lib, f"cdu_rows_add{bits}")(
-            n, field.lo, *tab.kernel_args, tw.ctypes.data, twp.ctypes.data,
+            n, field.lo, *args, tw.ctypes.data, twp.ctypes.data,
             *tail)
     if rc:
         raise CduError("row mass conservation violated (engine bug)")
     return _make_report(c, best, spec)
 
 
-def _pair_trans(qctx, tabs, c):
+def _pair_trans(qctx, log_phi, c):
     """-c*F(x) as packed pair keys: the pair product is the F_{q^2} product
     carried through phi, so this is phi^-1(-phi(c) * phi(F(x))), taken on
-    the tables' logs of phi(F(x))."""
+    log_phi, the F_{q^2} logs of phi(F(x))."""
     neg_c = qctx.ext.neg(int(qctx.phi_table[qctx.pt(c.c1, c.c2)]))
-    return qctx.phi_inv_table[qctx.ext.mul_log_vec(tabs.log_phi, neg_c)]
+    return qctx.phi_inv_table[qctx.ext.mul_log_vec(log_phi, neg_c)]
 
 
 def _uni_trans(field, table, c):
@@ -380,15 +410,26 @@ def _uni_trans(field, table, c):
 
 
 def pair_report(qctx, tabs: PairTables, c: CParam) -> CDdtReport:
-    return _kernel_report(qctx.ext, tabs, _pair_trans(qctx, tabs, c), c)
+    """Report of a function with pair output.  Its kernel inputs and the
+    F_{q^2} logs of phi(key) are built on the table's first report and kept
+    in ``tabs.engine``, from any thread, as ``_weights`` keeps weights."""
+    got = tabs.engine.get("inputs")
+    if got is None:
+        log_phi = _read_only(qctx.ext.log_table[qctx.phi_table[tabs.key]])
+        got = tabs.engine.setdefault(
+            "inputs", (_kernel_inputs(qctx.ext, tabs.key), log_phi))
+    inputs, log_phi = got
+    return _kernel_report(qctx.ext, inputs, _weights(tabs, c),
+                          _pair_trans(qctx, log_phi, c), c)
 
 
-def uni_report(field, table, c: CParam) -> CDdtReport:
-    """Report of a function of ``field`` to itself, given as a UniTable or
-    as a value array (whose kernel inputs are then built for this call)."""
-    if not isinstance(table, UniTable):
-        table = UniTable(table, field)
-    return _kernel_report(field, table, _uni_trans(field, table.key, c), c)
+def uni_report(field, values, c: CParam) -> CDdtReport:
+    """Report of a function of ``field`` to itself, given by its value
+    array; its kernel inputs and its weights, 1 per row, are built for this
+    call, and the array is left as it was."""
+    inputs = _kernel_inputs(field, values)
+    wt = _orbit_weights(field.q, None, 1, 1, c.is_identity)
+    return _kernel_report(field, inputs, wt, _uni_trans(field, inputs[0], c), c)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ for uniform O(1) evaluation inside sweeps.  Both shapes have pair output:
 
 The univariate lift of a biv function, z -> phi(F(phi^-1(z))), is no family:
 ``univariate_lift`` returns it as a value table of F_{q^2} to itself.
+Tables here are values only; what the c-DDT kernel derives of them is
+``ddt``'s (see ``PairTables``).
 
 Inverses follow the 0 -> 0 convention: y^-1 is y^(q-2) and gamma/x is
 gamma * x^(q^2-2), so every family is total on its domain.
@@ -38,7 +40,7 @@ A linearized polynomial is a sum of terms "x", "x^E" or "<el>*x^E", every
 exponent E a power of p; ``parse_linpoly`` reads it over F_q straight to its
 value table, kernel size and permutation flag.  An inner function, for h
 slots, is "inv", "id", "gold:<k>" (k >= 0), "pow:<e>" or "lin:<linpoly>";
-``parse_inner`` reads it over F_q straight to its tag, its ``UniTable`` and
+``parse_inner`` reads it over F_q straight to its tag, its value table and
 whether it permutes F_q.  A Gold exponent k of any size costs the same:
 x^(p^k+1) is x^(p^(k mod m)) * x (``FieldCtx.gold_vec``).
 """
@@ -93,8 +95,9 @@ def _elem(ctx: FieldCtx, s, letter):
 # ---------------------------------------------------------------------------
 
 class LinPoly(NamedTuple):
-    """A linearized polynomial over F_q: its value table, its kernel size s
-    (the image has q/s elements) and whether it permutes F_q."""
+    """A linearized polynomial over F_q: its value table (a read-only int32
+    array), its kernel size s (the image has q/s elements) and whether it
+    permutes F_q."""
 
     table: np.ndarray
     kernel_size: int
@@ -134,15 +137,15 @@ def parse_linpoly(s, ctx: FieldCtx) -> LinPoly:
                             else ctx.mul_vec(np.int32(coeff), term))
     size = int(np.count_nonzero(table == 0))
     assert size >= 1 and ctx.q % size == 0
-    return LinPoly(table, size, size == 1)
+    return LinPoly(_read_only(table), size, size == 1)
 
 
 class Inner(NamedTuple):
-    """An inner function of F_q (for h slots): its tag, its value table and
-    whether it permutes F_q."""
+    """An inner function of F_q (for h slots): its tag, its value table (a
+    read-only int32 array) and whether it permutes F_q."""
 
     tag: str
-    table: UniTable
+    table: np.ndarray
     permutes: bool
 
 
@@ -164,8 +167,8 @@ def parse_inner(s, ctx: FieldCtx) -> Inner:
         values = parse_linpoly(s[4:], ctx).table
     else:
         raise SpecParseError(f"unknown inner function spec {s!r}")
-    table = UniTable(values, ctx)
-    return Inner(tag, table, len(np.unique(table.key)) == ctx.q)
+    table = _read_only(np.array(values, dtype=np.int32))
+    return Inner(tag, table, len(np.unique(table)) == ctx.q)
 
 
 # ---------------------------------------------------------------------------
@@ -262,57 +265,22 @@ def parse_func_spec(s) -> FuncSpec:
 # table construction
 # ---------------------------------------------------------------------------
 
-def kernel_key(field, values):
-    """(key, wide_key, arrays, args): the value table ``values`` over
-    ``field`` as the c-DDT kernel reads it whatever the c.  The key is a
-    read-only int32 copy, checked here, once, to span the field and to lie
-    in it, since the native kernel indexes with it unchecked; at odd p,
-    wide_key is its carry-free codes (``FieldCtx.carry_free``), read-only
-    too, and None at p = 2.  args are the addresses of ``arrays``, which the
-    native kernel takes for the table: the key at p = 2, and the field's
-    three code arrays and wide_key at odd p.  A table keeps both, so the
-    arrays live as long as their addresses."""
-    n = field.q
-    if len(values) != n:
-        raise CduError("value tables do not span the field (engine bug)")
-    if values.min() < 0 or values.max() >= n:
-        raise CduError("value table outside the codomain (engine bug)")
-    key = _read_only(np.array(values, dtype=np.int32))
-    if field.p == 2:
-        wide_key, arrays = None, (key,)
-    else:
-        wide_key = _read_only(field.carry_free[0][key])
-        arrays = (*field.carry_free, wide_key)
-    return key, wide_key, arrays, tuple(address(a) for a in arrays)
-
-
 def _read_only(a):
     a.flags.writeable = False
     return a
 
 
-def address(a):
-    """The address of ``a`` for the native kernel, which reads it unchecked
-    in later calls: so ``a`` must be a read-only, C-contiguous int32 array,
-    kept alive while the address is used."""
-    if a.dtype != np.int32 or not a.flags.c_contiguous or a.flags.writeable:
-        raise CduError("kernel input is not a read-only int32 array (engine bug)")
-    return a.ctypes.data
-
-
 @dataclass(frozen=True)
 class Scaling:
-    """F(lam*z) = (mu1*G(z), mu2*H(z)) at every point z, for the generator
-    lam = w^d of a subgroup of F_q^* with ``order`` elements.  ``perm[z]`` is
-    the index of lam*z: (lam*x, lam*y) for a pair point, embed(lam)*z for a
-    point of F_{q^2}.  ``off_order`` is the order of the subgroup <lam^j>
-    on which mu1^j = mu2^j, the part that also serves c off the line c2 = 0
-    (see ``ddt``)."""
+    """F(lam*z) = (mu*G(z), nu*H(z)) at every point z, for some mu, nu of
+    F_q^* and the generator lam = w^d of a subgroup of F_q^* with ``order``
+    elements.  ``perm[z]`` is the index of lam*z: (lam*x, lam*y) for a pair
+    point, embed(lam)*z for a point of F_{q^2}.  ``off_order`` is the order
+    of the subgroup <lam^j> on which mu^j = nu^j, the part that also serves
+    c off the line c2 = 0 (see ``ddt``)."""
 
     order: int = 1
     off_order: int = 1
-    mu1: int = 1
-    mu2: int = 1
     perm: np.ndarray = None
 
 
@@ -345,15 +313,15 @@ def find_scaling(qctx, domain, g, h):
         else:
             perm = qctx.ext.mul_row(int(qctx.embed[lam]))
         for part in (slice(0, 64), slice(None)):  # fail fast, then every point
-            mu1, mu2 = (_ratio(base, v[part], v[perm[part]]) for v in (g, h))
-            if mu1 == 0 or mu2 == 0:
+            mu, nu = (_ratio(base, v[part], v[perm[part]]) for v in (g, h))
+            if mu == 0 or nu == 0:
                 break
         else:
-            mu1, mu2 = mu1 or mu2 or 1, mu2 or mu1 or 1  # a zero half takes any mu
+            mu, nu = mu or nu or 1, nu or mu or 1  # a zero half takes any mu
             order = qm1 // d
-            # mu1^j = mu2^j for the multiples j of the order of mu1/mu2
-            j = qm1 // gcd(int(base.log_table[base.div(mu1, mu2)]), qm1)
-            return Scaling(order, order // j, mu1, mu2, _read_only(perm))
+            # mu^j = nu^j for the multiples j of the order of mu/nu
+            j = qm1 // gcd(int(base.log_table[base.div(mu, nu)]), qm1)
+            return Scaling(order, order // j, _read_only(perm))
     return NO_SCALING
 
 
@@ -362,15 +330,12 @@ class PairTables:
     """Value tables of a function with pair output (g, h), values in [0, q).
 
     ``key`` packs each pair into the one codomain index g*q + h, the
-    encoding of reported b values; both domains have q^2 points.  With the
-    key, built once over ``qctx`` and read-only, come the other inputs the
-    c-DDT kernel takes of the tables for every c: ``wide_key``,
-    ``kernel_arrays`` and their addresses ``kernel_args`` (see
-    ``kernel_key``), ``log_phi``, the F_{q^2} logs of phi(key), so that the
-    -c*F(x) term is one add and two lookups per point, and ``scaling`` (see
-    ``find_scaling``).  ``row_weights`` holds the kernel's row weights per
-    subgroup, as ``ddt`` builds them.  ``args`` holds the spec's parameters
-    as ``parse_params`` parsed them, which the predictors read.
+    encoding of reported b values, as a read-only int32 array; both domains
+    have q^2 points.  ``scaling`` is the function's homogeneity (see
+    ``find_scaling``), found with the tables.  ``args`` holds the spec's
+    parameters as ``parse_params`` parsed them, which the predictors read.
+    ``engine`` is for ``ddt`` alone, which keeps there what it derives of
+    the tables for its kernel.
     """
 
     domain: str
@@ -380,33 +345,10 @@ class PairTables:
     args: dict = None
 
     def __post_init__(self, qctx):
-        ext = qctx.ext
-        self.key, self.wide_key, self.kernel_arrays, self.kernel_args = \
-            kernel_key(ext, self.g.astype(np.intp) * qctx.base.q + self.h)
-        self.log_phi = _read_only(ext.log_table[qctx.phi_table[self.key]])
+        self.key = _read_only(
+            (self.g.astype(np.intp) * qctx.base.q + self.h).astype(np.int32))
         self.scaling = find_scaling(qctx, self.domain, self.g, self.h)
-        self.row_weights = {}
-
-
-class UniTable:
-    """Value table of a univariate function of ``field`` to itself.
-
-    ``key`` is the kernel's key: read-only and checked, with ``wide_key``,
-    ``kernel_arrays`` and ``kernel_args`` beside it (see ``kernel_key``).
-    No scaling is looked for, so the row weights that ``ddt`` keeps in
-    ``row_weights`` weigh every row alike.
-    """
-
-    scaling = NO_SCALING
-
-    def __init__(self, values, field: FieldCtx):
-        self.key, self.wide_key, self.kernel_arrays, self.kernel_args = \
-            kernel_key(field, np.asarray(values))
-        self.row_weights = {}
-
-    def __len__(self):
-        """The domain size, as for the value array ``uni_report`` also takes."""
-        return len(self.key)
+        self.engine = {}
 
 
 def parse_params(spec: FuncSpec, qctx: QuadExtCtx) -> dict:
@@ -415,7 +357,7 @@ def parse_params(spec: FuncSpec, qctx: QuadExtCtx) -> dict:
       int, gold_k   an int; gold_k, a Gold exponent index k >= 0
       base, ext     an element of F_q, of F_{q^2} (an int index is one of F_q)
       linpoly       its LinPoly over F_q: table, kernel size, permutation
-      inner         its Inner over F_q: tag, UniTable, permutation
+      inner         its Inner over F_q: tag, table, permutation
       gammas        prodlin's [(i, gamma_i)] from "4:1,2:w^3"
       variant       the string, which the family's builder checks
       table         an int32 array of F_q indices, from func_spec only
@@ -496,7 +438,7 @@ def _values(fam, args, qctx: QuadExtCtx):
             return g, h
         if fam == "genlinh":
             g = args["L"].table[X]
-            return g, base.add_vec(args["h"].table.key[Y], g)
+            return g, base.add_vec(args["h"].table[Y], g)
         if fam == "genlingold":
             k, alpha = args["k"], args["alpha"]
             if not 0 < k < base.m:
@@ -541,7 +483,7 @@ def _values(fam, args, qctx: QuadExtCtx):
         if fam == "splitgh":
             if args["gamma2"] == 0:
                 raise InvalidParams("splitgh needs gamma2 != 0")
-            gt, h1, h2 = (args[name].table.key for name in ("g", "h1", "h2"))
+            gt, h1, h2 = (args[name].table for name in ("g", "h1", "h2"))
             L1, L2 = args["L1"].table, args["L2"].table
             h = base.add_vec(
                 base.add_vec(base.mul_vec(h1[X], L1[Y]),
@@ -591,9 +533,9 @@ def tables_for(spec: FuncSpec, qctx: QuadExtCtx):
 # the univariate lift
 # ---------------------------------------------------------------------------
 
-def univariate_lift(spec: FuncSpec, qctx: QuadExtCtx) -> UniTable:
+def univariate_lift(spec: FuncSpec, qctx: QuadExtCtx) -> np.ndarray:
     """The correspondence z -> phi(F(phi^-1(z))) as a value table of F_{q^2}
-    to itself.
+    to itself, a read-only int32 array.
 
     phi(g, h) = g + beta*h is the identification under which the bivariate
     differential system is exactly c*(lifted F).
@@ -601,4 +543,4 @@ def univariate_lift(spec: FuncSpec, qctx: QuadExtCtx) -> UniTable:
     if spec.domain != BIV:
         raise DomainMismatch("univariate_lift needs a bivariate spec")
     key = tables_for(spec, qctx).key  # F(pt) as the pair point g*q + h
-    return UniTable(qctx.phi_table[key[qctx.phi_inv_table]], qctx.ext)
+    return _read_only(qctx.phi_table[key[qctx.phi_inv_table]])

@@ -251,8 +251,13 @@ def _predict_normfirst(tabs, qctx, c1, c2):
     beta*U + a/(c1-1) per b1, so the maximum over (a, coset, b2) is exactly
     the c-differential uniformity.  The coset of z is N(z - a/(c1-1)), so
     one bincount of N(z - shift) * q + hd(z) counts every (coset, b2) of a
-    row a.  Rows go max(1, 2^16 // q^2) at a time, row i of a block offset
-    by i*q^2, so one bincount serves the block.
+    row a.  Rows a and lam*a, for lam in F_q^*, have the same maximum:
+    z = lam*z' multiplies N(z - lam*a/(c1-1)) by lam^2 and H(z + lam*a) -
+    c1*H(z) = Tr((z + lam*a)^e) - c1*Tr(z^e) by lam^e, so row lam*a is row a
+    with its (coset, b2) bins relabelled.  Row 0 and the rows W^i, 0 <= i
+    <= q, one per coset of F_q^* = <W^(q+1)> in F_{q^2}^*, thus stand for
+    all q^2 rows.  Rows go max(1, 2^16 // q^2) at a time, row i of a block
+    offset by i*q^2, so one bincount serves the block.
     """
     base, ext = qctx.base, qctx.ext
     if c2 != 0:
@@ -262,13 +267,15 @@ def _predict_normfirst(tabs, qctx, c1, c2):
     norm_q = tabs.g.astype(np.intp) * base.q  # g is the norm z^(q+1)
     shift_unit = np.int32(qctx.embed[base.inv(base.sub(c1, 1))])
     c1h = base.mul_row(c1)[htab]
+    rows = np.append(0, ext.antilog_table[:base.q + 1]).astype(np.int32)
     step = max(1, (1 << 16) // n)
     delta = 0
-    for a0 in range(0, n, step):
-        a = np.arange(a0, min(a0 + step, n), dtype=np.int32)[:, None]
+    for i in range(0, len(rows), step):
+        a = rows[i:i + step, None]
         hd = base.sub_vec(htab[ext.add_vec(zs, a)], c1h)
         minus_shift = ext.neg_table[ext.mul_vec(a, shift_unit)]
-        key = norm_q[ext.add_vec(zs, minus_shift)] + hd + (a - a0) * n
+        key = (norm_q[ext.add_vec(zs, minus_shift)] + hd
+               + np.arange(len(a))[:, None] * n)
         delta = max(delta, int(np.bincount(key.ravel()).max()))
     return _exact(delta, coset_scan=True)
 

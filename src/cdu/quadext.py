@@ -45,8 +45,8 @@ def select_t(base, override=None):
                 f"t = {base.elem_str(override)} fails the irreducibility condition")
         return override
     qm1 = base.q - 1
-    for j in range(1, max(qm1, 1) + 1):
-        t = int(base.antilog_table[j % max(qm1, 1)]) if qm1 else 1
+    for j in range(1, qm1 + 1):
+        t = int(base.antilog_table[j % qm1])
         if t_condition_holds(base, t):
             return t
     raise InvalidT("no valid t exists (cannot happen for a genuine field)")
@@ -97,19 +97,16 @@ class QuadExtCtx:
     def _build_embedding(self):
         base, ext = self.base, self.ext
         q, Q = base.q, ext.q
-        step = (Q - 1) // (q - 1) if q > 2 else (Q - 1)
+        step = (Q - 1) // (q - 1)
         target = base.min_poly(base.primitive)
         img = None
-        if q == 2:
-            img = 1  # F_2 embeds trivially
-        else:
-            for j in range(1, q):
-                if gcd(j, q - 1) != 1:
-                    continue
-                cand = int(ext.antilog_table[(j * step) % (Q - 1)])
-                if ext.min_poly(cand) == target:
-                    img = cand
-                    break
+        for j in range(1, q):
+            if gcd(j, q - 1) != 1:
+                continue
+            cand = int(ext.antilog_table[(j * step) % (Q - 1)])
+            if ext.min_poly(cand) == target:
+                img = cand
+                break
         if img is None:
             raise NoRootFound("no embedding of the base primitive found")
         embed = np.zeros(q, dtype=np.int32)

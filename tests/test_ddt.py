@@ -16,7 +16,7 @@ from cdu import (equivalence_check, func_spec, make_field, make_quadext,
                  parse_func_spec, univariate_lift)
 from cdu import ddt
 from cdu.ddt import CParam
-from cdu.funcs import BIV, EXT, NO_SCALING, PairTables, UniTable, tables_for
+from cdu.funcs import BIV, EXT, NO_SCALING, PairTables, tables_for
 
 
 def _pair_terms(qctx, tabs, c):
@@ -81,7 +81,8 @@ def naive_report(terms, identity):
 def _engine_row(qctx, tabs, c, a):
     """The engine's row a at c, on the numpy reference: bins[b] for every
     codomain index b."""
-    return ddt._rows(qctx.ext, tabs.key, ddt._pair_trans(qctx, tabs, c),
+    log_phi = qctx.ext.log_table[qctx.phi_table[tabs.key]]
+    return ddt._rows(qctx.ext, tabs.key, ddt._pair_trans(qctx, log_phi, c),
                      np.array([a]))[0]
 
 
@@ -342,38 +343,57 @@ def test_high_entries_native_numpy_naive(field, shape):
     (3, 2, "uni"),
 ])
 def test_table_kernel_inputs_fresh_and_read_only(p, m, spec):
-    """What the kernel reads of a table for every c is built once with it:
-    equal to a fresh computation, and read-only.  "uni" is a UniTable of
-    F_{q^2} to itself, the shape of the univariate lift."""
+    """What the kernel reads of a table for every c is derived by ``ddt``,
+    on a pair table's first report: equal to a fresh computation, and
+    read-only.  "uni" is a value array of F_{q^2} to itself, the shape of
+    the univariate lift."""
     qctx = make_quadext(make_field(p, m))
     ext = qctx.ext
     if spec == "uni":
         key = np.random.default_rng(p).integers(0, ext.q, ext.q)
-        tabs = UniTable(key, ext)
-        inputs = [tabs.key]
+        got, arrays, args = ddt._kernel_inputs(ext, key)
+        inputs = [got]
     else:
-        tabs = tables_for(parse_func_spec(spec), qctx)
+        built = tables_for(parse_func_spec(spec), qctx)
+        tabs = PairTables(built.domain, built.g, built.h, qctx)
         key = tabs.g.astype(np.int64) * qctx.base.q + tabs.h
-        assert (tabs.log_phi == ext.log_table[qctx.phi_table[key]]).all()
-        inputs = [tabs.key, tabs.log_phi]
+        assert tabs.key.dtype == np.int32 and (tabs.key == key).all()
+        assert tabs.engine == {}
+        ddt.pair_report(qctx, tabs, CParam.biv(0, 0))
+        (got, arrays, args), log_phi = tabs.engine["inputs"]
+        assert (log_phi == ext.log_table[qctx.phi_table[key]]).all()
+        inputs = [tabs.key, got, log_phi]
         for c1, c2 in [(0, 0), (1, 1), (2, 1), (0, p - 1)]:
             neg_c = ext.neg(int(qctx.phi_table[qctx.pt(c1, c2)]))
-            assert (ddt._pair_trans(qctx, tabs, CParam.biv(c1, c2))
+            assert (ddt._pair_trans(qctx, log_phi, CParam.biv(c1, c2))
                     == qctx.phi_inv_table[ext.mul_vec(
                         neg_c, qctx.phi_table[key])]).all()
-    assert tabs.key.dtype == np.int32 and (tabs.key == key).all()
+    assert got.dtype == np.int32 and (got == key).all()
     if p == 2:
-        assert tabs.wide_key is None
+        assert len(arrays) == 1
     else:
-        assert (tabs.wide_key == ext.carry_free[0][key]).all()
-        inputs.append(tabs.wide_key)
+        assert (arrays[-1] == ext.carry_free[0][key]).all()
+        inputs.append(arrays[-1])
     for a in inputs:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
-    # the kernel reads the table's arrays by address, and the table keeps them
-    assert tabs.kernel_args == tuple(a.ctypes.data for a in tabs.kernel_arrays)
-    kept = (tabs.key,) if p == 2 else (*ext.carry_free, tabs.wide_key)
-    assert list(map(id, tabs.kernel_arrays)) == list(map(id, kept))
+    # the kernel reads the arrays by address, and the inputs keep them
+    assert args == tuple(a.ctypes.data for a in arrays)
+    kept = (got,) if p == 2 else (*ext.carry_free, arrays[-1])
+    assert list(map(id, arrays)) == list(map(id, kept))
+
+
+def test_uni_report_leaves_values_as_they_were(qx4):
+    """uni_report copies the caller's value array into its kernel inputs:
+    the array stays writeable, with its values and dtype."""
+    rng = np.random.default_rng(5)
+    for dtype in (np.int64, np.int32):
+        values = rng.integers(0, 16, 16).astype(dtype)
+        before = values.copy()
+        for c in (0, 1, 7):
+            ddt.uni_report(qx4.ext, values, CParam.uni(c))
+        assert values.flags.writeable and values.dtype == dtype
+        assert (values == before).all()
 
 
 def _native_rows(lib, field, key, trans, wt, bins, spec, best):
@@ -557,14 +577,14 @@ def _unreduced(qctx, tabs):
 
 # (p, m, d, e1, e2): F(lam*z) = (lam^e1*G(z), lam^e2*H(z)) for lam = w^d
 _PLANTED = [
-    (2, 2, 1, 1, 2),    # F_4: mu1/mu2 of order 3, the line c only
+    (2, 2, 1, 1, 2),    # F_4: mu/nu of order 3, the line c only
     (2, 3, 1, 3, 1),    # F_8: the line c only
     (2, 4, 1, 2, 5),    # F_16, as normfirst: off the line, <lam^5>
-    (2, 4, 3, 1, 1),    # F_16: mu1 = mu2 on <w^3>, every c
+    (2, 4, 3, 1, 1),    # F_16: mu = nu on <w^3>, every c
     (3, 2, 1, 1, -1),   # F_9, as traceinv: off the line, lam = -1
     (5, 1, 1, 1, 3),    # F_5: off the line, lam = -1
-    (5, 2, 2, 1, 1),    # F_25: mu1 = mu2 on <w^2>, every c
-    (3, 4, 1, 2, 2),    # F_81: mu1 = mu2 on all of F_q^*, every c
+    (5, 2, 2, 1, 1),    # F_25: mu = nu on <w^2>, every c
+    (3, 4, 1, 2, 2),    # F_81: mu = nu on all of F_q^*, every c
     (3, 2, 0, 0, 0),    # F_9, random tables: no symmetry
 ]
 
@@ -632,7 +652,7 @@ def test_goldpair_line_c_runs_q_plus_2_rows(qx16, monkeypatch):
 
 
 def test_weights_at_n_2_16_past_16_bits():
-    """The identity map F(z) = z at q = 256 scales with mu1 = mu2 = lam, so
+    """The identity map F(z) = z at q = 256 scales with mu = nu = lam, so
     every c runs 258 of the 2^16 rows, on 32-bit bins.  Its c-DDT is known
     whole: (1 - c)*z + a is a bijection for c != 1, so every entry is 1 and
     the first is at (0, 0); at the identity c, row a != 0 puts all 2^16
@@ -726,19 +746,28 @@ def test_native_kernel_unbuildable_gives_none(tmp_path, monkeypatch):
 
 def test_kernel_rejects_values_outside_codomain(qx4):
     key = np.arange(16, dtype=np.int32)
-    tab = UniTable(key, qx4.ext)
+    inputs = ddt._kernel_inputs(qx4.ext, key)
+    wt = ddt._orbit_weights(16, None, 1, 1, False)
     for bad in (16, -1):
         trans = key.copy()
         trans[3] = bad
         with pytest.raises(cdu.CduError, match="outside the codomain"):
-            ddt._kernel_report(qx4.ext, tab, trans, CParam.biv(0, 0))
+            ddt._kernel_report(qx4.ext, inputs, wt, trans, CParam.biv(0, 0))
         with pytest.raises(cdu.CduError, match="outside the codomain"):
-            UniTable(trans, qx4.ext)  # a key is checked once, when built
+            ddt._kernel_inputs(qx4.ext, trans)  # a key is checked once
+        with pytest.raises(cdu.CduError, match="outside the codomain"):
+            ddt.uni_report(qx4.ext, trans, CParam.uni(0))
     # 16 pair points span F_16, not the base field F_4
     with pytest.raises(cdu.CduError, match="do not span the field"):
-        ddt._kernel_report(qx4.base, tab, key, CParam.biv(0, 0))
+        ddt._kernel_report(qx4.base, inputs, wt, key, CParam.biv(0, 0))
     with pytest.raises(cdu.CduError, match="do not span the field"):
-        UniTable(key, qx4.base)
+        ddt._kernel_inputs(qx4.base, key)
+    # the kernel reads addresses only of read-only int32 arrays
+    wide = key.astype(np.int64)
+    wide.flags.writeable = False
+    for bad in (key, wide, inputs[0][::2]):  # writeable, int64, strided
+        with pytest.raises(cdu.CduError, match="read-only int32"):
+            ddt._address(bad)
 
 
 def test_one_c_at_q125_in_2gib_address_space():
@@ -863,17 +892,21 @@ def test_sweep_thread_determinism(qx16):
         == [(r.c, r.uniformity, r.witness, r.spectrum) for r in par]
 
 
-def test_row_weights_built_from_many_threads(qx16):
+def test_row_weights_built_from_many_threads(qx16, monkeypatch):
     """Eight threads (more than the cores) report on one fresh table at
     once, with the interpreter switching threads every microsecond, so the
-    row weights of each subgroup are built while others read them.  Every
-    report equals the serial one, and each subgroup keeps one set of
-    weights."""
+    kernel inputs and the row weights of each subgroup are built while
+    others read them.  Every report equals the serial one, each subgroup
+    keeps one set of weights, and the table keeps one set of kernel inputs,
+    the one every report ran on."""
     spec = parse_func_spec("normfirst{H=tr5}")  # order 15 on the line, 3 off
     g, h = tables_for(spec, qx16).g, tables_for(spec, qx16).h
     cs = [CParam.biv(c1, c2) for c1 in range(16) for c2 in (0, 5)] * 2
     serial = [ddt.pair_report(qx16, PairTables(EXT, g, h, qx16), c) for c in cs]
     tabs = PairTables(EXT, g, h, qx16)
+    used, report = [], ddt._kernel_report
+    monkeypatch.setattr(ddt, "_kernel_report", lambda field, inputs, *rest:
+                        used.append(inputs) or report(field, inputs, *rest))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -883,10 +916,13 @@ def test_row_weights_built_from_many_threads(qx16):
     finally:
         sys.setswitchinterval(interval)
     assert reports == serial
-    assert sorted(tabs.row_weights) == [(3, False), (15, False), (15, True)]
+    assert sorted(tabs.engine, key=str) \
+        == [(15, False), (15, True), (3, False), "inputs"]
     for c in cs:
         slot = (15 if c.c2 == 0 else 3, c.is_identity)
-        assert ddt._weights(tabs, c) is tabs.row_weights[slot]
+        assert ddt._weights(tabs, c) is tabs.engine[slot]
+    kept = tabs.engine["inputs"][0]
+    assert len(used) == len(cs) and all(u is kept for u in used)
 
 
 def test_sweep_workers_capped_by_c_count_and_cpus(qx4, monkeypatch,

@@ -7,7 +7,7 @@ import pytest
 from cdu import (ddt, func_spec, make_field, make_quadext, parse_func_spec,
                  parse_linpoly, predict, univariate_lift)
 from cdu.funcs import (FAMILIES, DomainMismatch, InvalidParams, SpecParseError,
-                       UniTable, parse_inner, tables_for)
+                       parse_inner, tables_for)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -140,16 +140,19 @@ def test_linpoly_rejects_non_p_power(f16):
 
 def test_inner_funcs(f16):
     inv = parse_inner("inv", f16)
-    assert inv.tag == "inv" and inv.permutes and inv.table.key[0] == 0
+    assert inv.tag == "inv" and inv.permutes and inv.table[0] == 0
     for y in range(1, 16):
-        assert f16.mul(y, int(inv.table.key[y])) == 1
+        assert f16.mul(y, int(inv.table[y])) == 1
     gold = parse_inner("gold:2", f16)
     assert gold.tag == "gold" and not gold.permutes  # gcd(5, 15) = 5
-    assert (gold.table.key == f16.pow_vec(np.arange(16, dtype=np.int32), 5)).all()
-    assert (parse_inner("id", f16).table.key == np.arange(16)).all()
+    assert (gold.table == f16.pow_vec(np.arange(16, dtype=np.int32), 5)).all()
+    assert (parse_inner("id", f16).table == np.arange(16)).all()
     lin = parse_inner("lin:x^2+x", f16)
     assert lin.tag == "lin" and not lin.permutes
-    assert (lin.table.key == parse_linpoly("x^2+x", f16).table).all()
+    assert (lin.table == parse_linpoly("x^2+x", f16).table).all()
+    # value tables are read-only int32 arrays, shared by every report
+    for tab in (inv.table, gold.table, lin.table, parse_linpoly("x", f16).table):
+        assert tab.dtype == np.int32 and not tab.flags.writeable
 
 
 @pytest.mark.parametrize("spec, step", [
@@ -263,7 +266,7 @@ def test_missing_parameter_is_named(qx16, spec, name):
 
 def test_lift_identity(qx4):
     lift = univariate_lift(parse_func_spec("identity"), qx4)
-    assert (lift.key == np.arange(qx4.ext.q)).all()
+    assert (lift == np.arange(qx4.ext.q)).all()
 
 
 @pytest.mark.parametrize("field", [(2, 2), (3, 2)])
@@ -271,23 +274,16 @@ def test_lift_is_read_only_table_over_ext(field):
     qctx = make_quadext(make_field(*field))
     ext = qctx.ext
     lift = univariate_lift(parse_func_spec("sumprod{i=0;j=1;alpha=1}"), qctx)
-    assert isinstance(lift, UniTable) and len(lift) == ext.q
-    assert lift.key.dtype == np.int32
-    inputs = [lift.key]
-    if ext.p == 2:
-        assert lift.wide_key is None
-    else:
-        assert (lift.wide_key == ext.carry_free[0][lift.key]).all()
-        inputs.append(lift.wide_key)
-    for a in inputs:
-        with pytest.raises(ValueError, match="read-only"):
-            a[0] = 0
+    assert isinstance(lift, np.ndarray) and len(lift) == ext.q
+    assert lift.dtype == np.int32
+    with pytest.raises(ValueError, match="read-only"):
+        lift[0] = 0
 
 
 def test_lift_of_linear_function_is_linear(qx4):
     # F(x,y) = (x, y + x): both coordinates F_q-linear, so the lift is too
     spec = parse_func_spec("genlinh{L=x;h=id}")
-    tab = univariate_lift(spec, qx4).key
+    tab = univariate_lift(spec, qx4)
     ext = qx4.ext
     zs = np.arange(ext.q, dtype=np.int32)
     sums = ext.add_vec(zs[:, None], zs[None, :])
@@ -306,7 +302,7 @@ def test_lift_round_trip_pointwise(qx4):
     lift = univariate_lift(spec, qx4)
     for x in range(q):
         for y in range(q):
-            image = lift.key[qx4.phi_table[qx4.pt(x, y)]]
+            image = lift[qx4.phi_table[qx4.pt(x, y)]]
             back = divmod(int(qx4.phi_inv_table[image]), q)
             assert back == value_at(spec, qx4, qx4.pt(x, y))
 

@@ -261,6 +261,20 @@ def test_tracext_gold_off_line_bound_only_for_k_plus_minus_1(k, off_line):
                    for r in res.rows[31:])
 
 
+@pytest.mark.parametrize("p, m", [(2, 3), (3, 2), (5, 2), (7, 2)])
+def test_normfirst_equals_engine_on_every_line_c(p, m):
+    """The normfirst predictor scans row 0 and one row per coset of F_q^*
+    in F_{q^2}^*; its exact value is the engine's uniformity on every line
+    c, at q = 8, 9, 25 and 49, for two exponents e of H = Tr(z^e)."""
+    qctx = make_quadext(make_field(p, m))
+    cs = ddt.c_line_biv(qctx.base.q)
+    for e in (3, 5):
+        spec = parse_func_spec(f"normfirst{{H=tr{e}}}")
+        for c, rep in zip(cs, ddt.sweep(spec, qctx, cs)):
+            pred = predict.predict(spec, qctx, c.c1, c.c2)
+            assert (pred.kind, pred.value) == (EXACT, rep.uniformity), (e, c)
+
+
 def test_identity_c_rejected(qx16):
     with pytest.raises(IdentityC):
         predict.predict(parse_func_spec("genlinh{L=x;h=inv}"), qx16, 1, 0)
