@@ -75,13 +75,13 @@ def build_parser():
 
 
 def _make_field(args):
-    modulus = parse_modulus(args.modulus) if args.modulus else None
+    modulus = None if args.modulus is None else parse_modulus(args.modulus)
     return make_field(args.p, args.m, modulus)
 
 
 def _make_contexts(args):
     base = _make_field(args)
-    t = base.parse_elem(args.t) if getattr(args, "t", None) else None
+    t = None if getattr(args, "t", None) is None else base.parse_elem(args.t)
     qctx = make_quadext(base, t)
     return base, qctx
 

@@ -15,22 +15,25 @@ spectrum and witness.
 
 Row weights.  Most constructions are homogeneous: F(lam*z) = N(F(z)) with
 N(g, h) = (mu*g, nu*h) for every lam of a subgroup of F_q^*, lam*z being
-(lam*x, lam*y) on a pair point and embed(lam)*z on a point of F_{q^2}
-(``funcs.find_scaling``, once per table).  Where N commutes with the
-product by c, N_c(lam*a, N(b)) = N_c(a, b): substitute x = lam*x' in
-F(x + lam*a) - c*F(x) = N(b).  So row lam*a holds the entries of row a,
-relabelled, and one row per orbit of a under the subgroup stands for all
-of them.  N commutes with every c on the line c2 = 0, where c is the
-scalar c1; off it, only on the subgroup <lam^j> with mu^j = nu^j, which
-may be trivial.  Row a weighs wt[a] (``_weights``): the size of its orbit
-when a is the orbit's smallest point, else 0, and at the identity c row 0
-weighs 0, as the a-quantifier excludes it.  Both kernels run only the rows
-of nonzero weight and add each row's entry counts wt[a] times to the
-spectrum.  The maximum is the same on every row of an orbit, so the
-smallest a attaining it is an orbit's smallest point, and the report is
-identical to that of every row: one c of goldpair at q = 64 runs 66 rows,
-not 4096.  Tables with no scaling, and every table of a field to itself,
-run every row at weight 1.
+(lam*x, lam*y) on a pair point and embed(lam)*z on a point of F_{q^2}.
+Where N commutes with the product by c, N_c(lam*a, N(b)) = N_c(a, b):
+substitute x = lam*x' in F(x + lam*a) - c*F(x) = N(b).  So row lam*a holds
+the entries of row a, relabelled, and one row per orbit of a under the
+subgroup stands for all of them.  N commutes with every c on the line
+c2 = 0, where c is the scalar c1; off it, only on the subgroup <lam^j>
+with mu^j = nu^j, which may be trivial.  A table's first report finds the
+order of both subgroups (``_scaling``).  Row a is an element of F_{q^2},
+phi(a) for a pair point, in which lam*a is the product by embed(lam); so
+the orbit of a nonzero row under the subgroup of order r is its coset of
+F_{q^2}^*, the rows whose logs agree mod (q^2 - 1)/r.  Row a weighs wt[a]
+(``_row_weights``): r at the smallest row of its coset, else 0; row 0
+weighs 1, and 0 at the identity c, as the a-quantifier excludes it.  Both
+kernels run only the rows of nonzero weight and add each row's entry
+counts wt[a] times to the spectrum.  The maximum is the same on every row
+of an orbit, so the smallest a attaining it is an orbit's smallest point,
+and the report is identical to that of every row: one c of goldpair at
+q = 64 runs 66 rows, not 4096.  Tables with no scaling, and every table of
+a field to itself, run every row at weight 1 (order 1).
 
 Native kernel.  ``_rowk.c`` does a whole c in one C call.  One pass over
 the points fills a block of four rows: at p = 2 the rows a, a^1, a^2, a^3,
@@ -83,10 +86,11 @@ logic of its own:
   table whatever the c is derived here, read-only (``_kernel_inputs``):
   the checked int32 key, its wide codes at odd p, and their addresses.  A
   pair table keeps them in its ``engine`` dict, with the F_{q^2} logs of
-  phi(key) and the row weights of each subgroup a c has used, built on
-  first use from any worker thread.  A c then costs its -c*F(x) term (one
-  add and two gathers), that term's check, and one kernel call.  A value
-  array of a field to itself has them built on every ``uni_report``.
+  phi(key), the orders of its scaling subgroups and the row weights of
+  each subgroup a c has used, built on first use from any worker thread.
+  A c then costs its -c*F(x) term (one add and two gathers), that term's
+  check, and one kernel call.  A value array of a field to itself has them
+  built on every ``uni_report``.
 * Threads.  A sweep with threads > 1 maps its c values over a pool of
   min(threads, number of c, CPUs) workers, started on first use and kept
   for the whole process (``_pool``); a larger pool would only add idle OS
@@ -110,6 +114,7 @@ import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from math import gcd
 from pathlib import Path
 from typing import NamedTuple
 
@@ -221,41 +226,74 @@ def _report(blocks, n, c, wt):
 
 
 # ---------------------------------------------------------------------------
-# row weights
+# row symmetry
 # ---------------------------------------------------------------------------
 
-def _orbit_weights(n, perm, gen, order, identity):
-    """wt[a] = the size of a's orbit under <perm^gen>, a subgroup of the
-    given order, when a is the smallest point of its orbit, else 0: every
-    one of the n rows weighs 1 at order 1, where perm may be None."""
-    low, span = np.arange(n), 1
-    if order > 1:
-        g, power = np.arange(n), perm
-        while gen:  # g = perm^gen
-            if gen & 1:
-                g = power[g]
-            power, gen = power[power], gen >> 1
-    while span < order:  # low[a] = min of a, g(a), ..., g^(span-1)(a)
-        low, g, span = np.minimum(low, low[g]), g[g], 2 * span
-    wt = np.bincount(low, minlength=len(low)).astype(np.int32)
+def _ratio(base, v, w):
+    """mu with w = mu*v at every point, None when v = w = 0 everywhere (any
+    mu then holds), and 0 when there is no such mu."""
+    nz = np.flatnonzero(v)
+    if not len(nz):
+        return None if not w.any() else 0
+    mu = base.div(int(w[nz[0]]), int(v[nz[0]]))
+    return mu if (base.mul_row(mu)[v] == w).all() else 0
+
+
+def _scaling(qctx, tab):
+    """(order, off_order) of the pair table ``tab`` (see "Row weights"
+    above): the order of the largest subgroup <lam> = <w^d> of F_q^* with
+    F(lam*z) = (mu*G(z), nu*H(z)) at every point z, and that of its
+    subgroup <lam^j> on which mu^j = nu^j; (1, 1) when only lam = 1 holds.
+    Every divisor d of q - 1 is tried, smallest first: the set of such lam
+    is a subgroup, so the first d that holds gives the largest."""
+    base, ext = qctx.base, qctx.ext
+    qm1 = base.q - 1
+    elems = rows = np.arange(ext.q)  # the F_{q^2} element of each point, and back
+    if tab.domain == BIV:
+        elems, rows = qctx.phi_table, qctx.phi_inv_table
+    for d in (d for d in range(1, qm1) if qm1 % d == 0):
+        lam = np.int32(qctx.embed[base.antilog_table[d]])
+        for part in (slice(0, 64), slice(None)):  # fail fast, then every point
+            perm = rows[ext.mul_vec(lam, elems[part])]  # lam*z
+            mu, nu = (_ratio(base, v[part], v[perm]) for v in (tab.g, tab.h))
+            if mu == 0 or nu == 0:
+                break
+        else:
+            mu, nu = mu or nu or 1, nu or mu or 1  # a zero half takes any mu
+            order = qm1 // d
+            # mu^j = nu^j for the multiples j of the order of mu/nu
+            j = qm1 // gcd(int(base.log_table[base.div(mu, nu)]), qm1)
+            return order, order // j
+    return 1, 1
+
+
+def _row_weights(field, rows, order, identity):
+    """Row weights, with their address, for rows of the elements of
+    ``field``, ``rows[e]`` being the row of element e (rows[0] = 0), under
+    the subgroup of ``field``'s units of the given order.  The orbit of a
+    nonzero row is its coset: the elements whose logs agree mod
+    k = (|field| - 1)/order, a column of the logs laid out as order x k.
+    wt[a] is the order at the smallest row of each coset, 1 at row 0 (0 at
+    the identity c) and 0 elsewhere: every row weighs 1 at order 1."""
+    cosets = rows[field.antilog_table].reshape(order, -1)
+    wt = np.zeros(len(rows), dtype=np.int32)
+    wt[cosets.min(axis=0)] = order
     wt[0] = not identity
     return _read_only(wt), _address(wt)
 
 
-def _weights(tab, c):
-    """Row weights of the pair table ``tab`` at c, with their address (see
-    "Row weights" above): the whole subgroup of its scaling on the line
-    c2 = 0, the subgroup of order ``off_order`` off it.  Built once per
-    table and subgroup and kept in ``tab.engine``, from any thread: two
-    threads may build the same weights, and one of them is kept.
-    """
-    sc = tab.scaling
-    order = sc.order if c.c2 == 0 else sc.off_order
-    slot = (order, c.is_identity)
+def _weights(qctx, tab, c):
+    """Row weights of the pair table ``tab`` at c, with their address: by
+    the cosets of its scaling subgroup on the line c2 = 0, of the subgroup
+    of order ``off_order`` off it.  Built once per table and subgroup and
+    kept in ``tab.engine``, from any thread: two threads may build the same
+    weights, and one of them is kept."""
+    order, off_order = _table_inputs(qctx, tab)[2]
+    slot = (order if c.c2 == 0 else off_order, c.is_identity)
     wt = tab.engine.get(slot)
     if wt is None:
-        wt = tab.engine.setdefault(slot, _orbit_weights(
-            len(tab.key), sc.perm, sc.order // order, order, c.is_identity))
+        rows = qctx.phi_inv_table if tab.domain == BIV else np.arange(len(tab.key))
+        wt = tab.engine.setdefault(slot, _row_weights(qctx.ext, rows, *slot))
     return wt
 
 
@@ -409,17 +447,22 @@ def _uni_trans(field, table, c):
     return field.mul_row(field.neg(c.c1))[table]
 
 
-def pair_report(qctx, tabs: PairTables, c: CParam) -> CDdtReport:
-    """Report of a function with pair output.  Its kernel inputs and the
-    F_{q^2} logs of phi(key) are built on the table's first report and kept
-    in ``tabs.engine``, from any thread, as ``_weights`` keeps weights."""
-    got = tabs.engine.get("inputs")
+def _table_inputs(qctx, tab):
+    """(kernel inputs, F_{q^2} logs of phi(key), (order, off_order)) of the
+    pair table ``tab``: built on its first report and kept in
+    ``tab.engine``, from any thread, as ``_weights`` keeps weights."""
+    got = tab.engine.get("inputs")
     if got is None:
-        log_phi = _read_only(qctx.ext.log_table[qctx.phi_table[tabs.key]])
-        got = tabs.engine.setdefault(
-            "inputs", (_kernel_inputs(qctx.ext, tabs.key), log_phi))
-    inputs, log_phi = got
-    return _kernel_report(qctx.ext, inputs, _weights(tabs, c),
+        log_phi = _read_only(qctx.ext.log_table[qctx.phi_table[tab.key]])
+        got = tab.engine.setdefault("inputs", (
+            _kernel_inputs(qctx.ext, tab.key), log_phi, _scaling(qctx, tab)))
+    return got
+
+
+def pair_report(qctx, tabs: PairTables, c: CParam) -> CDdtReport:
+    """Report of a function with pair output (see ``_table_inputs``)."""
+    inputs, log_phi, _ = _table_inputs(qctx, tabs)
+    return _kernel_report(qctx.ext, inputs, _weights(qctx, tabs, c),
                           _pair_trans(qctx, log_phi, c), c)
 
 
@@ -428,7 +471,7 @@ def uni_report(field, values, c: CParam) -> CDdtReport:
     array; its kernel inputs and its weights, 1 per row, are built for this
     call, and the array is left as it was."""
     inputs = _kernel_inputs(field, values)
-    wt = _orbit_weights(field.q, None, 1, 1, c.is_identity)
+    wt = _row_weights(field, np.arange(field.q), 1, c.is_identity)
     return _kernel_report(field, inputs, wt, _uni_trans(field, inputs[0], c), c)
 
 

@@ -48,7 +48,6 @@ x^(p^k+1) is x^(p^(k mod m)) * x (``FieldCtx.gold_vec``).
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from math import gcd
 from typing import NamedTuple
 
 import numpy as np
@@ -216,13 +215,18 @@ class FuncSpec:
 
 
 def func_spec(family, **params):
+    """The FuncSpec of ``family`` with ``params``; a value table (any
+    sequence of ints, a numpy array among them) is kept as a tuple of ints,
+    so that specs hash and compare by value."""
     if family not in FAMILIES:
         raise SpecParseError(f"unknown family {family!r}")
     declared = FAMILIES[family][1]
-    for k in params:
+    for k, v in params.items():
         if k not in declared:
             raise SpecParseError(f"unknown key {k!r} for {family}, which takes "
                                  f"{', '.join(declared) or 'no parameters'}")
+        if declared[k] == "table":
+            params[k] = tuple(map(int, v))
     return FuncSpec(family, tuple(sorted(params.items())))
 
 
@@ -270,72 +274,16 @@ def _read_only(a):
     return a
 
 
-@dataclass(frozen=True)
-class Scaling:
-    """F(lam*z) = (mu*G(z), nu*H(z)) at every point z, for some mu, nu of
-    F_q^* and the generator lam = w^d of a subgroup of F_q^* with ``order``
-    elements.  ``perm[z]`` is the index of lam*z: (lam*x, lam*y) for a pair
-    point, embed(lam)*z for a point of F_{q^2}.  ``off_order`` is the order
-    of the subgroup <lam^j> on which mu^j = nu^j, the part that also serves
-    c off the line c2 = 0 (see ``ddt``)."""
-
-    order: int = 1
-    off_order: int = 1
-    perm: np.ndarray = None
-
-
-NO_SCALING = Scaling()
-
-
-def _ratio(base, v, w):
-    """mu with w = mu*v at every point, None when v = w = 0 everywhere (any
-    mu then holds), and 0 when there is no such mu."""
-    nz = np.flatnonzero(v)
-    if not len(nz):
-        return None if not w.any() else 0
-    mu = base.div(int(w[nz[0]]), int(v[nz[0]]))
-    return mu if (base.mul_row(mu)[v] == w).all() else 0
-
-
-def find_scaling(qctx, domain, g, h):
-    """The Scaling of the largest subgroup <w^d> of F_q^* under which the
-    pair function (g, h) on ``domain`` is homogeneous, checked at every
-    point; NO_SCALING when only lam = 1 is.  Every divisor d of q - 1 is
-    tried, smallest first: the set of such lam is a subgroup, so the first
-    d that holds gives the largest."""
-    base = qctx.base
-    q, qm1 = base.q, base.q - 1
-    for d in (d for d in range(1, qm1) if qm1 % d == 0):
-        lam = int(base.antilog_table[d])
-        if domain == BIV:
-            row = base.mul_row(lam)
-            perm = (row[:, None] * q + row[None, :]).ravel()
-        else:
-            perm = qctx.ext.mul_row(int(qctx.embed[lam]))
-        for part in (slice(0, 64), slice(None)):  # fail fast, then every point
-            mu, nu = (_ratio(base, v[part], v[perm[part]]) for v in (g, h))
-            if mu == 0 or nu == 0:
-                break
-        else:
-            mu, nu = mu or nu or 1, nu or mu or 1  # a zero half takes any mu
-            order = qm1 // d
-            # mu^j = nu^j for the multiples j of the order of mu/nu
-            j = qm1 // gcd(int(base.log_table[base.div(mu, nu)]), qm1)
-            return Scaling(order, order // j, _read_only(perm))
-    return NO_SCALING
-
-
 @dataclass
 class PairTables:
     """Value tables of a function with pair output (g, h), values in [0, q).
 
     ``key`` packs each pair into the one codomain index g*q + h, the
     encoding of reported b values, as a read-only int32 array; both domains
-    have q^2 points.  ``scaling`` is the function's homogeneity (see
-    ``find_scaling``), found with the tables.  ``args`` holds the spec's
-    parameters as ``parse_params`` parsed them, which the predictors read.
-    ``engine`` is for ``ddt`` alone, which keeps there what it derives of
-    the tables for its kernel.
+    have q^2 points.  ``args`` holds the spec's parameters as
+    ``parse_params`` parsed them, which the predictors read.  ``engine`` is
+    for ``ddt`` alone, which keeps there what it derives of the tables for
+    its kernel, the function's row symmetry among it.
     """
 
     domain: str
@@ -347,7 +295,6 @@ class PairTables:
     def __post_init__(self, qctx):
         self.key = _read_only(
             (self.g.astype(np.intp) * qctx.base.q + self.h).astype(np.int32))
-        self.scaling = find_scaling(qctx, self.domain, self.g, self.h)
         self.engine = {}
 
 

@@ -103,11 +103,8 @@ def _predict_genlingold(tabs, qctx, c1, c2):
     if not tabs.args["L"].permutes:
         return _not_covered(reason="L is not a permutation")
     d = gcd(m, k)
-    one_c1 = base.sub(1, c1)
-    a1 = base.add(base.add(base.mul(qctx.t, base.mul(c2, c2)),
-                           base.mul(one_c1, c2)), base.mul(one_c1, one_c1))
-    b = base.add(one_c1, base.mul(qctx.t, c2))
-    ratio = base.div(b, a1)
+    b = base.add(base.sub(1, c1), base.mul(qctx.t, c2))
+    ratio = base.div(b, qctx.norm_one_minus_c(c1, c2))
     tr = {"ratio": base.elem_str(ratio), "d": d}
     if m != 2 * k:
         if alpha == 0 and base.in_subfield(ratio, d):

@@ -191,14 +191,19 @@ class QuadExtCtx:
                      base.mul(y1, y2))
         return g, h
 
-    def check_nonvanishing(self, c1, c2):
-        """t*c2^2 + (1-c1)*c2 + (1-c1)^2 != 0; false exactly at c = (1,0)."""
+    def norm_one_minus_c(self, c1, c2):
+        """t*c2^2 + (1-c1)*c2 + (1-c1)^2, the norm to F_q of 1 - phi(c1, c2):
+        N(x + beta*y) = x^2 - x*y + t*y^2, as beta + beta_bar = -1 and
+        beta*beta_bar = t."""
         base = self.base
         one_c1 = base.sub(1, c1)
-        expr = base.add(
+        return base.add(
             base.add(base.mul(self.t, base.mul(c2, c2)), base.mul(one_c1, c2)),
             base.mul(one_c1, one_c1))
-        return expr != 0
+
+    def check_nonvanishing(self, c1, c2):
+        """norm_one_minus_c(c1, c2) != 0; false exactly at c = (1,0)."""
+        return self.norm_one_minus_c(c1, c2) != 0
 
     def __repr__(self):
         return (f"QuadExtCtx(q={self.base.q}, t={self.base.elem_str(self.t)}, "

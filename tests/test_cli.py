@@ -463,6 +463,10 @@ def _oracle(which, *args):
                  id="modulus-not-integers"),
     pytest.param(["field", "-p", "2", "-m", "4", "--modulus", "1,,1"],
                  id="modulus-empty-coefficient"),
+    # an empty value is no value given: no default is chosen in its place
+    pytest.param(["field", "-p", "2", "-m", "4", "--modulus", ""],
+                 id="modulus-empty"),
+    pytest.param(_sweep("0,0", "identity") + ["-t", ""], id="t-empty"),
     pytest.param(["sweep", "-p", "2", "-m", "2", "--spec", "identity",
                   "--c", "0,0", "-o", "/nonexistent/x"],
                  id="output-in-missing-directory"),

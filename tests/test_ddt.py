@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from cdu import (equivalence_check, func_spec, make_field, make_quadext,
                  parse_func_spec, univariate_lift)
 from cdu import ddt
 from cdu.ddt import CParam
-from cdu.funcs import BIV, EXT, NO_SCALING, PairTables, tables_for
+from cdu.funcs import BIV, EXT, PairTables, tables_for
 
 
 def _pair_terms(qctx, tabs, c):
@@ -360,7 +361,7 @@ def test_table_kernel_inputs_fresh_and_read_only(p, m, spec):
         assert tabs.key.dtype == np.int32 and (tabs.key == key).all()
         assert tabs.engine == {}
         ddt.pair_report(qctx, tabs, CParam.biv(0, 0))
-        (got, arrays, args), log_phi = tabs.engine["inputs"]
+        (got, arrays, args), log_phi, _ = tabs.engine["inputs"]
         assert (log_phi == ext.log_table[qctx.phi_table[key]]).all()
         inputs = [tabs.key, got, log_phi]
         for c1, c2 in [(0, 0), (1, 1), (2, 1), (0, p - 1)]:
@@ -569,9 +570,10 @@ def _planted_tables(qctx, domain, d, e1, e2, rng):
 
 
 def _unreduced(qctx, tabs):
-    """The same tables with no scaling, so every row runs at weight 1."""
+    """The same tables with no scaling found, so every row runs at weight 1."""
     plain = PairTables(tabs.domain, tabs.g, tabs.h, qctx)
-    plain.scaling = NO_SCALING
+    with mock.patch.object(ddt, "_scaling", return_value=(1, 1)):
+        ddt._table_inputs(qctx, plain)
     return plain
 
 
@@ -604,22 +606,23 @@ def test_planted_scaling_reports_exact(p, m, d, e1, e2, domain):
     if d:
         tabs = _planted_tables(qctx, domain, d, e1, e2, rng)
         order = (q - 1) // d
-        assert tabs.scaling.order % order == 0
+        found, off = ddt._scaling(qctx, tabs)
+        assert found % order == 0
         if e1 == e2:
-            assert tabs.scaling.off_order == tabs.scaling.order
+            assert off == found
     else:
         g, h = rng.integers(0, q, (2, n), dtype=np.int32)
         tabs = PairTables(domain, g, h, qctx)
-        assert tabs.scaling == NO_SCALING
+        found, off = ddt._scaling(qctx, tabs)
+        assert (found, off) == (1, 1)
     c1 = int(rng.integers(2, q)) if q > 2 else 0
     cs = [CParam.biv(c1, 0), CParam.biv(0, 0), CParam.biv(1, 0),
           CParam.biv(int(rng.integers(0, q)), int(rng.integers(1, q)))]
     for c in cs:
-        wt, _ = ddt._weights(tabs, c)
+        wt, _ = ddt._weights(qctx, tabs, c)
         assert wt.sum() == n - c.is_identity
         if c.c2 == 0:
-            assert np.count_nonzero(wt) == 1 + (n - 1) // tabs.scaling.order \
-                - c.is_identity
+            assert np.count_nonzero(wt) == 1 + (n - 1) // found - c.is_identity
         with _kernel("native"):
             native = ddt.pair_report(qctx, tabs, c)
             full = ddt.pair_report(qctx, _unreduced(qctx, tabs), c)
@@ -639,7 +642,7 @@ def test_goldpair_line_c_runs_q_plus_2_rows(qx16, monkeypatch):
     q = qx16.base.q
     tabs = tables_for(parse_func_spec("goldpair{k=1;gamma=w^5;L=x}"), qx16)
     c = CParam.biv(qx16.base.parse_elem("w^3"), 0)
-    wt, _ = ddt._weights(tabs, c)
+    wt, _ = ddt._weights(qx16, tabs, c)
     assert np.count_nonzero(wt) == q + 2 and wt.sum() == q * q
     ran, rows = [], ddt._rows
     monkeypatch.setattr(ddt, "_rows",
@@ -660,7 +663,7 @@ def test_weights_at_n_2_16_past_16_bits():
     qctx = make_quadext(make_field(2, 8))
     n = qctx.ext.q
     tabs = tables_for(parse_func_spec("identity"), qctx)
-    assert tabs.scaling.order == tabs.scaling.off_order == 255
+    assert ddt._scaling(qctx, tabs) == (255, 255)
     cases = [(CParam.biv(0, 0), 1, {1: n * n}, (0, 0)),
              (CParam.biv(7, 0), 1, {1: n * n}, (0, 0)),
              (CParam.biv(3, 9), 1, {1: n * n}, (0, 0)),
@@ -668,11 +671,70 @@ def test_weights_at_n_2_16_past_16_bits():
     for kernel in ("native", "numpy"):
         with _kernel(kernel):
             for c, top, spectrum, witness in cases:
-                assert np.count_nonzero(ddt._weights(tabs, c)[0]) \
+                assert np.count_nonzero(ddt._weights(qctx, tabs, c)[0]) \
                     == 258 - c.is_identity
                 rep = ddt.pair_report(qctx, tabs, c)
                 assert (rep.uniformity, rep.spectrum, rep.witness) \
                     == (top, spectrum, witness)
+
+
+# one spec of every family, valid at each q of the scaling scan below
+_SCALING_SPECS = [
+    "genlinh{L=x;h=inv}", "genlingold{L=x;k=1;alpha=w^1}",
+    "sumprod{i=0;j=1;alpha=1}", "sumprod{i=1;j=1;alpha=1}",
+    "goldpair{k=1;gamma=w^5;L=x}", "prodlin{gammas=1:1;L=x}",
+    "splitgh{g=id;h1=inv;h2=gold:1;L1=x;L2=x;gamma1=w^1;gamma2=1}",
+    "traceinv{gamma=W^3}", "tracext{H=gold;k=1;gamma=W^1}",
+    "tracext{H=norm}", "normfirst{H=tr5}", "identity", "genericbiv",
+]
+
+
+def _brute_scale_perm(qctx, domain, lam):
+    """z -> lam*z as point indices: (lam*x, lam*y) coordinatewise on a pair
+    point, the F_{q^2} product by embed(lam) on F_{q^2}; not through phi."""
+    base = qctx.base
+    if domain == BIV:
+        x, y = np.divmod(np.arange(base.q ** 2), base.q)
+        return qctx.pt(base.mul_vec(np.int32(lam), x), base.mul_vec(np.int32(lam), y))
+    return qctx.ext.mul_row(int(qctx.embed[lam]))
+
+
+@pytest.mark.parametrize("p, m", [(2, 3), (3, 2), (2, 4), (5, 2), (3, 3)])
+@pytest.mark.parametrize("spec", _SCALING_SPECS)
+def test_scaling_and_weights_equal_brute_force(p, m, spec):
+    """The (order, off_order) that ``ddt`` finds equals a scan of every lam
+    of F_q^* and every mu and nu, checked at every point: order counts the
+    lam with F(lam*z) = (mu*G(z), nu*H(z)) for some mu and nu, off_order
+    those where mu = nu can be taken.  The row weights of a line c, an
+    off-line c and the identity c equal a walk of the orbits: row a weighs
+    the number of rows with the orbit minimum min_k lam^k*a equal to a."""
+    qctx = make_quadext(make_field(p, m))
+    base = qctx.base
+    q, n = base.q, base.q ** 2
+    if spec == "genericbiv":
+        g, h = np.random.default_rng([p, m]).integers(0, q, (2, n))
+        tabs = tables_for(func_spec(spec, gtable=g, htable=h), qctx)
+    else:
+        tabs = tables_for(parse_func_spec(spec), qctx)
+    perms, order, off_order = {}, 0, 0
+    for lam in range(1, q):
+        perms[lam] = perm = _brute_scale_perm(qctx, tabs.domain, lam)
+        mus, nus = ({mu for mu in range(1, q)
+                     if (base.mul_vec(np.int32(mu), v) == v[perm]).all()}
+                    for v in (tabs.g, tabs.h))
+        order += bool(mus and nus)
+        off_order += bool(mus & nus)
+    assert ddt._scaling(qctx, tabs) == (order, off_order)
+    for c in (CParam.biv(0, 0), CParam.biv(0, 1), CParam.biv(1, 0)):
+        r = order if c.c2 == 0 else off_order
+        lam = int(base.antilog_table[(q - 1) // r % (q - 1)])
+        low = step = np.arange(n)
+        for _ in range(r - 1):
+            step = perms[lam][step]
+            low = np.minimum(low, step)
+        want = np.bincount(low, minlength=n)
+        want[0] = not c.is_identity
+        assert (ddt._weights(qctx, tabs, c)[0] == want).all()
 
 
 def test_native_kernel_compiles_without_warnings(tmp_path):
@@ -747,7 +809,7 @@ def test_native_kernel_unbuildable_gives_none(tmp_path, monkeypatch):
 def test_kernel_rejects_values_outside_codomain(qx4):
     key = np.arange(16, dtype=np.int32)
     inputs = ddt._kernel_inputs(qx4.ext, key)
-    wt = ddt._orbit_weights(16, None, 1, 1, False)
+    wt = ddt._row_weights(qx4.ext, np.arange(16), 1, False)
     for bad in (16, -1):
         trans = key.copy()
         trans[3] = bad
@@ -920,7 +982,7 @@ def test_row_weights_built_from_many_threads(qx16, monkeypatch):
         == [(15, False), (15, True), (3, False), "inputs"]
     for c in cs:
         slot = (15 if c.c2 == 0 else 3, c.is_identity)
-        assert ddt._weights(tabs, c) is tabs.engine[slot]
+        assert ddt._weights(qx16, tabs, c) is tabs.engine[slot]
     kept = tabs.engine["inputs"][0]
     assert len(used) == len(cs) and all(u is kept for u in used)
 

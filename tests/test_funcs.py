@@ -180,6 +180,24 @@ def test_generic_table_outside_the_field_is_named(qx4):
             ddt.c_uniformity(spec, qx4, ddt.CParam.biv(0, 0))
 
 
+def test_generic_tables_as_arrays_or_tuples(qx4):
+    """genericbiv takes its tables as numpy arrays as well as tuples: the
+    spec keeps them as tuples of ints, so both hash to the same spec and
+    give the same report, and a value outside [0, q) is still named."""
+    g, h = np.random.default_rng(4).integers(0, 4, (2, 16))
+    arrays = func_spec("genericbiv", gtable=g, htable=h.astype(np.int32))
+    tuples = func_spec("genericbiv", gtable=tuple(g.tolist()),
+                       htable=tuple(h.tolist()))
+    assert arrays == tuples and hash(arrays) == hash(tuples)
+    assert dict(arrays.params)["gtable"] == tuple(g.tolist())
+    for c in ddt.c_all_biv(4)[:5]:
+        assert ddt.c_uniformity(arrays, qx4, c) == ddt.c_uniformity(tuples, qx4, c)
+    g[5] = 4
+    spec = func_spec("genericbiv", gtable=g, htable=h)
+    with pytest.raises(InvalidParams, match="^gtable has a value outside"):
+        ddt.c_uniformity(spec, qx4, ddt.CParam.biv(0, 0))
+
+
 # -- evaluation ---------------------------------------------------------------
 
 def value_at(spec, qctx, pt):

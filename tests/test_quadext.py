@@ -120,6 +120,18 @@ def test_check_nonvanishing(qx16, qx27):
         assert bad == [(1, 0)]
 
 
+def test_norm_one_minus_c_is_the_norm_of_one_minus_phi_c(qx16, qx27):
+    """norm_one_minus_c(c1, c2), which the genlingold predictor reads, is
+    N(1 - phi(c)) = (1 - phi(c))^(q+1) over F_{q^2}, at every c."""
+    for qx in (qx16, qx27):
+        q, ext = qx.base.q, qx.ext
+        for c1 in range(q):
+            for c2 in range(q):
+                z = ext.sub(1, int(qx.phi_table[qx.pt(c1, c2)]))
+                norm = int(qx.unembed[ext.pow(z, q + 1)])
+                assert qx.norm_one_minus_c(c1, c2) == norm
+
+
 def test_check_nonvanishing_every_valid_t(f8):
     for t in range(1, 8):
         if not t_condition_holds(f8, t):
