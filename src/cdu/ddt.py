@@ -85,17 +85,21 @@ logic of its own:
 * Per table.  ``funcs`` builds values only.  What the kernel reads of a
   table whatever the c is derived here, read-only (``_kernel_inputs``):
   the checked int32 key, its wide codes at odd p, and their addresses.  A
-  pair table keeps them in its ``engine`` dict, with the F_{q^2} logs of
-  phi(key), the orders of its scaling subgroups and the row weights of
-  each subgroup a c has used, built on first use from any worker thread.
-  A c then costs its -c*F(x) term (one add and two gathers), that term's
-  check, and one kernel call.  A value array of a field to itself has them
-  built on every ``uni_report``.
+  pair table keeps one record of it in its ``engine`` dict, with the
+  F_{q^2} logs of phi(key), the orders of its scaling subgroups and the
+  row weights of a line, the identity and an off-line c, built whole on
+  its first report from any worker thread (``_table_inputs``).  A c then
+  costs its -c*F(x) term (one add and two gathers), that term's check,
+  and one kernel call.  A value array of a field to itself has its inputs
+  and weights built on every ``uni_report``.
 * Threads.  A sweep with threads > 1 maps its c values over a pool of
-  min(threads, number of c, CPUs) workers, started on first use and kept
-  for the whole process (``_pool``); a larger pool would only add idle OS
-  threads.  Workers run per-c reports only, never ``sweep``, so no sweep
-  can wait on itself.
+  min(threads, number of c, CPUs) workers (``_pool``); a larger pool would
+  only add idle OS threads.  Workers run per-c reports only, never
+  ``sweep``, so no sweep can wait on itself.
+* Lifetimes.  Per process: fields, contexts, the CLI parser and the sweep
+  pools (``functools.cache``), and the native library (``_native``, under
+  a lock, so that workers build it once).  Per context: its 16 most
+  recent value tables (``QuadExtCtx.cached``).  Per table: its record.
 
 Both kernels check row mass conservation (each row sums to the domain size)
 on every report.  Each key is checked to lie in the codomain once, when its
@@ -114,6 +118,7 @@ import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 from pathlib import Path
 from typing import NamedTuple
@@ -253,7 +258,9 @@ def _scaling(qctx, tab):
         elems, rows = qctx.phi_table, qctx.phi_inv_table
     for d in (d for d in range(1, qm1) if qm1 % d == 0):
         lam = np.int32(qctx.embed[base.antilog_table[d]])
-        for part in (slice(0, 64), slice(None)):  # fail fast, then every point
+        # fail fast on about 64 points spread over the domain (from q = 64
+        # a pair table's first 64 lie on x = 0), then check every point
+        for part in (slice(0, None, ext.q // 64 + 1), slice(None)):
             perm = rows[ext.mul_vec(lam, elems[part])]  # lam*z
             mu, nu = (_ratio(base, v[part], v[perm]) for v in (tab.g, tab.h))
             if mu == 0 or nu == 0:
@@ -283,18 +290,11 @@ def _row_weights(field, rows, order, identity):
 
 
 def _weights(qctx, tab, c):
-    """Row weights of the pair table ``tab`` at c, with their address: by
-    the cosets of its scaling subgroup on the line c2 = 0, of the subgroup
-    of order ``off_order`` off it.  Built once per table and subgroup and
-    kept in ``tab.engine``, from any thread: two threads may build the same
-    weights, and one of them is kept."""
-    order, off_order = _table_inputs(qctx, tab)[2]
-    slot = (order if c.c2 == 0 else off_order, c.is_identity)
-    wt = tab.engine.get(slot)
-    if wt is None:
-        rows = qctx.phi_inv_table if tab.domain == BIV else np.arange(len(tab.key))
-        wt = tab.engine.setdefault(slot, _row_weights(qctx.ext, rows, *slot))
-    return wt
+    """Row weights of the pair table ``tab`` at c, with their address, from
+    its record (``_table_inputs``): by the cosets of its scaling subgroup on
+    the line c2 = 0, of the subgroup of order ``off_order`` off it."""
+    line, identity, off = _table_inputs(qctx, tab).weights
+    return identity if c.is_identity else line if c.c2 == 0 else off
 
 
 # ---------------------------------------------------------------------------
@@ -447,23 +447,36 @@ def _uni_trans(field, table, c):
     return field.mul_row(field.neg(c.c1))[table]
 
 
+class _Record(NamedTuple):
+    """What the kernel reads of a pair table whatever the c."""
+
+    inputs: tuple  # _kernel_inputs of its key
+    log_phi: np.ndarray  # the F_{q^2} logs of phi(key)
+    scaling: tuple  # (order, off_order), see _scaling
+    weights: tuple  # on the line, at the identity c, off the line
+
+
 def _table_inputs(qctx, tab):
-    """(kernel inputs, F_{q^2} logs of phi(key), (order, off_order)) of the
-    pair table ``tab``: built on its first report and kept in
-    ``tab.engine``, from any thread, as ``_weights`` keeps weights."""
-    got = tab.engine.get("inputs")
-    if got is None:
-        log_phi = _read_only(qctx.ext.log_table[qctx.phi_table[tab.key]])
-        got = tab.engine.setdefault("inputs", (
-            _kernel_inputs(qctx.ext, tab.key), log_phi, _scaling(qctx, tab)))
-    return got
+    """The record of the pair table ``tab``: built whole on its first report
+    and kept as ``tab.engine["record"]``, from any thread: two threads may
+    build it, and one record is kept."""
+    rec = tab.engine.get("record")
+    if rec is None:
+        order, off_order = scaling = _scaling(qctx, tab)
+        rows = qctx.phi_inv_table if tab.domain == BIV else np.arange(len(tab.key))
+        rec = tab.engine.setdefault("record", _Record(
+            _kernel_inputs(qctx.ext, tab.key),
+            _read_only(qctx.ext.log_table[qctx.phi_table[tab.key]]), scaling,
+            tuple(_row_weights(qctx.ext, rows, r, identity) for r, identity
+                  in ((order, False), (order, True), (off_order, False)))))
+    return rec
 
 
 def pair_report(qctx, tabs: PairTables, c: CParam) -> CDdtReport:
     """Report of a function with pair output (see ``_table_inputs``)."""
-    inputs, log_phi, _ = _table_inputs(qctx, tabs)
-    return _kernel_report(qctx.ext, inputs, _weights(qctx, tabs, c),
-                          _pair_trans(qctx, log_phi, c), c)
+    rec = _table_inputs(qctx, tabs)
+    return _kernel_report(qctx.ext, rec.inputs, _weights(qctx, tabs, c),
+                          _pair_trans(qctx, rec.log_phi, c), c)
 
 
 def uni_report(field, values, c: CParam) -> CDdtReport:
@@ -497,21 +510,12 @@ def sweep(spec: FuncSpec, qctx: QuadExtCtx, c_list, threads=1):
     return list(_pool(workers).map(one, c_list))
 
 
-_pools = {}  # thread count -> its ThreadPoolExecutor, for the whole process
-_pools_lock = threading.Lock()
-
-
+@cache
 def _pool(threads):
-    """The process's pool of ``threads`` workers, started on first use.
-
-    Workers run per-c reports only and never call ``sweep``, so no sweep
-    waits on a pool whose workers wait on it.
-    """
-    with _pools_lock:
-        if threads not in _pools:
-            _pools[threads] = ThreadPoolExecutor(
-                threads, thread_name_prefix=f"cdu-sweep{threads}")
-        return _pools[threads]
+    """The process's pool of ``threads`` workers (see "Threads" above).
+    Two sweeps that reach it first at once may each start a pool; one is
+    kept, and the other is freed when its sweep ends."""
+    return ThreadPoolExecutor(threads, thread_name_prefix=f"cdu-sweep{threads}")
 
 
 # ---------------------------------------------------------------------------

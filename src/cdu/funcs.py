@@ -282,8 +282,9 @@ class PairTables:
     encoding of reported b values, as a read-only int32 array; both domains
     have q^2 points.  ``args`` holds the spec's parameters as
     ``parse_params`` parsed them, which the predictors read.  ``engine`` is
-    for ``ddt`` alone, which keeps there what it derives of the tables for
-    its kernel, the function's row symmetry among it.
+    for ``ddt`` alone, which keeps there one record, as long as the tables
+    live, of what it derives of them for its kernel, the function's row
+    symmetry among it.
     """
 
     domain: str

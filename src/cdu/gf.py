@@ -16,7 +16,7 @@ as a block of known powers times the matrix of the next power.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -515,14 +515,10 @@ def parse_modulus(s):
         raise CduError(f"--modulus expects integer coefficients, got {s!r}") from None
 
 
-_field_cache = {}
+_field = cache(FieldCtx)
 
 
 def make_field(p, m, modulus=None):
-    """Build (or fetch a cached) FieldCtx; the default modulus is deterministic."""
-    key = (p, m, tuple(modulus) if modulus is not None else None)
-    ctx = _field_cache.get(key)
-    if ctx is None:
-        ctx = FieldCtx(p, m, modulus)
-        _field_cache[key] = ctx
-    return ctx
+    """The FieldCtx of (p, m, modulus), built once per process; a modulus
+    is keyed as a tuple, and the default one is deterministic."""
+    return _field(p, m, None if modulus is None else tuple(modulus))

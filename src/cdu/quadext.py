@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from functools import cache
 from math import gcd
 
 import numpy as np
@@ -210,15 +211,10 @@ class QuadExtCtx:
                 f"beta={self.ext.elem_str(self.beta, 'W')})")
 
 
-_qext_cache = {}
+_quadext = cache(QuadExtCtx)
 
 
 def make_quadext(base, t=None, conjugate_beta=False):
-    """Build (or fetch a cached) QuadExtCtx over the given base field."""
-    t = select_t(base, t)
-    key = (base, t, bool(conjugate_beta))
-    ctx = _qext_cache.get(key)
-    if ctx is None:
-        ctx = QuadExtCtx(base, t, conjugate_beta)
-        _qext_cache[key] = ctx
-    return ctx
+    """The QuadExtCtx over the given base field, built once per process and
+    keyed by the t it selects and by bool(conjugate_beta)."""
+    return _quadext(base, select_t(base, t), bool(conjugate_beta))

@@ -18,6 +18,7 @@ from cdu import (equivalence_check, func_spec, make_field, make_quadext,
 from cdu import ddt
 from cdu.ddt import CParam
 from cdu.funcs import BIV, EXT, PairTables, tables_for
+from cdu.quadext import select_t
 
 
 def _pair_terms(qctx, tabs, c):
@@ -361,9 +362,10 @@ def test_table_kernel_inputs_fresh_and_read_only(p, m, spec):
         assert tabs.key.dtype == np.int32 and (tabs.key == key).all()
         assert tabs.engine == {}
         ddt.pair_report(qctx, tabs, CParam.biv(0, 0))
-        (got, arrays, args), log_phi, _ = tabs.engine["inputs"]
+        [rec] = tabs.engine.values()
+        (got, arrays, args), log_phi = rec.inputs, rec.log_phi
         assert (log_phi == ext.log_table[qctx.phi_table[key]]).all()
-        inputs = [tabs.key, got, log_phi]
+        inputs = [tabs.key, got, log_phi, *(wt for wt, _ in rec.weights)]
         for c1, c2 in [(0, 0), (1, 1), (2, 1), (0, p - 1)]:
             neg_c = ext.neg(int(qctx.phi_table[qctx.pt(c1, c2)]))
             assert (ddt._pair_trans(qctx, log_phi, CParam.biv(c1, c2))
@@ -737,6 +739,21 @@ def test_scaling_and_weights_equal_brute_force(p, m, spec):
         assert (ddt._weights(qctx, tabs, c)[0] == want).all()
 
 
+def test_scaling_fails_fast_off_the_line(monkeypatch):
+    """``_scaling`` tries each divisor of q - 1 on a sample of points spread
+    over the domain before it checks them all.  genlinh with h = inv,
+    (x, 1/y + x), scales on the line x = 0 alone, so a sample taken there
+    would pass and every point would be checked at each divisor d < 63 of
+    63; the spread sample rules each one out."""
+    qctx = make_quadext(make_field(2, 6))
+    tabs = tables_for(parse_func_spec("genlinh{L=x;h=inv}"), qctx)
+    sizes, ratio = [], ddt._ratio
+    monkeypatch.setattr(ddt, "_ratio", lambda base, v, w:
+                        sizes.append(len(v)) or ratio(base, v, w))
+    assert ddt._scaling(qctx, tabs) == (1, 1)
+    assert sizes and sizes.count(qctx.ext.q) == 0
+
+
 def test_native_kernel_compiles_without_warnings(tmp_path):
     """Any compiler warning in the C kernel fails, not just prints."""
     if shutil.which("cc") is None:
@@ -957,10 +974,9 @@ def test_sweep_thread_determinism(qx16):
 def test_row_weights_built_from_many_threads(qx16, monkeypatch):
     """Eight threads (more than the cores) report on one fresh table at
     once, with the interpreter switching threads every microsecond, so the
-    kernel inputs and the row weights of each subgroup are built while
-    others read them.  Every report equals the serial one, each subgroup
-    keeps one set of weights, and the table keeps one set of kernel inputs,
-    the one every report ran on."""
+    table's record is built while others read it.  Every report equals the
+    serial one, the table keeps one record, every report ran on it, and it
+    holds the weights of a line, the identity and an off-line c."""
     spec = parse_func_spec("normfirst{H=tr5}")  # order 15 on the line, 3 off
     g, h = tables_for(spec, qx16).g, tables_for(spec, qx16).h
     cs = [CParam.biv(c1, c2) for c1 in range(16) for c2 in (0, 5)] * 2
@@ -978,13 +994,15 @@ def test_row_weights_built_from_many_threads(qx16, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert reports == serial
-    assert sorted(tabs.engine, key=str) \
-        == [(15, False), (15, True), (3, False), "inputs"]
+    [rec] = tabs.engine.values()
+    assert rec.scaling == (15, 3)
+    slots = [(15, False), (15, True), (3, False)]  # line, identity, off-line
+    for (wt, _), slot in zip(rec.weights, slots, strict=True):
+        assert (wt == ddt._row_weights(qx16.ext, np.arange(256), *slot)[0]).all()
     for c in cs:
-        slot = (15 if c.c2 == 0 else 3, c.is_identity)
-        assert ddt._weights(qx16, tabs, c) is tabs.engine[slot]
-    kept = tabs.engine["inputs"][0]
-    assert len(used) == len(cs) and all(u is kept for u in used)
+        assert ddt._weights(qx16, tabs, c) \
+            is rec.weights[slots.index((15 if c.c2 == 0 else 3, c.is_identity))]
+    assert len(used) == len(cs) and all(u is rec.inputs for u in used)
 
 
 def test_sweep_workers_capped_by_c_count_and_cpus(qx4, monkeypatch,
@@ -1002,6 +1020,19 @@ def test_sweep_workers_capped_by_c_count_and_cpus(qx4, monkeypatch,
     monkeypatch.setattr(ddt.os, "cpu_count", lambda: None)  # unknown: 1
     assert ddt.sweep(spec, qx4, cs, threads=5000) == want
     assert serial_pool == [3, 2, 2]
+
+
+def test_constructor_caches_keep_their_keys():
+    """Fields, contexts and sweep pools are built once per process, under a
+    key that does not depend on how the arguments were spelled: a modulus as
+    a list or a tuple, the default t or the same t given, conjugate_beta as
+    1 or True."""
+    assert make_field(2, 4, [1, 1, 0, 0, 1]) is make_field(2, 4, (1, 1, 0, 0, 1))
+    b = make_field(3, 2)
+    assert make_quadext(b) is make_quadext(b, select_t(b))
+    assert make_quadext(b, conjugate_beta=1) is make_quadext(b, conjugate_beta=True)
+    assert make_quadext(b) is not make_quadext(b, conjugate_beta=True)
+    assert ddt._pool(2) is ddt._pool(2)
 
 
 def test_c_set_helpers():
