@@ -177,8 +177,8 @@ void NAME(add_block)(int n, int lo, int r, const int *wide, const int *r_hi,
  * index of the sum s (r_hi is scaled by lo).  kw = wide[key] and
  * tw = wide[trans].  Write x = xh * lo + xl.  In row a, block xh maps onto
  * one block of y = x + a, with yl = xl + a_lo; so rows go in groups of one
- * a_lo (lo <= sqrt(n) <= 256), each group first permutes tw into
- * twp[xh * lo + yl] = tw[x], and then every point reads kw and twp in order.
+ * a_lo, each group first scatters tw into twp[xh * lo + yl] = tw[x], and
+ * then every point reads kw and twp in order.
  * A group's hi = n / lo rows a_lo + j * lo run ROWS at a time, and the last
  * hi % ROWS of them as one smaller block. */
 int NAME(cdu_rows_add)(int n, int lo, const int *wide, const int *r_hi,
@@ -186,13 +186,12 @@ int NAME(cdu_rows_add)(int n, int lo, const int *wide, const int *r_hi,
                        const int *wt, BIN *bins, long long *spec,
                        long long *best)
 {
-    int xl_of[256], hi = n / lo;
+    int hi = n / lo;
     for (int al = 0; al < lo; al++) {
         if (!weighed(hi, al, lo, wt)) continue;
-        for (int xl = 0; xl < lo; xl++)
-            xl_of[r_lo[(wide[xl] + wide[al]) & 0xffff]] = xl;
-        for (int x = 0; x < n; x++)
-            twp[x] = tw[x - x % lo + xl_of[x % lo]];
+        for (int xh = 0; xh < n; xh += lo)
+            for (int xl = 0; xl < lo; xl++)
+                twp[xh + r_lo[(wide[xl] + wide[al]) & 0xffff]] = tw[xh + xl];
         for (int j = 0; j < hi; j += ROWS) {
             int r = hi - j < ROWS ? hi - j : ROWS, a0 = al + j * lo, wa[ROWS];
             if (!weighed(r, a0, lo, wt)) continue;

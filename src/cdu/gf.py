@@ -448,25 +448,6 @@ class FieldCtx:
             return SQ
         return SQ if int(self.log_table[x]) % 2 == 0 else NSQ
 
-    def min_poly(self, x):
-        """Minimal polynomial of x over F_p, constant term first."""
-        orbit = [x]
-        cur = self.pow(x, self.p)
-        while cur != x:
-            orbit.append(cur)
-            cur = self.pow(cur, self.p)
-        poly = [1]  # product of (X - conjugate), coefficients as field indices
-        for r in orbit:
-            nr = self.neg(r)
-            nxt = [0] * (len(poly) + 1)
-            for i, c in enumerate(poly):
-                nxt[i + 1] = self.add(nxt[i + 1], c)
-                nxt[i] = self.add(nxt[i], self.mul(c, nr))
-            poly = nxt
-        for c in poly:
-            assert c < self.p, "minimal polynomial has non-prime-subfield coefficient"
-        return tuple(poly)
-
     # -- formatting -----------------------------------------------------------
 
     def elem_str(self, x, letter="w"):

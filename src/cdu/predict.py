@@ -15,6 +15,7 @@ from math import gcd
 
 import numpy as np
 
+from .gf import SQ
 from .quadext import QuadExtCtx
 from .funcs import FuncSpec, tables_for
 from .oracles import IdentityC, inverse_c_uniformity_predict
@@ -156,10 +157,10 @@ def _predict_traceinv(tabs, qctx, c1, c2):
     base = qctx.base
     if c1 == 0 and c2 == 0:
         if base.q <= 3:
-            # brute force: z -> (Tr z, Tr(gamma/z)) is a bijection of F_{q^2}
-            # onto F_q^2 for every gamma at q = 2 and for W^2, W^6 at q = 3
-            return _not_covered(reason="at q <= 3, F can be a bijection, so "
-                                       "c = 0 can be PcN, not APcN", branch="c=0")
+            # brute force over every gamma (q <= 3 has one t and one embedding):
+            # F is a bijection exactly when gamma is a square in F_{q^2}
+            square = qctx.ext.is_square(tabs.args["gamma"]) == SQ
+            return _exact(1 if square else 2, branch="c=0", gamma_square=square)
         return _exact(2, branch="c=0")
     lhs = base.mul(base.sub(1, c1), base.sub(c1, c2))
     rhs = base.mul(qctx.t, base.mul(c2, c2))

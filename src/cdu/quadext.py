@@ -8,6 +8,11 @@ extension elements, and pair multiplication
     (x1, y1) * (x2, y2) = (x1*x2 - t*y1*y2, x1*y2 + x2*y1 - y1*y2)
 
 agrees with the F_{q^2} product transported through phi.
+
+Both tables come from their definitions: ``embed`` is the first power map
+of F_q^* into F_{q^2}^* that is also additive, ``phi_inv_table`` is the
+inverse permutation of ``phi_table``, and ``_verify`` checks beta, that
+phi is a bijection and that the embedding keeps both field operations.
 """
 
 from __future__ import annotations
@@ -96,28 +101,25 @@ class QuadExtCtx:
         return value
 
     def _build_embedding(self):
+        """embed: the power map w^i -> W^(i*j*(Q-1)/(q-1)) of the first j
+        prime to q - 1 that sends 1 + x to 1 + embed(x) at every x; being
+        multiplicative, it is then a field homomorphism."""
         base, ext = self.base, self.ext
         q, Q = base.q, ext.q
-        step = (Q - 1) // (q - 1)
-        target = base.min_poly(base.primitive)
-        img = None
+        i = np.arange(q - 1, dtype=np.int64) * ((Q - 1) // (q - 1))
+        x = np.arange(q, dtype=np.int32)
+        embed = np.zeros(q, dtype=np.int32)
         for j in range(1, q):
             if gcd(j, q - 1) != 1:
                 continue
-            cand = int(ext.antilog_table[(j * step) % (Q - 1)])
-            if ext.min_poly(cand) == target:
-                img = cand
+            embed[base.antilog_table] = ext.antilog_table[i * j % (Q - 1)]
+            if (embed[base.add_vec(1, x)] == ext.add_vec(1, embed)).all():
                 break
-        if img is None:
-            raise NoRootFound("no embedding of the base primitive found")
-        embed = np.zeros(q, dtype=np.int32)
-        cur = 1
-        for i in range(q - 1):
-            embed[int(base.antilog_table[i])] = cur
-            cur = ext.mul(cur, img)
+        else:
+            raise NoRootFound("no embedding of the base field found")
         self.embed = embed
         unembed = np.full(Q, -1, dtype=np.int32)
-        unembed[embed] = np.arange(q, dtype=np.int32)
+        unembed[embed] = x
         self.unembed = unembed
 
     def _find_beta(self, conjugate_beta):
@@ -135,26 +137,15 @@ class QuadExtCtx:
         self.conjugate_beta = bool(conjugate_beta)
 
     def _build_phi_tables(self):
+        """phi_table[x*q + y] = embed(x) + beta*embed(y), and phi_inv_table
+        its inverse permutation (``_verify`` checks that it is one)."""
         base, ext = self.base, self.ext
         q = base.q
         mb = ext.mul_vec(np.int32(self.beta), self.embed)
         phi = ext.add_vec(self.embed[:, None], mb[None, :])  # [x, y]
         self.phi_table = phi.reshape(q * q).astype(np.int32)
-
-        # independent inverse via Galois conjugation, Eq.-style formulas
-        z = np.arange(ext.q, dtype=np.int32)
-        zbar = ext.frobenius_vec(z, base.m)
-        dinv = ext.inv(ext.sub(self.beta_bar, self.beta))
-        xs = ext.mul_vec(
-            ext.sub_vec(ext.mul_vec(np.int32(self.beta_bar), z),
-                        ext.mul_vec(np.int32(self.beta), zbar)),
-            np.int32(dinv))
-        ys = ext.mul_vec(ext.sub_vec(z, zbar), np.int32(ext.neg(dinv)))
-        xb = self.unembed[xs]
-        yb = self.unembed[ys]
-        if (xb < 0).any() or (yb < 0).any():
-            raise NoRootFound("phi inverse left the embedded base field")
-        self.phi_inv_table = (xb.astype(np.int64) * q + yb).astype(np.int32)
+        self.phi_inv_table = np.full(ext.q, -1, dtype=np.int32)
+        self.phi_inv_table[self.phi_table] = np.arange(q * q, dtype=np.int32)
 
     def _verify(self):
         base, ext = self.base, self.ext

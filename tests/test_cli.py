@@ -436,6 +436,10 @@ def _sweep(c, spec):
     return ["sweep", "-p", "2", "-m", "4", "--spec", spec, "--c", c]
 
 
+def _sweep8(spec):
+    return ["sweep", "-p", "2", "-m", "3", "--spec", spec, "--c", "0,0"]
+
+
 def _oracle(which, *args):
     return ["oracle", which, "-p", "2", "-m", "3", *args]
 
@@ -481,6 +485,23 @@ def _oracle(which, *args):
                  id="goldpair-negative-k"),
     pytest.param(_sweep("0,0", "tracext{H=gold;k=-1;gamma=W^1}"),
                  id="tracext-gold-negative-k"),
+    # parameter values that the family rejects once it reads them over F_8
+    pytest.param(_sweep8("goldpair{k=1;gamma=w^1;L=x^2+x}"),
+                 id="q8-goldpair{k=1;gamma=w^1;L=x^2+x}"),
+    pytest.param(_sweep8("prodlin{L=x^2+x}"),
+                 id="q8-prodlin{L=x^2+x}"),
+    pytest.param(_sweep8("prodlin{gammas=9:1;L=x}"),
+                 id="q8-prodlin{gammas=9:1;L=x}"),
+    pytest.param(_sweep8("sumprod{i=5;j=0;alpha=1}"),
+                 id="q8-sumprod{i=5;j=0;alpha=1}"),
+    pytest.param(_sweep8("tracext{H=cube}"),
+                 id="q8-tracext{H=cube}"),
+    pytest.param(_sweep8("normfirst{H=x5}"),
+                 id="q8-normfirst{H=x5}"),
+    pytest.param(_sweep8("genlinh{L=x+;h=inv}"),
+                 id="q8-genlinh{L=x+;h=inv}"),
+    pytest.param(_sweep8("genlinh{L=x;h=sqrt}"),
+                 id="q8-genlinh{L=x;h=sqrt}"),
     # 7 is no element of F_3 (7 mod 3 would be the identity c)
     pytest.param(["sweep", "-p", "3", "-m", "1", "--spec", "identity",
                   "--c", "7,0"], id="c-literal-not-below-p"),

@@ -258,6 +258,11 @@ def test_family_param_validation(qx16):
     with pytest.raises(InvalidParams):
         # Tr(gamma) = 0 for gamma in F_q
         tables_for(parse_func_spec("tracext{H=gold;k=1;gamma=W^0}"), qx16)
+    # an index and tables that only func_spec can give, as no spec string can
+    with pytest.raises(InvalidParams, match="^gamma=99 is not an element index"):
+        tables_for(func_spec("goldpair", k=1, gamma=99, L="x"), qx16)
+    with pytest.raises(InvalidParams, match="must have q\\^2 entries"):
+        tables_for(func_spec("genericbiv", gtable=(0,) * 5, htable=(0,) * 5), qx16)
 
 
 @pytest.mark.parametrize("spec, name", [

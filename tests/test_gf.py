@@ -359,9 +359,3 @@ def test_elem_formatting_and_parsing(f16):
     assert f3.parse_elem("2") == 2
     with pytest.raises(CduError, match="not in 0..2"):
         f3.parse_elem("7")
-
-
-def test_min_poly(f16):
-    # the primitive of F_16 with modulus x^4+x+1 is x itself
-    assert f16.min_poly(f16.primitive) == f16.modulus
-    assert f16.min_poly(1) == (1, 1)

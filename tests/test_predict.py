@@ -167,21 +167,21 @@ def test_traceinv_prediction_kinds(qx16):
     assert p_open.kind == UPPER and p_open.value in (4, 6)
 
 
-@pytest.mark.parametrize("p, gamma", [(2, "W^1"), (2, "W^2"), (3, "W^2"),
-                                      (3, "W^6")])
-def test_traceinv_c0_not_covered_at_q2_and_q3(p, gamma):
-    """z -> (Tr z, Tr(gamma/z)) is a bijection of F_{q^2} onto F_q^2 for
-    every gamma at q = 2 (for gamma = W it sends 0, 1, W, W^2 to (0,0),
-    (0,1), (1,0), (1,1)) and for two of the six at q = 3, so c = 0 is PcN
-    there, not the APcN of the c = 0 branch.  The other c keep their
-    bounds."""
+@pytest.mark.parametrize("p, gamma, observed", [
+    (2, "W^1", 1), (2, "W^2", 1), (3, "W^1", 2), (3, "W^2", 1), (3, "W^3", 2),
+    (3, "W^5", 2), (3, "W^6", 1), (3, "W^7", 2)])
+def test_traceinv_c0_at_q2_and_q3(p, gamma, observed):
+    """At q <= 3, z -> (Tr z, Tr(gamma/z)) is a bijection of F_{q^2} onto
+    F_q^2 exactly when gamma is a square in F_{q^2}: every gamma at q = 2
+    (for gamma = W it sends 0, 1, W, W^2 to (0,0), (0,1), (1,0), (1,1)),
+    and W^2, W^6 at q = 3.  So c = 0 is PcN there and APcN otherwise; these
+    are all the gamma outside F_q.  The other c keep their bounds."""
     qx = make_quadext(make_field(p, 1))
     res = verify(parse_func_spec(f"traceinv{{gamma={gamma}}}"), qx,
                  ddt.c_all_biv(p))
     assert res.ok
-    assert (res.rows[0].c, res.rows[0].observed) == ((0, 0), 1)
-    assert res.rows[0].verdict == "NOT-COVERED"
-    assert "bijection" in res.rows[0].prediction.trace["reason"]
+    assert (res.rows[0].c, res.rows[0].observed) == ((0, 0), observed)
+    assert res.rows[0].verdict == "MATCH"
     assert all(r.verdict == "BOUND-OK" for r in res.rows[1:])
 
 
@@ -321,6 +321,22 @@ def test_verify_skips_identity_c_by_construction(qx16):
     # the default c sets never contain (1,0)
     cs = ddt.c_all_biv(16)
     assert all(not c.is_identity for c in cs)
+
+
+@pytest.mark.parametrize("fixture, spec, c, trace", [
+    ("qx8", "genlingold{L=x^2+x;k=1;alpha=0}", ("w^1", "0"),
+     {"reason": "L is not a permutation"}),
+    ("qx8", "splitgh{g=inv;h1=inv;h2=gold:1;L1=x;L2=x^2;gamma1=w^1;gamma2=1}",
+     ("w^1", "0"), {"reason": "g is not PcN at c1 (delta=3)"}),
+    ("qx16", "tracext{H=gold;k=2;gamma=W^1}", ("w^1", "w^2"),
+     {"reason": "needs gcd(k,m)=1 or c2=0", "d": 2}),
+])
+def test_not_covered_reason(fixture, spec, c, trace, request):
+    """A NOT-COVERED prediction names the condition that failed."""
+    qx = request.getfixturevalue(fixture)
+    c1, c2 = (qx.base.parse_elem(s) for s in c)
+    pred = predict.predict(parse_func_spec(spec), qx, c1, c2)
+    assert (pred.kind, pred.trace) == (NOT_COVERED, trace)
 
 
 @pytest.mark.parametrize("fixture, L1, L2", [

@@ -1,11 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from cdu import make_quadext, select_t
+from cdu import make_field, make_quadext, select_t
 from cdu.funcs import parse_func_spec, tables_for
 from cdu.quadext import (_CACHE_ENTRIES, InvalidT, QuadExtCtx,
                          t_condition_holds)
-from cdu.gf import NSQ
+from cdu.gf import NSQ, _is_prime
 
 
 def test_select_t_f2(f2):
@@ -154,6 +156,23 @@ def test_embedding_is_deterministic(f16):
     b = QuadExtCtx(f16, f16.parse_elem("w^3"))
     assert (a.embed == b.embed).all()
     assert a.beta == b.beta
+
+
+def test_identification_digest_over_every_default_context():
+    """t, beta, embed, phi_table and phi_inv_table of the default context of
+    every field with q^2 <= 2^16 (70 fields, F_2 to F_256), hashed as
+    little-endian int64: the identification F_q^2 = F_{q^2} stays the same
+    however the context builds it."""
+    fields = [(p, m) for p in range(2, 257) if _is_prime(p)
+              for m in range(1, 9) if p ** m <= 256]
+    assert len(fields) == 70
+    digest = hashlib.sha256()
+    for p, m in fields:
+        qx = make_quadext(make_field(p, m))
+        for a in ([qx.t, qx.beta], qx.embed, qx.phi_table, qx.phi_inv_table):
+            digest.update(np.asarray(a, dtype="<i8").tobytes())
+    assert digest.hexdigest() == (
+        "fb94a204644df0ac087c79d1dd033a1ad466916e7b8a5158880f3ebe00d568a1")
 
 
 def test_tables_cached_per_context_and_bounded(f4):
