@@ -95,9 +95,13 @@ def _parse_cset(args, base):
         return ddt.c_line_biv(q)
     if sel.startswith("sample:"):
         n = sel.split(":", 1)[1]
-        if not n.isdigit():
+        try:  # int() rejects '²', a digit, and more than 4300 digits
+            n = int(n) if n.isdigit() else -1
+        except ValueError:
+            n = -1
+        if n < 0:
             raise CduError(f"--c sample:N needs a count N, got {sel!r}")
-        return ddt.c_sample_biv(q, int(n), args.seed)
+        return ddt.c_sample_biv(q, n, args.seed)
     out = []
     for pair in sel.split(";"):
         if not pair:

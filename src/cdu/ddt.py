@@ -97,9 +97,10 @@ logic of its own:
   only add idle OS threads.  Workers run per-c reports only, never
   ``sweep``, so no sweep can wait on itself.
 * Lifetimes.  Per process: fields, contexts, the CLI parser and the sweep
-  pools (``functools.cache``), and the native library (``_native``, under
-  a lock, so that workers build it once).  Per context: its 16 most
-  recent value tables (``QuadExtCtx.cached``).  Per table: its record.
+  pools (``functools.cache``), the value tables of the 16 most recently
+  used (spec, context) pairs (``funcs.tables_for``, an ``lru_cache``), and
+  the native library (``_native``, under a lock, so that workers build it
+  once).  Per table: its record.
 
 Both kernels check row mass conservation (each row sums to the domain size)
 on every report.  Each key is checked to lie in the codomain once, when its

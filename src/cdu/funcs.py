@@ -30,10 +30,8 @@ Spec strings (the CLI mini-language), one per family in ``FAMILIES``:
 
 A key the family does not declare is an error, and so is a missing one,
 except prodlin's gammas (default: none) and tracext's k and gamma, which
-only H=gold reads.  Elements are "0", a decimal prime-subfield literal
-0..p-1, or a power of a primitive element: "w^k" in F_q and "W^k" in
-F_{q^2}.  The letter names the field, so a spec that writes W^k where an
-element of F_q goes (or w^k for one of F_{q^2}) is rejected.  genericbiv
+only H=gold reads.  Elements are read by ``FieldCtx.parse_elem``: "w^k" in
+F_q and "W^k" in F_{q^2}, the other letter being an error.  genericbiv
 takes value tables of F_q indices, which only ``func_spec`` can pass.
 
 A linearized polynomial is a sum of terms "x", "x^E" or "<el>*x^E", every
@@ -48,11 +46,12 @@ x^(p^k+1) is x^(p^(k mod m)) * x (``FieldCtx.gold_vec``).
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .gf import CduError, FieldCtx
+from .gf import CduError, FieldCtx, SpecParseError
 from .quadext import QuadExtCtx
 
 BIV = "biv"
@@ -67,26 +66,12 @@ class InvalidParams(CduError):
     pass
 
 
-class SpecParseError(CduError):
-    pass
-
-
 def _int(s, what):
     """int(s), or a SpecParseError naming the value that is not an integer."""
     try:
         return int(s)
     except ValueError:
         raise SpecParseError(f"{what} must be an integer, got {s!r}") from None
-
-
-def _elem(ctx: FieldCtx, s, letter):
-    """``ctx.parse_elem(s, letter)``, where a spec writes w^k for F_q and W^k
-    for F_{q^2}: the other letter is rejected, not read in the wrong field."""
-    s = str(s).strip()
-    if s.startswith(letter.swapcase() + "^"):
-        raise SpecParseError(
-            f"{s!r}: an element of F_{ctx.q} is written {letter}^k here")
-    return ctx.parse_elem(s, letter)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +100,7 @@ def parse_linpoly(s, ctx: FieldCtx) -> LinPoly:
         coeff = 1
         if "*" in raw:
             cs, raw = raw.split("*", 1)
-            coeff = _elem(ctx, cs, "w")
+            coeff = ctx.parse_elem(cs)
         raw = raw.strip()
         if raw == "x":
             e = 1
@@ -327,9 +312,9 @@ def parse_params(spec: FuncSpec, qctx: QuadExtCtx) -> dict:
             if not 0 <= v < base.q:
                 raise InvalidParams(f"{name}={v} is not an element index of F_{base.q}")
         elif kind == "base":
-            v = _elem(base, v, "w")
+            v = base.parse_elem(str(v))
         elif kind == "ext":
-            v = _elem(qctx.ext, v, "W")
+            v = qctx.ext.parse_elem(str(v), "W")
         elif kind == "linpoly":
             v = parse_linpoly(str(v), base)
         elif kind == "inner":
@@ -340,7 +325,7 @@ def parse_params(spec: FuncSpec, qctx: QuadExtCtx) -> dict:
                 i, sep, c = term.partition(":")
                 if not sep:
                     raise SpecParseError(f"prodlin gamma term {term!r} is not i:gamma")
-                v.append((_int(i, "prodlin exponent index"), _elem(base, c, "w")))
+                v.append((_int(i, "prodlin exponent index"), base.parse_elem(c)))
         elif kind == "table":
             v = np.asarray(v, dtype=np.int32)
             if ((v < 0) | (v >= base.q)).any():
@@ -472,9 +457,11 @@ def _values(fam, args, qctx: QuadExtCtx):
     raise InvalidParams(f"unhandled extension-domain family {fam!r}")
 
 
+@lru_cache(maxsize=16)
 def tables_for(spec: FuncSpec, qctx: QuadExtCtx):
-    """The spec's value tables over qctx, built once and cached by the context."""
-    return qctx.cached(spec, lambda: build_tables(spec, qctx))
+    """The spec's value tables over qctx, kept for the process's 16 most
+    recently used (spec, context) pairs."""
+    return build_tables(spec, qctx)
 
 
 # ---------------------------------------------------------------------------

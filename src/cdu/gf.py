@@ -32,6 +32,10 @@ class CduError(Exception):
     """Base class for all library errors."""
 
 
+class SpecParseError(CduError):
+    pass
+
+
 class CompositeCharacteristic(CduError):
     pass
 
@@ -456,22 +460,23 @@ class FieldCtx:
         return f"{letter}^{int(self.log_table[x])}"
 
     def parse_elem(self, s, letter="w"):
-        """Parse "0", "w^k" (any case) or a decimal prime-subfield literal."""
+        """Parse "<letter>^k" or a decimal prime-subfield literal 0..p-1.  The
+        letter names the field ("w" for F_q, "W" for F_{q^2}), so the other
+        case is rejected, not read in the wrong field."""
         s = s.strip()
-        if s == "0":
-            return 0
-        low = s.lower()
-        if low.startswith(letter.lower() + "^"):
-            try:
-                k = int(s[len(letter) + 1:])
-            except ValueError:
-                raise CduError(f"cannot parse field element {s!r}") from None
-            return int(self.antilog_table[k % (self.q - 1)])
-        if s.isdigit():
-            if int(s) >= self.p:
-                raise CduError(f"decimal literal {s} is not in 0..{self.p - 1}; "
-                               f"write other elements as {letter}^k")
-            return int(s)
+        if s.startswith(letter.swapcase() + "^"):
+            raise SpecParseError(
+                f"{s!r}: an element of F_{self.q} is written {letter}^k here")
+        try:  # int() rejects '²', a digit, and more than 4300 digits
+            if s.startswith(letter + "^"):
+                return int(self.antilog_table[int(s[2:]) % (self.q - 1)])
+            if s.isdigit() and int(s) < self.p:
+                return int(s)
+        except ValueError:
+            pass
+        if s.isascii() and s.isdigit():
+            raise CduError(f"decimal literal {s} is not in 0..{self.p - 1}; "
+                           f"write other elements as {letter}^k")
         raise CduError(f"cannot parse field element {s!r}")
 
     def modulus_str(self):

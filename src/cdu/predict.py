@@ -178,16 +178,13 @@ def _predict_splitgh(tabs, qctx, c1, c2):
     g_uni = ddt.uni_report(base, args["g"].table, ddt.CParam.uni(c1)).uniformity
     if g_uni != 1:
         return _not_covered(reason=f"g is not PcN at c1 (delta={g_uni})")
-    if "wide_kernel" not in args:  # c-free: one q x q scan per table
-        gammas = np.arange(base.q, dtype=np.int32)[:, None]
-        comb = base.add_vec(args["L2"].table, base.mul_vec(gammas, args["L1"].table))
-        sizes = np.count_nonzero(comb == 0, axis=1)
-        wide = np.flatnonzero(sizes > 2)  # the first such gamma is reported
-        args["wide_kernel"] = len(wide) and (
-            f"L2 + gamma*L1 has kernel {int(sizes[wide[0]])} "
-            f"at gamma={base.elem_str(int(wide[0]))}")
-    if args["wide_kernel"]:
-        return _not_covered(reason=args["wide_kernel"])
+    gammas = np.arange(base.q, dtype=np.int32)[:, None]  # one q x q scan
+    comb = base.add_vec(args["L2"].table, base.mul_vec(gammas, args["L1"].table))
+    sizes = np.count_nonzero(comb == 0, axis=1)
+    wide = np.flatnonzero(sizes > 2)  # the first such gamma is reported
+    if len(wide):
+        return _not_covered(reason=f"L2 + gamma*L1 has kernel {int(sizes[wide[0]])} "
+                                   f"at gamma={base.elem_str(int(wide[0]))}")
     return _upper(2, g_uniformity=1)
 
 
@@ -293,8 +290,8 @@ _FAMILY_PREDICTORS = {
 
 def predict(spec: FuncSpec, qctx: QuadExtCtx, c1, c2) -> Prediction:
     """Closed-form prediction for one c; NotCovered outside the theorems.
-    A predictor reads the spec's tables and its parameters, parsed once per
-    context with them (see ``tables_for``)."""
+    A predictor reads, and never writes, the spec's tables and its
+    parameters, parsed once with them (see ``tables_for``)."""
     if c1 == 1 and c2 == 0:
         raise IdentityC("predictions exclude the identity c")
     fn = _FAMILY_PREDICTORS.get(spec.family)

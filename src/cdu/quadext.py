@@ -17,8 +17,6 @@ phi is a bijection and that the embedding keeps both field operations.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from functools import cache
 from math import gcd
 
@@ -58,16 +56,12 @@ def select_t(base, override=None):
     raise InvalidT("no valid t exists (cannot happen for a genuine field)")
 
 
-_CACHE_ENTRIES = 16  # derived tables kept per context, least recently used out
-
-
 class QuadExtCtx:
     """The paired model: base F_q, ext F_{q^2}, t, beta, embedding and phi tables.
 
-    Immutable after construction, apart from a bounded cache of tables
-    derived from it (see ``cached``).  ``conjugate_beta=True`` selects the
-    other root of x^2 + x + t; all reported uniformities must be independent
-    of that choice (checked by a dedicated test).
+    Immutable after construction.  ``conjugate_beta=True`` selects the other
+    root of x^2 + x + t; all reported uniformities must be independent of
+    that choice (checked by a dedicated test).
     """
 
     def __init__(self, base: FieldCtx, t=None, conjugate_beta=False):
@@ -79,26 +73,6 @@ class QuadExtCtx:
         self._find_beta(conjugate_beta)
         self._build_phi_tables()
         self._verify()
-        self._cache = OrderedDict()
-        self._cache_lock = threading.Lock()
-
-    def cached(self, key, build):
-        """The value stored under ``key``, from ``build()`` on first use.
-
-        Safe to call from several threads; only the ``_CACHE_ENTRIES`` most
-        recently used values are kept.
-        """
-        with self._cache_lock:
-            if key in self._cache:
-                self._cache.move_to_end(key)
-                return self._cache[key]
-        value = build()
-        with self._cache_lock:
-            value = self._cache.setdefault(key, value)
-            self._cache.move_to_end(key)
-            while len(self._cache) > _CACHE_ENTRIES:
-                self._cache.popitem(last=False)
-        return value
 
     def _build_embedding(self):
         """embed: the power map w^i -> W^(i*j*(Q-1)/(q-1)) of the first j

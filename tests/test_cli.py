@@ -383,8 +383,9 @@ Q16_VERIFY_SPECS = [
 
 
 def test_specs_build_once_per_context(capsys, monkeypatch):
-    """A spec's tables and parsed parameters share one cache entry, so the
-    q16-verify round's specs stay cached: a second round builds nothing."""
+    """A spec's tables and parsed parameters share one entry of the
+    process's table cache, which holds more entries than the q16-verify
+    round has specs: a second round builds nothing."""
     builds = []
     build = funcs.build_tables
 
@@ -505,6 +506,19 @@ def _oracle(which, *args):
     # 7 is no element of F_3 (7 mod 3 would be the identity c)
     pytest.param(["sweep", "-p", "3", "-m", "1", "--spec", "identity",
                   "--c", "7,0"], id="c-literal-not-below-p"),
+    # the letter names the field everywhere an element is read, not only
+    # in a spec: W^3 is no element of F_16
+    pytest.param(_sweep("W^3,0", "identity"), id="c-in-the-wrong-letter"),
+    pytest.param(_sweep("0,0", "identity") + ["-t", "W^3"],
+                 id="t-in-the-wrong-letter"),
+    pytest.param(_oracle("invpred", "--c", "W^2"), id="oracle-c-in-the-wrong-letter"),
+    # str.isdigit() passes these, and int() rejects them
+    pytest.param(_sweep("\u00b2,0", "identity"), id="c-superscript-digit"),
+    pytest.param(_sweep("0,0", "goldpair{k=1;gamma=\u00b2;L=x}"),
+                 id="spec-superscript-digit"),
+    pytest.param(_sweep("sample:\u00b2", "identity"), id="sample-superscript-digit"),
+    pytest.param(_sweep("sample:" + "9" * 5000, "identity"),
+                 id="sample-count-of-5000-digits"),
 ])
 def test_malformed_input_exits_one(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -9,8 +9,8 @@ import pytest
 import cdu
 from cdu import make_field, NSQ, SQ, ZERO
 from cdu.gf import (CduError, CompositeCharacteristic, DivisionByZero, FieldCtx, FieldTooLarge,
-                    NonDivisorSubfield, ReducibleModulus, default_modulus,
-                    is_irreducible, parse_modulus)
+                    NonDivisorSubfield, ReducibleModulus, SpecParseError,
+                    default_modulus, is_irreducible, parse_modulus)
 
 
 def brute_irreducible_quartic(coeffs):
@@ -354,7 +354,8 @@ def test_elem_formatting_and_parsing(f16):
     for x in range(16):
         assert f16.parse_elem(f16.elem_str(x)) == x
     assert parse_modulus(f16.modulus_str()) == f16.modulus
-    assert f16.parse_elem("W^3") == f16.parse_elem("w^3")
+    with pytest.raises(SpecParseError, match="written w"):
+        f16.parse_elem("W^3")  # the letter names the field
     f3 = make_field(3, 1)
     assert f3.parse_elem("2") == 2
     with pytest.raises(CduError, match="not in 0..2"):

@@ -1,10 +1,13 @@
+import pickle
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cdu import make_field, make_quadext, parse_func_spec, parse_linpoly
 from cdu import ddt, predict
+from cdu.funcs import tables_for
 from cdu.oracles import IdentityC, inverse_c_uniformity_predict
 from cdu.predict import (EXACT, NOT_COVERED, UPPER, Prediction,
                          compute_AB, judge, verify)
@@ -365,3 +368,28 @@ def test_splitgh_reports_the_first_wide_kernel(fixture, L1, L2, request):
         else:
             assert (pred.kind, pred.trace) == (NOT_COVERED, {"reason": want})
     assert (want is None) == (L2 == "x^2")
+
+
+# the specs of the q = 16 goldens, every family that verify runs at q = 16
+GOLDEN_Q16_SPECS = sorted({
+    line.removeprefix("# spec: ")
+    for path in (Path(__file__).parent / "golden").glob("*-q16.csv")
+    for line in path.read_text().splitlines() if line.startswith("# spec: ")})
+
+
+@pytest.mark.parametrize("spec", GOLDEN_Q16_SPECS)
+def test_predicting_leaves_the_cached_tables_as_built(qx16, spec):
+    """Predictors read a table's parsed parameters and values and write
+    neither: after verify on the line and off it, the cache holds the same
+    tables, unchanged."""
+    spec = parse_func_spec(spec)
+    tabs = tables_for(spec, qx16)
+
+    def snapshot():
+        return pickle.dumps(tabs.args), tabs.g.tobytes(), tabs.h.tobytes()
+
+    before = snapshot()
+    off_line = [ddt.CParam.biv(c1, c2) for c1, c2 in ((0, 1), (2, 3), (1, 7))]
+    verify(spec, qx16, ddt.c_line_biv(16) + off_line)
+    assert snapshot() == before
+    assert tables_for(spec, qx16) is tabs

@@ -5,8 +5,7 @@ import pytest
 
 from cdu import make_field, make_quadext, select_t
 from cdu.funcs import parse_func_spec, tables_for
-from cdu.quadext import (_CACHE_ENTRIES, InvalidT, QuadExtCtx,
-                         t_condition_holds)
+from cdu.quadext import InvalidT, QuadExtCtx, t_condition_holds
 from cdu.gf import NSQ, _is_prime
 
 
@@ -175,13 +174,16 @@ def test_identification_digest_over_every_default_context():
         "fb94a204644df0ac087c79d1dd033a1ad466916e7b8a5158880f3ebe00d568a1")
 
 
-def test_tables_cached_per_context_and_bounded(f4):
+def test_tables_cached_per_process_and_bounded(f4):
+    """One cache for the process, keyed by spec and context, holds the
+    tables of its maxsize most recently used keys."""
     ctx, other = QuadExtCtx(f4), QuadExtCtx(f4)
     spec = parse_func_spec("identity")
     tabs = tables_for(spec, ctx)
     assert tables_for(spec, ctx) is tabs
     assert tables_for(spec, other) is not tabs
-    for e in range(_CACHE_ENTRIES):
+    maxsize = tables_for.cache_info().maxsize
+    for e in range(maxsize):
         tables_for(parse_func_spec(f"genlinh{{L=x;h=pow:{e}}}"), ctx)
-    assert len(ctx._cache) == _CACHE_ENTRIES
+    assert tables_for.cache_info().currsize == maxsize
     assert tables_for(spec, ctx) is not tabs  # evicted, then built again
