@@ -15,7 +15,7 @@ import io
 import json
 import sys
 
-from .gf import CduError, make_field, parse_modulus
+from .gf import CduError, make_field, parse_count, parse_modulus
 from .quadext import make_quadext, select_t, t_condition_holds
 from .funcs import parse_func_spec
 from . import ddt, predict
@@ -94,13 +94,7 @@ def _parse_cset(args, base):
     if sel == "cq0":
         return ddt.c_line_biv(q)
     if sel.startswith("sample:"):
-        n = sel.split(":", 1)[1]
-        try:  # int() rejects '²', a digit, and more than 4300 digits
-            n = int(n) if n.isdigit() else -1
-        except ValueError:
-            n = -1
-        if n < 0:
-            raise CduError(f"--c sample:N needs a count N, got {sel!r}")
+        n = parse_count(sel.split(":", 1)[1], "the N of --c sample:N")
         return ddt.c_sample_biv(q, n, args.seed)
     out = []
     for pair in sel.split(";"):

@@ -31,13 +31,15 @@ Spec strings (the CLI mini-language), one per family in ``FAMILIES``:
 A key the family does not declare is an error, and so is a missing one,
 except prodlin's gammas (default: none) and tracext's k and gamma, which
 only H=gold reads.  Elements are read by ``FieldCtx.parse_elem``: "w^k" in
-F_q and "W^k" in F_{q^2}, the other letter being an error.  genericbiv
+F_q and "W^k" in F_{q^2}, the other letter being an error, and every
+integer (an exponent, an index, a count) by ``gf.parse_count``, in the
+ASCII digits 0-9 with no sign, space or "_".  genericbiv
 takes value tables of F_q indices, which only ``func_spec`` can pass.
 
 A linearized polynomial is a sum of terms "x", "x^E" or "<el>*x^E", every
 exponent E a power of p; ``parse_linpoly`` reads it over F_q straight to its
 value table, kernel size and permutation flag.  An inner function, for h
-slots, is "inv", "id", "gold:<k>" (k >= 0), "pow:<e>" or "lin:<linpoly>";
+slots, is "inv", "id", "gold:<k>", "pow:<e>" or "lin:<linpoly>";
 ``parse_inner`` reads it over F_q straight to its tag, its value table and
 whether it permutes F_q.  A Gold exponent k of any size costs the same:
 x^(p^k+1) is x^(p^(k mod m)) * x (``FieldCtx.gold_vec``).
@@ -51,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf import CduError, FieldCtx, SpecParseError
+from .gf import CduError, FieldCtx, SpecParseError, parse_count
 from .quadext import QuadExtCtx
 
 BIV = "biv"
@@ -64,14 +66,6 @@ class DomainMismatch(CduError):
 
 class InvalidParams(CduError):
     pass
-
-
-def _int(s, what):
-    """int(s), or a SpecParseError naming the value that is not an integer."""
-    try:
-        return int(s)
-    except ValueError:
-        raise SpecParseError(f"{what} must be an integer, got {s!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +99,7 @@ def parse_linpoly(s, ctx: FieldCtx) -> LinPoly:
         if raw == "x":
             e = 1
         elif raw.startswith("x^"):
-            e = _int(raw[2:], f"exponent in {s!r}")
+            e = parse_count(raw[2:], f"exponent in {s!r}")
         else:
             raise SpecParseError(f"bad linearized term {raw!r} in {s!r}")
         i = 0
@@ -134,19 +128,15 @@ class Inner(NamedTuple):
 
 
 def parse_inner(s, ctx: FieldCtx) -> Inner:
-    """Parse "inv", "id", "gold:<k>" (k >= 0), "pow:<e>" or "lin:<linpoly>"
-    over ``ctx``."""
+    """Parse "inv", "id", "gold:<k>", "pow:<e>" or "lin:<linpoly>" over ``ctx``."""
     s = s.strip()
     tag, xs = s.split(":", 1)[0], np.arange(ctx.q, dtype=np.int32)
     if s in ("inv", "id"):
         values = ctx.inv_table if s == "inv" else xs
     elif s.startswith("gold:"):
-        k = _int(s[5:], "gold exponent")
-        if k < 0:
-            raise SpecParseError(f"gold exponent must be >= 0, got {k}")
-        values = ctx.gold_vec(xs, k)
+        values = ctx.gold_vec(xs, parse_count(s[5:], "gold exponent"))
     elif s.startswith("pow:"):
-        values = ctx.pow_vec(xs, _int(s[4:], "pow exponent"))
+        values = ctx.pow_vec(xs, parse_count(s[4:], "pow exponent"))
     elif s.startswith("lin:"):
         values = parse_linpoly(s[4:], ctx).table
     else:
@@ -165,13 +155,13 @@ FAMILIES = {
     "genlinh": (BIV, {"L": "linpoly", "h": "inner"}),
     "genlingold": (BIV, {"k": "int", "alpha": "base", "L": "linpoly"}),
     "sumprod": (BIV, {"i": "int", "j": "int", "alpha": "base"}),
-    "goldpair": (BIV, {"k": "gold_k", "gamma": "base", "L": "linpoly"}),
+    "goldpair": (BIV, {"k": "int", "gamma": "base", "L": "linpoly"}),
     "prodlin": (BIV, {"L": "linpoly", "gammas": "gammas?"}),
     "splitgh": (BIV, {"gamma1": "base", "gamma2": "base", "g": "inner",
                       "h1": "inner", "h2": "inner", "L1": "linpoly",
                       "L2": "linpoly"}),
     "traceinv": (EXT, {"gamma": "ext"}),
-    "tracext": (EXT, {"H": "variant", "k": "gold_k?", "gamma": "ext?"}),
+    "tracext": (EXT, {"H": "variant", "k": "int?", "gamma": "ext?"}),
     "normfirst": (EXT, {"H": "variant"}),
     "identity": (BIV, {}),
     "genericbiv": (BIV, {"gtable": "table", "htable": "table"}),
@@ -287,7 +277,7 @@ class PairTables:
 def parse_params(spec: FuncSpec, qctx: QuadExtCtx) -> dict:
     """Every parameter of ``spec`` parsed by its kind in ``FAMILIES``, into:
 
-      int, gold_k   an int; gold_k, a Gold exponent index k >= 0
+      int           an int >= 0, read by ``gf.parse_count``
       base, ext     an element of F_q, of F_{q^2} (an int index is one of F_q)
       linpoly       its LinPoly over F_q: table, kernel size, permutation
       inner         its Inner over F_q: tag, table, permutation
@@ -304,10 +294,8 @@ def parse_params(spec: FuncSpec, qctx: QuadExtCtx) -> dict:
                 raise InvalidParams(f"{fam} needs parameter {name}")
             continue
         v, kind = given[name], kind.rstrip("?")
-        if kind in ("int", "gold_k"):
-            v = _int(v, f"{fam} parameter {name}")
-            if kind == "gold_k" and v < 0:
-                raise InvalidParams(f"{fam} needs {name} >= 0, got {name}={v}")
+        if kind == "int":
+            v = parse_count(str(v), f"{fam} parameter {name}")
         elif kind == "base" and isinstance(v, int):
             if not 0 <= v < base.q:
                 raise InvalidParams(f"{name}={v} is not an element index of F_{base.q}")
@@ -325,7 +313,8 @@ def parse_params(spec: FuncSpec, qctx: QuadExtCtx) -> dict:
                 i, sep, c = term.partition(":")
                 if not sep:
                     raise SpecParseError(f"prodlin gamma term {term!r} is not i:gamma")
-                v.append((_int(i, "prodlin exponent index"), base.parse_elem(c)))
+                v.append((parse_count(i.strip(), "prodlin exponent index"),
+                          base.parse_elem(c)))
         elif kind == "table":
             v = np.asarray(v, dtype=np.int32)
             if ((v < 0) | (v >= base.q)).any():
@@ -451,7 +440,7 @@ def _values(fam, args, qctx: QuadExtCtx):
         variant = args["H"]
         if not variant.startswith("tr"):
             raise InvalidParams(f"normfirst H must look like tr<e>, got {variant!r}")
-        e = _int(variant[2:], "normfirst exponent")
+        e = parse_count(variant[2:], "normfirst exponent")
         g = qctx.unembed[ext.pow_vec(Z, q + 1)].astype(np.int32)
         return g, _trace_to_base(qctx, ext.pow_vec(Z, e))
     raise InvalidParams(f"unhandled extension-domain family {fam!r}")

@@ -460,24 +460,27 @@ class FieldCtx:
         return f"{letter}^{int(self.log_table[x])}"
 
     def parse_elem(self, s, letter="w"):
-        """Parse "<letter>^k" or a decimal prime-subfield literal 0..p-1.  The
-        letter names the field ("w" for F_q, "W" for F_{q^2}), so the other
-        case is rejected, not read in the wrong field."""
+        """Parse "<letter>^k" or a decimal literal 0..p-1 of the prime
+        subfield, k and the literal written in the ASCII digits 0-9
+        (``parse_count``).  The letter names the field ("w" for F_q, "W"
+        for F_{q^2}), so the other case is rejected, not read in the wrong
+        field."""
         s = s.strip()
         if s.startswith(letter.swapcase() + "^"):
             raise SpecParseError(
                 f"{s!r}: an element of F_{self.q} is written {letter}^k here")
-        try:  # int() rejects '²', a digit, and more than 4300 digits
-            if s.startswith(letter + "^"):
-                return int(self.antilog_table[int(s[2:]) % (self.q - 1)])
-            if s.isdigit() and int(s) < self.p:
-                return int(s)
-        except ValueError:
-            pass
-        if s.isascii() and s.isdigit():
+        if s.startswith(letter + "^"):
+            k = parse_count(s[2:], f"the exponent of {s!r}")
+            return int(self.antilog_table[k % (self.q - 1)])
+        if not (s.isascii() and s.isdigit()):
+            raise CduError(f"cannot parse field element {s!r}")
+        # compared with p as digit strings, so that a literal past int()'s
+        # 4300 digits is out of range, not unreadable
+        digits, top = s.lstrip("0"), str(self.p)
+        if (len(digits), digits) >= (len(top), top):
             raise CduError(f"decimal literal {s} is not in 0..{self.p - 1}; "
                            f"write other elements as {letter}^k")
-        raise CduError(f"cannot parse field element {s!r}")
+        return parse_count(s, "a decimal literal")
 
     def modulus_str(self):
         return ",".join(str(c) for c in self.modulus)
@@ -493,12 +496,24 @@ class FieldCtx:
         return hash((self.p, self.m, self.modulus))
 
 
+def parse_count(text, what):
+    """The integer that ``text`` writes in the ASCII digits 0-9, and nothing
+    else: a sign, a space, ``_`` or a digit of another script, all of which
+    int() takes, is a SpecParseError naming ``what``, and so is text past
+    int()'s limit of 4300 digits.  Every integer in argument text is read
+    here; a caller strips a whole token where its grammar allows that."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() reads
+            pass
+    raise SpecParseError(f"{what} must be 1 to 4300 ASCII digits 0-9, got {text!r}")
+
+
 def parse_modulus(s):
     """Parse the CLI serialization "1,1,0,0,1" (constant term first)."""
-    try:
-        return tuple(int(c) for c in s.split(","))
-    except ValueError:
-        raise CduError(f"--modulus expects integer coefficients, got {s!r}") from None
+    return tuple(parse_count(c.strip(), "a --modulus coefficient")
+                 for c in s.split(","))
 
 
 _field = cache(FieldCtx)

@@ -167,10 +167,6 @@ class QuadExtCtx:
             base.add(base.mul(self.t, base.mul(c2, c2)), base.mul(one_c1, c2)),
             base.mul(one_c1, one_c1))
 
-    def check_nonvanishing(self, c1, c2):
-        """norm_one_minus_c(c1, c2) != 0; false exactly at c = (1,0)."""
-        return self.norm_one_minus_c(c1, c2) != 0
-
     def __repr__(self):
         return (f"QuadExtCtx(q={self.base.q}, t={self.base.elem_str(self.t)}, "
                 f"beta={self.ext.elem_str(self.beta, 'W')})")

@@ -283,7 +283,7 @@ def test_criterion_12_structural_invariants(qx4, qx8, qx16, qx27):
         for qx in (qx8, qx16, qx27):
             q = qx.base.q
             bad = [(c1, c2) for c1 in range(q) for c2 in range(q)
-                   if not qx.check_nonvanishing(c1, c2)]
+                   if qx.norm_one_minus_c(c1, c2) == 0]
             assert bad == [(1, 0)]
         # row mass is asserted inside every engine pass; cross-check the
         # spectrum accounting on one sweep

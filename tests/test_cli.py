@@ -519,6 +519,24 @@ def _oracle(which, *args):
     pytest.param(_sweep("sample:\u00b2", "identity"), id="sample-superscript-digit"),
     pytest.param(_sweep("sample:" + "9" * 5000, "identity"),
                  id="sample-count-of-5000-digits"),
+    # int() also takes a sign, spaces, "_" and other scripts' digits; an
+    # integer in argument text is the ASCII digits 0-9 and nothing else
+    pytest.param(_sweep("w^1_0,w^+2", "genlinh{L=x;h=inv}"),
+                 id="c-exponent-underscore-and-plus"),
+    pytest.param(_sweep("w^ 3,0", "identity"), id="c-exponent-space"),
+    pytest.param(_sweep("w^-1,0", "identity"), id="c-exponent-negative"),
+    pytest.param(_sweep("w^\u0663,0", "identity"), id="c-exponent-arabic-indic-digit"),
+    pytest.param(_sweep("0,0", "identity") + ["-t", "w^+3"], id="t-exponent-plus"),
+    pytest.param(_oracle("invpred", "--c", "w^-2"), id="oracle-c-exponent-negative"),
+    pytest.param(["field", "-p", "2", "-m", "4", "--modulus", "1,1,0,0,+1"],
+                 id="modulus-coefficient-plus"),
+    pytest.param(_sweep("0,0", "genlinh{L=x;h=pow:-1}"), id="h-pow-negative-e"),
+    pytest.param(_sweep("0,0", "genlinh{L=x;h=gold:+1}"), id="h-gold-plus-k"),
+    pytest.param(_sweep("0,0", "goldpair{k=1_0;gamma=w^5;L=x}"),
+                 id="goldpair-k-underscore"),
+    pytest.param(_sweep("0,0", "normfirst{H=tr-1}"), id="normfirst-negative-e"),
+    pytest.param(_sweep("0,0", "prodlin{gammas=+1:1;L=x}"),
+                 id="prodlin-index-plus"),
 ])
 def test_malformed_input_exits_one(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

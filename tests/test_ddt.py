@@ -780,6 +780,61 @@ def test_spectrum_mass(field, shape, seed, identity):
     assert max(rep.spectrum) == rep.uniformity
 
 
+def check_spectrum_invariants(qctx, tabs, rep):
+    """Two identities of the spectrum of the pair table ``tabs`` at rep.c,
+    which is not the identity c; they hold at sizes the naive counter does
+    not reach.  With M_u(v) = #{z : F(z+u) - F(z) = v} over the n points
+    and c*w the pair product on keys, phi^-1(phi(c)*phi(w)):
+
+      second moment  sum_v v^2*spectrum[v] = sum_u sum_w M_u(w)*M_u(c*w),
+                     counting the (x, y, a) with equal row-a entries; at
+                     c = 0 every c*w is 0 and the right side is
+                     n*sum_u M_u(0)
+      c = 0          spectrum[v] = n*#{b : |F^-1(b)| = v}, as every row
+                     is the value histogram of F"""
+    ext, key = qctx.ext, tabs.key
+    n = len(key)
+    pts = np.arange(n, dtype=np.int32)
+    deriv = ext.sub_vec(key[ext.add_vec(pts[:, None], pts)], key)  # [u, z]
+    M = np.bincount((deriv + pts[:, None] * n).ravel(),
+                    minlength=n * n).reshape(n, n)
+    phi_c = np.int32(qctx.phi_table[qctx.pt(*rep.c)])
+    c_w = qctx.phi_inv_table[ext.mul_vec(phi_c, qctx.phi_table)]
+    v, count = np.array(list(rep.spectrum.items())).T
+    second = int((M * M[:, c_w]).sum())
+    assert int(count @ v ** 2) == second
+    if phi_c == 0:
+        assert second == n * int(M[:, 0].sum())
+        preimages = np.bincount(np.bincount(key, minlength=n))
+        assert rep.spectrum == {v: n * int(k)
+                                for v, k in enumerate(preimages) if k}
+
+
+# weighted rows (a scaling subgroup of order > 1) and, last, rows of
+# weight 1 (genlingold with alpha != 0 has no scaling)
+_INVARIANT_SPECS = ["goldpair{k=1;gamma=w^5;L=x}", "traceinv{gamma=W^3}",
+                    "tracext{H=norm}", "sumprod{i=1;j=1;alpha=1}",
+                    "genlingold{L=x;k=1;alpha=w^1}"]
+
+
+@pytest.mark.parametrize("kernel", ["native", "numpy"])
+@pytest.mark.parametrize("p, m", [(2, 4), (5, 2)])
+@pytest.mark.parametrize("spec", _INVARIANT_SPECS)
+def test_spectrum_invariants(kernel, p, m, spec):
+    """The spectrum identities of ``check_spectrum_invariants`` at c = 0,
+    three more c of the line c2 = 0 and eight drawn from every c, on both
+    kernels."""
+    qctx, spec = make_quadext(make_field(p, m)), parse_func_spec(spec)
+    q = qctx.base.q
+    tabs = tables_for(spec, qctx)
+    order = ddt._table_inputs(qctx, tabs).scaling[0]
+    assert (order == 1) == (spec.family == "genlingold")
+    cs = ddt.c_line_biv(q)[:4] + ddt.c_sample_biv(q, 8, seed=p)
+    with _kernel(kernel):
+        for rep in ddt.sweep(spec, qctx, cs):
+            check_spectrum_invariants(qctx, tabs, rep)
+
+
 def test_loader_returning_none_falls_back_to_numpy(qx16, monkeypatch):
     spec = parse_func_spec("sumprod{i=0;j=1;alpha=1}")
     cs = ddt.c_sample_biv(16, 6, seed=2) + [CParam.biv(1, 0)]

@@ -5,12 +5,13 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cdu
 from cdu import make_field, NSQ, SQ, ZERO
 from cdu.gf import (CduError, CompositeCharacteristic, DivisionByZero, FieldCtx, FieldTooLarge,
                     NonDivisorSubfield, ReducibleModulus, SpecParseError,
-                    default_modulus, is_irreducible, parse_modulus)
+                    default_modulus, is_irreducible, parse_count, parse_modulus)
 
 
 def brute_irreducible_quartic(coeffs):
@@ -344,6 +345,28 @@ def test_in_subfield(f16):
     assert f16.pow(w, 4) != w
     with pytest.raises(NonDivisorSubfield):
         f16.in_subfield(w, 3)
+
+
+_DIGITS = "0123456789"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(
+    st.text(),
+    # ASCII digits mixed with what int() also takes: signs, spaces, "_" and
+    # other scripts' digits (superscript two, Arabic-Indic three)
+    st.text(alphabet=_DIGITS + "+- _\t\u00b2\u0663", max_size=8),
+    st.text(alphabet=_DIGITS, max_size=8),
+    st.integers(4298, 4302).flatmap(
+        lambda n: st.text(alphabet=_DIGITS, min_size=n, max_size=n))))
+def test_parse_count_reads_ascii_digits_only(text):
+    """parse_count returns int(text) exactly when text is 1 to 4300 ASCII
+    digits, and raises SpecParseError, naming what it read, otherwise."""
+    if 1 <= len(text) <= 4300 and all(ch in _DIGITS for ch in text):
+        assert parse_count(text, "n") == int(text)
+    else:
+        with pytest.raises(SpecParseError, match="^the count "):
+            parse_count(text, "the count")
 
 
 def test_elem_formatting_and_parsing(f16):

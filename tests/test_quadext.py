@@ -112,12 +112,13 @@ def test_biv_mul_matches_extension_product(qx8):
 
 
 def test_check_nonvanishing(qx16, qx27):
-    assert not qx16.check_nonvanishing(1, 0)
-    assert qx16.check_nonvanishing(0, 0)
+    """N(1 - phi(c)) vanishes exactly at c = (1, 0)."""
+    assert qx16.norm_one_minus_c(1, 0) == 0
+    assert qx16.norm_one_minus_c(0, 0) != 0
     for qx in (qx16, qx27):
         q = qx.base.q
         bad = [(c1, c2) for c1 in range(q) for c2 in range(q)
-               if not qx.check_nonvanishing(c1, c2)]
+               if qx.norm_one_minus_c(c1, c2) == 0]
         assert bad == [(1, 0)]
 
 
@@ -139,7 +140,7 @@ def test_check_nonvanishing_every_valid_t(f8):
             continue
         qx = make_quadext(f8, t)
         bad = [(c1, c2) for c1 in range(8) for c2 in range(8)
-               if not qx.check_nonvanishing(c1, c2)]
+               if qx.norm_one_minus_c(c1, c2) == 0]
         assert bad == [(1, 0)]
 
 
