@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 
 from .gf import CduError, make_field, parse_count, parse_modulus
@@ -24,9 +25,14 @@ from .oracles import (bluher_root_count, bluher_special_b_count,
                       quadratic_root_count, quartic_factor_type)
 
 
+def _count(option):
+    """The argparse type of an integer option: ``parse_count``, naming it."""
+    return functools.partial(parse_count, what=option)
+
+
 def _add_field_args(sub):
-    sub.add_argument("-p", type=int, required=True, help="prime characteristic")
-    sub.add_argument("-m", type=int, required=True, help="extension degree")
+    sub.add_argument("-p", type=_count("-p"), required=True, help="prime characteristic")
+    sub.add_argument("-m", type=_count("-m"), required=True, help="extension degree")
     sub.add_argument("--modulus", help="comma-separated coefficients, constant first")
 
 
@@ -37,16 +43,23 @@ def _add_run_args(sub):
     sub.add_argument("--c", default="all",
                      help="all | cq0 | sample:N | explicit list 'c1,c2;c1,c2'")
     sub.add_argument("--format", default="csv", choices=("csv", "json", "pretty"))
-    sub.add_argument("--threads", type=int, default=1)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--threads", type=_count("--threads"), default=1)
+    sub.add_argument("--seed", type=_count("--seed"), default=0)
     sub.add_argument("-o", dest="outfile", help="output file (default stdout)")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are CduErrors: one ``error:`` line."""
+
+    def error(self, message):
+        raise CduError(message)
 
 
 @functools.cache
 def build_parser():
     """The argument parser, built once per process; parsing leaves it as it
     was, so every ``main`` call shares it."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="cdu",
         description="c-differential uniformity of bivariate finite-field functions")
     sp = ap.add_subparsers(dest="cmd", required=True)
@@ -69,7 +82,7 @@ def build_parser():
     o.add_argument("--a2")
     o.add_argument("--a1")
     o.add_argument("--a0")
-    o.add_argument("--k", type=int)
+    o.add_argument("--k", type=_count("--k"))
     o.add_argument("--c")
     return ap
 
@@ -238,8 +251,6 @@ def cmd_oracle(args, out):
                if getattr(args, n) is None]
     if missing:
         raise CduError(f"oracle {args.which} needs {' '.join(missing)}")
-    if args.k is not None and args.k < 0:
-        raise CduError(f"--k must be >= 0, got {args.k}")
     ctx = _make_field(args)
     el = ctx.parse_elem
     if args.which == "quad":
@@ -263,31 +274,41 @@ def cmd_oracle(args, out):
 
 
 def main(argv=None):
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return 1 if e.code else 0
-    if getattr(args, "threads", 1) < 1:
-        sys.stderr.write("error: --threads must be >= 1\n")
-        return 1
-    path = getattr(args, "outfile", None)
-    try:
-        if not path:
-            return _run(args, sys.stdout)
-        # the file is opened only once the run is done, so a run that fails
-        # (a bad spec, field or c set) leaves what the file held
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:  # --help; the parser's errors raise CduError
+            return 1 if e.code else 0
+        if getattr(args, "threads", 1) < 1:
+            raise CduError("--threads must be >= 1")
+        # the output is written only once the run is done, so a run that
+        # fails (a bad spec, field or c set) leaves what -o's file held
         buf = io.StringIO()
         code = _run(args, buf)
-        try:  # a write may fail as late as the close, with the last flush
-            with open(path, "w") as out:
-                out.write(buf.getvalue())
-        except OSError as e:
-            raise CduError(f"cannot write {path}: {e.strerror}") from e
+        _write(getattr(args, "outfile", None), buf.getvalue())
         return code
     except CduError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
+
+
+def _write(path, text):
+    """Write a run's output to the file at ``path``, or to stdout."""
+    if not path:
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader stopped early, as ``| head`` does
+            # what stdout still holds goes to devnull: the flush at exit is quiet
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return
+    try:  # a write may fail as late as the close, with the last flush
+        with open(path, "w") as out:
+            out.write(text)
+    except OSError as e:
+        raise CduError(f"cannot write {path}: {e.strerror}") from e
 
 
 def _run(args, out):

@@ -86,8 +86,8 @@ logic of its own:
   table whatever the c is derived here, read-only (``_kernel_inputs``):
   the checked int32 key, its wide codes at odd p, and their addresses.  A
   pair table keeps one record of it in its ``engine`` dict, with the
-  F_{q^2} logs of phi(key), the orders of its scaling subgroups and the
-  row weights of a line, the identity and an off-line c, built whole on
+  F_{q^2} logs of phi(key) and the row weights, by its scaling
+  subgroups, of a line, the identity and an off-line c, built whole on
   its first report from any worker thread (``_table_inputs``).  A c then
   costs its -c*F(x) term (one add and two gathers), that term's check,
   and one kernel call.  A value array of a field to itself has its inputs
@@ -453,7 +453,6 @@ class _Record(NamedTuple):
 
     inputs: tuple  # _kernel_inputs of its key
     log_phi: np.ndarray  # the F_{q^2} logs of phi(key)
-    scaling: tuple  # (order, off_order), see _scaling
     weights: tuple  # on the line, at the identity c, off the line
 
 
@@ -463,11 +462,11 @@ def _table_inputs(qctx, tab):
     build it, and one record is kept."""
     rec = tab.engine.get("record")
     if rec is None:
-        order, off_order = scaling = _scaling(qctx, tab)
+        order, off_order = _scaling(qctx, tab)
         rows = qctx.phi_inv_table if tab.domain == BIV else np.arange(len(tab.key))
         rec = tab.engine.setdefault("record", _Record(
             _kernel_inputs(qctx.ext, tab.key),
-            _read_only(qctx.ext.log_table[qctx.phi_table[tab.key]]), scaling,
+            _read_only(qctx.ext.log_table[qctx.phi_table[tab.key]]),
             tuple(_row_weights(qctx.ext, rows, r, identity) for r, identity
                   in ((order, False), (order, True), (off_order, False)))))
     return rec

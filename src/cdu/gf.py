@@ -236,10 +236,14 @@ class FieldCtx:
     """
 
     def __init__(self, p, m, modulus=None):
+        if p > MAX_FIELD_ORDER:  # before the trial division, which grows with p
+            raise FieldTooLarge(f"p = {p} exceeds {MAX_FIELD_ORDER}")
         if not _is_prime(p):
             raise CompositeCharacteristic(f"characteristic {p} is not prime")
         if m < 1:
             raise CduError(f"extension degree must be >= 1, got {m}")
+        if m >= MAX_FIELD_ORDER.bit_length():  # q >= 2^m; before p^m, too
+            raise FieldTooLarge(f"q = {p}^{m} exceeds {MAX_FIELD_ORDER}")
         q = p ** m
         if q > MAX_FIELD_ORDER:
             raise FieldTooLarge(f"q = {p}^{m} = {q} exceeds {MAX_FIELD_ORDER}")

@@ -1,9 +1,9 @@
 """Independent root-counting oracles: quadratics, quartics over F_{2^m},
 Gold-type trinomials, and the closed-form inverse-function predictions.
 
-Each closed-form criterion here has a brute-force counterpart in the same
-module (exhaustive scans or trial factorization) so the two routes can be
-cross-checked; the predictors in ``predict`` lean on the criterion path.
+Every one is behind ``cdu oracle``, and ``predict`` uses the
+inverse-function classes; the tests hold each closed form against an
+exhaustive count of their own.
 """
 
 from __future__ import annotations
@@ -50,13 +50,6 @@ def quadratic_root_count(ctx: FieldCtx, a, b):
     return 2 if cls == SQ else 0
 
 
-def quadratic_root_count_brute(ctx: FieldCtx, a, b):
-    xs = np.arange(ctx.q, dtype=np.int32)
-    vals = ctx.add_vec(ctx.add_vec(ctx.mul_vec(xs, xs),
-                                   ctx.mul_vec(np.int32(a), xs)), np.int32(b))
-    return int(np.count_nonzero(vals == 0))
-
-
 # ---------------------------------------------------------------------------
 # quartics over F_{2^m}
 # ---------------------------------------------------------------------------
@@ -98,38 +91,6 @@ def quartic_factor_type(ctx: FieldCtx, a2, a1, a0) -> QuarticType:
     ones = sum(traces)
     assert ones % 2 == 0, "trace pattern of the three w_i must have even weight"
     return QuarticType((1, 1, 1, 1) if ones == 0 else (2, 2))
-
-
-def quartic_factor_brute(ctx: FieldCtx, a2, a1, a0) -> QuarticType:
-    """Same classification by direct root search and trial quadratic division."""
-    if a0 == 0 or a1 == 0:
-        raise DegenerateQuartic("need a0*a1 != 0")
-    xs = np.arange(ctx.q, dtype=np.int32)
-    x2 = ctx.mul_vec(xs, xs)
-    vals = ctx.add_vec(
-        ctx.add_vec(ctx.mul_vec(x2, x2), ctx.mul_vec(np.int32(a2), x2)),
-        ctx.add_vec(ctx.mul_vec(np.int32(a1), xs), np.int32(a0)))
-    nroots = int(np.count_nonzero(vals == 0))
-    if nroots == 4:
-        return QuarticType((1, 1, 1, 1))
-    if nroots == 2:
-        return QuarticType((1, 1, 2))
-    if nroots == 1:
-        return QuarticType((1, 3))
-    assert nroots == 0, "a squarefree quartic cannot have exactly 3 roots"
-    # no roots: (2,2) iff some monic quadratic divides; it is automatically
-    # irreducible because its roots would be roots of the quartic
-    for u in range(ctx.q):
-        for v in range(ctx.q):
-            # divide x^4 + a2 x^2 + a1 x + a0 by x^2 + u x + v
-            # quotient x^2 + c1 x + c0, then match remainder to zero
-            c1 = u  # char 2: -u
-            c0 = ctx.add(ctx.add(a2, v), ctx.mul(u, c1))
-            r1 = ctx.add(a1, ctx.add(ctx.mul(u, c0), ctx.mul(v, c1)))
-            r0 = ctx.add(a0, ctx.mul(v, c0))
-            if r1 == 0 and r0 == 0:
-                return QuarticType((2, 2))
-    return QuarticType((4,))
 
 
 # ---------------------------------------------------------------------------

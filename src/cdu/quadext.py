@@ -147,16 +147,6 @@ class QuadExtCtx:
         """Pack coordinate indices into the flat point index x*q + y."""
         return xi * self.base.q + yi
 
-    def biv_mul(self, u, v):
-        """The pair product of u = (x1, y1) and v = (x2, y2), index pairs
-        of F_q: the scalar reference for the product phi carries it to."""
-        base = self.base
-        (x1, y1), (x2, y2) = u, v
-        g = base.sub(base.mul(x1, x2), base.mul(self.t, base.mul(y1, y2)))
-        h = base.sub(base.add(base.mul(x1, y2), base.mul(x2, y1)),
-                     base.mul(y1, y2))
-        return g, h
-
     def norm_one_minus_c(self, c1, c2):
         """t*c2^2 + (1-c1)*c2 + (1-c1)^2, the norm to F_q of 1 - phi(c1, c2):
         N(x + beta*y) = x^2 - x*y + t*y^2, as beta + beta_bar = -1 and

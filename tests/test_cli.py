@@ -158,7 +158,11 @@ def test_threads_below_one_rejected(capsys, cmd, threads):
     code, out, err = run_cli(capsys, cmd, "-p", "2", "-m", "2",
                              "--spec", "genlinh{L=x;h=inv}", "--c", "cq0",
                              "--threads", threads)
-    assert (code, out, err) == (1, "", "error: --threads must be >= 1\n")
+    # -3 is no count at all: a sign is outside the ASCII digits 0-9
+    assert (code, out, err) == (1, "", {
+        "0": "error: --threads must be >= 1\n",
+        "-3": "error: --threads must be 1 to 4300 ASCII digits 0-9, got '-3'\n",
+    }[threads])
 
 
 def test_thread_count_output_identical(capsys):
@@ -537,6 +541,18 @@ def _oracle(which, *args):
     pytest.param(_sweep("0,0", "normfirst{H=tr-1}"), id="normfirst-negative-e"),
     pytest.param(_sweep("0,0", "prodlin{gammas=+1:1;L=x}"),
                  id="prodlin-index-plus"),
+    # so are the CLI's integer options
+    pytest.param(["field", "-p", "1_1", "-m", "1"], id="p-underscore"),
+    pytest.param(["field", "-p", "11", "-m", " +1"], id="m-space-and-plus"),
+    pytest.param(_oracle("bluhercount", "--k", "\u0663"),
+                 id="k-arabic-indic-digit"),
+    pytest.param(_sweep("cq0", "identity") + ["--seed", "-5"], id="seed-negative"),
+    pytest.param(_sweep("cq0", "identity") + ["--threads", " 2"], id="threads-space"),
+    # argparse's own errors
+    pytest.param(_sweep("cq0", "identity") + ["--format", "xml"], id="format-xml"),
+    pytest.param(["sweep", "-p", "2", "-m", "4", "--c", "cq0"], id="spec-missing"),
+    pytest.param(_sweep("cq0", "identity") + ["--bogus"], id="unknown-option"),
+    pytest.param(_oracle("cube"), id="oracle-cube"),
 ])
 def test_malformed_input_exits_one(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -579,28 +595,82 @@ def _gold_run(capsys, argv, k):
     return code, _as_k1(out, k)
 
 
-def test_huge_gold_exponent_finishes(capsys):
-    """k = 10^8*m + 1 runs as fast as k = 1 and prints the same: no power
-    p^k is formed.  The runs go in a child process with a 2 GiB address
-    space and a time limit, so a program that forms 3^k fails this test
-    rather than hanging."""
-    k = 10 ** 8 * 2 + 1
+def _child_env():
+    """The environment of a child process that imports this checkout's cdu
+    and keeps numpy to one thread."""
+    src = str(Path(funcs.__file__).parents[1])
+    return dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join(
+                    [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def _main_in_child(argvs):
+    """(exit code, stdout, stderr, seconds) of ``main`` on each argv, run
+    in one child process with a 2 GiB address space and a 60 s time limit,
+    so that a run that grows without bound fails the test rather than
+    hanging or exhausting memory."""
     script = (
-        "import contextlib, io, json, resource, sys\n"
+        "import contextlib, io, json, resource, sys, time\n"
         "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
         "from cdu.cli import main\n"
         "runs = []\n"
         "for argv in json.loads(sys.argv[1]):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-        "        runs.append((main(argv), out.getvalue()))\n"
+        "    out, err, t0 = io.StringIO(), io.StringIO(), time.perf_counter()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = main(argv)\n"
+        "    runs.append((code, out.getvalue(), err.getvalue(),\n"
+        "                 time.perf_counter() - t0))\n"
         "print(json.dumps(runs))\n")
-    argvs = [[a.format(k=k) for a in argv] for argv in _GOLD_ARGVS]
-    src = str(Path(funcs.__file__).parents[1])
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     run = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
-                         capture_output=True, text=True, env=env, timeout=60)
+                         capture_output=True, text=True, env=_child_env(),
+                         timeout=60)
     assert run.returncode == 0, run.stderr[-2000:]
-    for argv, (code, out) in zip(_GOLD_ARGVS, json.loads(run.stdout)):
+    return json.loads(run.stdout)
+
+
+def test_huge_gold_exponent_finishes(capsys):
+    """k = 10^8*m + 1 runs as fast as k = 1 and prints the same: no power
+    p^k is formed (a program that forms 3^k fails in the child)."""
+    k = 10 ** 8 * 2 + 1
+    argvs = [[a.format(k=k) for a in argv] for argv in _GOLD_ARGVS]
+    for argv, (code, out, _, _) in zip(_GOLD_ARGVS, _main_in_child(argvs)):
         assert (code, _as_k1(out, k)) == _gold_run(capsys, argv, 1)
+
+
+def test_field_bound_checked_before_work():
+    """A p or an m past the field bound is one ``error:`` line within a
+    second, given before the primality test of p and the power p^m: m =
+    10^20 - 1 used to build a number of 10^20 bits, and p = 10^24 + 7 a
+    trial division up to 10^12.  These argvs run only in the child, where
+    a regression hits the address-space or time limit instead of taking
+    the test process's memory."""
+    runs = _main_in_child([["field", "-p", "2", "-m", "99999999999999999999"],
+                           ["field", "-p", "1000000000000000000000007", "-m", "1"]])
+    assert [run[:3] for run in runs] == [
+        [1, "", "error: q = 2^99999999999999999999 exceeds 65536\n"],
+        [1, "", "error: p = 1000000000000000000000007 exceeds 65536\n"]]
+    assert all(seconds < 1 for *_, seconds in runs)
+
+
+def test_closed_pipe_is_quiet():
+    """A reader that stops after one line (``cdu ... | head -n 1``) adds
+    nothing to stderr, which stays empty unless the numpy fallback is
+    announced, and the run keeps its exit code.  The report, 20000 rows of
+    about 30 bytes, outgrows the pipe's buffer, so its write meets the
+    closed pipe."""
+    argv = [sys.executable, "-m", "cdu.cli", "sweep", "-p", "2", "-m", "2",
+            "--spec", "identity", "--c", "1,1;" * 20000]
+    whole = subprocess.run(argv, capture_output=True, env=_child_env(), timeout=60)
+    assert whole.returncode == 0 and whole.stderr in (
+        b"", b"cdu: native row kernel unavailable; using the numpy reference\n")
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_child_env())
+    assert proc.stdout.readline() == b"# cmd: sweep\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, whole.stderr)
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--help")
+    assert (code, err) == (0, "") and out.startswith("usage: cdu sweep")

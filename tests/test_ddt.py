@@ -117,7 +117,9 @@ def test_c_derivative_identity_function_product_law(qx16):
         x, y = rng.randrange(16), rng.randrange(16)
         shift, vals, trans, add = _pair_terms(qx16, tabs, CParam.biv(c1, c2))
         pt = qx16.pt(x, y)
-        g, h = qx16.biv_mul((c1, c2), (x, y))
+        # (c1, c2)*(x, y) = (c1*x - t*c2*y, c1*y + c2*x - c2*y)
+        g = base.sub(base.mul(c1, x), base.mul(qx16.t, base.mul(c2, y)))
+        h = base.sub(base.add(base.mul(c1, y), base.mul(c2, x)), base.mul(c2, y))
         assert (add(vals[shift(pt, 0)], trans[pt])
                 == qx16.pt(base.sub(x, g), base.sub(y, h)))
 
@@ -780,18 +782,20 @@ def test_spectrum_mass(field, shape, seed, identity):
     assert max(rep.spectrum) == rep.uniformity
 
 
-def check_spectrum_invariants(qctx, tabs, rep):
-    """Two identities of the spectrum of the pair table ``tabs`` at rep.c,
-    which is not the identity c; they hold at sizes the naive counter does
-    not reach.  With M_u(v) = #{z : F(z+u) - F(z) = v} over the n points
-    and c*w the pair product on keys, phi^-1(phi(c)*phi(w)):
+def check_spectrum_invariants(qctx, spec, tabs, rep):
+    """Identities of the spectrum of ``spec``'s pair table ``tabs`` at
+    rep.c, which is not the identity c; they hold at sizes the naive
+    counter does not reach.  With M_u(v) = #{z : F(z+u) - F(z) = v} over
+    the n points and c*w the pair product on keys, phi^-1(phi(c)*phi(w)):
 
       second moment  sum_v v^2*spectrum[v] = sum_u sum_w M_u(w)*M_u(c*w),
                      counting the (x, y, a) with equal row-a entries; at
                      c = 0 every c*w is 0 and the right side is
                      n*sum_u M_u(0)
       c = 0          spectrum[v] = n*#{b : |F^-1(b)| = v}, as every row
-                     is the value histogram of F"""
+                     is the value histogram of F
+      tracext{H=norm} on the line c2 = 0, spectrum = {0: n*q(q-1)/2,
+                     1: n*q, 2: n*q(q-1)/2}"""
     ext, key = qctx.ext, tabs.key
     n = len(key)
     pts = np.arange(n, dtype=np.int32)
@@ -808,6 +812,10 @@ def check_spectrum_invariants(qctx, tabs, rep):
         preimages = np.bincount(np.bincount(key, minlength=n))
         assert rep.spectrum == {v: n * int(k)
                                 for v, k in enumerate(preimages) if k}
+    if spec == parse_func_spec("tracext{H=norm}") and rep.c.c2 == 0:
+        q = qctx.base.q
+        assert rep.spectrum == {0: n * q * (q - 1) // 2, 1: n * q,
+                                2: n * q * (q - 1) // 2}
 
 
 # weighted rows (a scaling subgroup of order > 1) and, last, rows of
@@ -827,12 +835,12 @@ def test_spectrum_invariants(kernel, p, m, spec):
     qctx, spec = make_quadext(make_field(p, m)), parse_func_spec(spec)
     q = qctx.base.q
     tabs = tables_for(spec, qctx)
-    order = ddt._table_inputs(qctx, tabs).scaling[0]
+    order = ddt._scaling(qctx, tabs)[0]
     assert (order == 1) == (spec.family == "genlingold")
     cs = ddt.c_line_biv(q)[:4] + ddt.c_sample_biv(q, 8, seed=p)
     with _kernel(kernel):
         for rep in ddt.sweep(spec, qctx, cs):
-            check_spectrum_invariants(qctx, tabs, rep)
+            check_spectrum_invariants(qctx, spec, tabs, rep)
 
 
 def test_loader_returning_none_falls_back_to_numpy(qx16, monkeypatch):
@@ -1050,7 +1058,7 @@ def test_row_weights_built_from_many_threads(qx16, monkeypatch):
         sys.setswitchinterval(interval)
     assert reports == serial
     [rec] = tabs.engine.values()
-    assert rec.scaling == (15, 3)
+    assert ddt._scaling(qx16, tabs) == (15, 3)
     slots = [(15, False), (15, True), (3, False)]  # line, identity, off-line
     for (wt, _), slot in zip(rec.weights, slots, strict=True):
         assert (wt == ddt._row_weights(qx16.ext, np.arange(256), *slot)[0]).all()

@@ -82,10 +82,12 @@ def test_phi_round_trip_exhaustive(qx16):
 
 
 def test_biv_mul_examples(qx16):
-    base = qx16.base
+    # the pair product through phi: (1, 0)*(x, y) = (x, y), (0, 1)^2 = (-t, -1)
+    base, ext, phi = qx16.base, qx16.ext, qx16.phi_table
     x, y = 7, 11
-    assert qx16.biv_mul((1, 0), (x, y)) == (x, y)
-    assert qx16.biv_mul((0, 1), (0, 1)) == (base.neg(qx16.t), base.neg(1))
+    assert ext.mul(phi[qx16.pt(1, 0)], phi[qx16.pt(x, y)]) == phi[qx16.pt(x, y)]
+    assert (ext.mul(phi[qx16.pt(0, 1)], phi[qx16.pt(0, 1)])
+            == phi[qx16.pt(base.neg(qx16.t), base.neg(1))])
 
 
 def test_biv_mul_matches_extension_product(qx8):
