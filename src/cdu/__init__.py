@@ -16,17 +16,15 @@ the closed-form predictions:
 from . import ddt, funcs, gf, oracles, predict, quadext
 from .gf import FieldCtx, make_field, CduError, SQ, NSQ, ZERO
 from .quadext import QuadExtCtx, make_quadext, select_t
-from .funcs import (FuncSpec, func_spec, parse_func_spec, parse_linpoly,
-                    univariate_lift)
-from .ddt import CParam, CDdtReport, c_uniformity, sweep, equivalence_check
+from .funcs import FuncSpec, func_spec, parse_func_spec, parse_linpoly
+from .ddt import CParam, CDdtReport, c_uniformity, sweep
 
 __all__ = [
     "ddt", "funcs", "gf", "oracles", "predict", "quadext",
     "FieldCtx", "make_field", "CduError", "SQ", "NSQ", "ZERO",
     "QuadExtCtx", "make_quadext", "select_t",
     "FuncSpec", "func_spec", "parse_func_spec", "parse_linpoly",
-    "univariate_lift",
-    "CParam", "CDdtReport", "c_uniformity", "sweep", "equivalence_check",
+    "CParam", "CDdtReport", "c_uniformity", "sweep",
 ]
 
 __version__ = "0.1.0"

@@ -6,12 +6,11 @@ The bivariate c-derivative of F = (G, H) at c = (c1, c2), a = (a1, a2) is
     D2 = H(x+a1, y+a2) - (c1-c2)*H(x,y) - c2*G(x,y)
 
 and the DDT entry at (a, b) counts domain points with (D1, D2) = b.
-Tables of a field to itself (the univariate lift, the inner functions
-``predict`` measures) use Definition-style F(z+a) - c*F(z).  Every domain
-shape (pair plane, F_{q^2} with pair output, a field to itself) goes through
-one report path, ``_kernel_report``, which histograms the domain once per
-row (c, a) it runs and reduces the rows of one c to its uniformity,
-spectrum and witness.
+Tables of a field to itself (the inner functions ``predict`` measures) use
+Definition-style F(z+a) - c*F(z).  Every domain shape (pair plane, F_{q^2}
+with pair output, a field to itself) goes through one report path,
+``_kernel_report``, which histograms the domain once per row (c, a) it runs
+and reduces the rows of one c to its uniformity, spectrum and witness.
 
 Row weights.  Most constructions are homogeneous: F(lam*z) = N(F(z)) with
 N(g, h) = (mu*g, nu*h) for every lam of a subgroup of F_q^*, lam*z being
@@ -136,8 +135,7 @@ except ImportError:  # Python < 3.12
 
 from .gf import CduError
 from .quadext import QuadExtCtx
-from .funcs import (BIV, FuncSpec, PairTables, DomainMismatch, _read_only,
-                    tables_for, univariate_lift)
+from .funcs import BIV, FuncSpec, PairTables, _read_only, tables_for
 
 
 class CParam(NamedTuple):
@@ -537,47 +535,3 @@ def c_sample_biv(q, n, seed):
     pool = c_all_biv(q)
     rng = random.Random(seed)
     return rng.sample(pool, min(n, len(pool)))
-
-
-# ---------------------------------------------------------------------------
-# bivariate <-> univariate consistency
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EquivalenceRow:
-    c1: int
-    c2: int
-    biv_uniformity: int
-    uni_uniformity: int
-    match: bool
-
-
-@dataclass
-class EquivalenceReport:
-    rows: list
-    all_match: bool
-
-
-def equivalence_check(spec: FuncSpec, qctx: QuadExtCtx) -> EquivalenceReport:
-    """Compare the bivariate report against the lifted univariate one per c.
-
-    The univariate side runs at c = phi(c1, c2); a and b sweep the whole
-    extension field, i.e. the images of all pairs under phi.  A row matches
-    when uniformity and spectrum are both equal.
-    """
-    if spec.domain != BIV:
-        raise DomainMismatch("equivalence_check needs a bivariate spec")
-    tabs = tables_for(spec, qctx)
-    lift = univariate_lift(spec, qctx)
-    q = qctx.base.q
-    rows = []
-    ok = True
-    for c1 in range(q):
-        for c2 in range(q):
-            b = pair_report(qctx, tabs, CParam.biv(c1, c2))
-            ce = int(qctx.phi_table[qctx.pt(c1, c2)])
-            u = uni_report(qctx.ext, lift, CParam.uni(ce))
-            match = (b.uniformity, b.spectrum) == (u.uniformity, u.spectrum)
-            ok = ok and match
-            rows.append(EquivalenceRow(c1, c2, b.uniformity, u.uniformity, match))
-    return EquivalenceReport(rows, ok)

@@ -6,10 +6,10 @@ for uniform O(1) evaluation inside sweeps.  Both shapes have pair output:
   biv   F_q x F_q -> F_q x F_q      tables (g, h) indexed by pt = x*q + y
   ext   F_{q^2}   -> F_q x F_q      tables (g, h) indexed by the ext element
 
-The univariate lift of a biv function, z -> phi(F(phi^-1(z))), is no family:
-``univariate_lift`` returns it as a value table of F_{q^2} to itself.
-Tables here are values only; what the c-DDT kernel derives of them is
-``ddt``'s (see ``PairTables``).
+The univariate lift of a biv function, z -> phi(F(phi^-1(z))), is no family;
+tests build it from a table's ``key`` to check the identification.  Tables
+here are values only; what the c-DDT kernel derives of them is ``ddt``'s
+(see ``PairTables``).
 
 Inverses follow the 0 -> 0 convention: y^-1 is y^(q-2) and gamma/x is
 gamma * x^(q^2-2), so every family is total on its domain.
@@ -58,10 +58,6 @@ from .quadext import QuadExtCtx
 
 BIV = "biv"
 EXT = "ext"
-
-
-class DomainMismatch(CduError):
-    pass
 
 
 class InvalidParams(CduError):
@@ -451,20 +447,3 @@ def tables_for(spec: FuncSpec, qctx: QuadExtCtx):
     """The spec's value tables over qctx, kept for the process's 16 most
     recently used (spec, context) pairs."""
     return build_tables(spec, qctx)
-
-
-# ---------------------------------------------------------------------------
-# the univariate lift
-# ---------------------------------------------------------------------------
-
-def univariate_lift(spec: FuncSpec, qctx: QuadExtCtx) -> np.ndarray:
-    """The correspondence z -> phi(F(phi^-1(z))) as a value table of F_{q^2}
-    to itself, a read-only int32 array.
-
-    phi(g, h) = g + beta*h is the identification under which the bivariate
-    differential system is exactly c*(lifted F).
-    """
-    if spec.domain != BIV:
-        raise DomainMismatch("univariate_lift needs a bivariate spec")
-    key = tables_for(spec, qctx).key  # F(pt) as the pair point g*q + h
-    return _read_only(qctx.phi_table[key[qctx.phi_inv_table]])

@@ -254,6 +254,9 @@ class FieldCtx:
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ReducibleModulus(
                     f"modulus must be monic of degree {m}, got {modulus}")
+            if modulus[0] == 0:  # is_irreducible would call x reducible
+                raise ReducibleModulus(f"modulus {modulus} has constant term 0: "
+                                       "the modulus may not have the root 0")
             if not is_irreducible(modulus, p):
                 raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
         self.p = p

@@ -1,6 +1,7 @@
-"""Exhaustive references for the root-counting lemmas of ``cdu.oracles``.
+"""Exhaustive references for the root-counting lemmas of ``cdu.oracles``,
+and the univariate lift of a pair-plane table.
 
-Each one counts roots over every x, for every coefficient tuple at once,
+Each root count runs over every x, for every coefficient tuple at once,
 with the field's vector arithmetic only, so it shares no step with the
 closed form it is held against.
 """
@@ -48,3 +49,10 @@ def quartic_patterns(ctx):
     return {(i, j, k): (2, 2) if split[i, j, k] and not roots[i, j, k]
             else by_roots[roots[i, j, k]]
             for i in range(q) for j in range(1, q) for k in range(1, q)}
+
+
+def lift(qctx, tabs):
+    """z -> phi(F(phi^-1(z))) for the pair-plane tables of F, as values of
+    F_{q^2} to itself: under phi(g, h) = g + beta*h, the bivariate system
+    at c is the lift's at phi(c)."""
+    return qctx.phi_table[tabs.key[qctx.phi_inv_table]]

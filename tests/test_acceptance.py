@@ -16,11 +16,12 @@ import numpy as np
 from cdu import make_field, make_quadext, parse_func_spec, func_spec
 from cdu import ddt
 from cdu.ddt import CParam
+from cdu.funcs import tables_for
 from cdu.oracles import (bluher_root_count, bluher_special_b_count,
                          bluher_special_b_formula, inverse_c_uniformity_predict,
                          quadratic_root_count, quartic_factor_type)
 from cdu.predict import compute_AB, _sumprod_in_A
-from refs import quadratic_root_counts, quartic_patterns
+from refs import lift, quadratic_root_counts, quartic_patterns
 
 
 @contextmanager
@@ -300,5 +301,11 @@ def test_criterion_12_structural_invariants(qx4, qx8, qx16, qx27):
                                gtable=tuple(rng.randrange(q) for _ in range(q * q)),
                                htable=tuple(rng.randrange(q) for _ in range(q * q)))]
             for spec in specs:
-                rep = ddt.equivalence_check(spec, qx)
-                assert rep.all_match
+                tabs = tables_for(spec, qx)
+                lifted = lift(qx, tabs)
+                for c1 in range(q):
+                    for c2 in range(q):
+                        b = ddt.pair_report(qx, tabs, CParam.biv(c1, c2))
+                        u = ddt.uni_report(qx.ext, lifted, CParam.uni(
+                            int(qx.phi_table[qx.pt(c1, c2)])))
+                        assert (b.uniformity, b.spectrum) == (u.uniformity, u.spectrum)

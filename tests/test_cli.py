@@ -534,6 +534,11 @@ def _oracle(which, *args):
     pytest.param(_oracle("invpred", "--c", "w^-2"), id="oracle-c-exponent-negative"),
     pytest.param(["field", "-p", "2", "-m", "4", "--modulus", "1,1,0,0,+1"],
                  id="modulus-coefficient-plus"),
+    # x is irreducible, but the modulus may not have the root 0
+    pytest.param(["field", "-p", "3", "-m", "1", "--modulus", "0,1"],
+                 id="modulus-x"),
+    pytest.param(["field", "-p", "3", "-m", "2", "--modulus", "0,0,1"],
+                 id="modulus-x^2"),
     pytest.param(_sweep("0,0", "genlinh{L=x;h=pow:-1}"), id="h-pow-negative-e"),
     pytest.param(_sweep("0,0", "genlinh{L=x;h=gold:+1}"), id="h-gold-plus-k"),
     pytest.param(_sweep("0,0", "goldpair{k=1_0;gamma=w^5;L=x}"),
@@ -558,6 +563,14 @@ def test_malformed_input_exits_one(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("m, modulus, coeffs", [
+    ("1", "0,1", "(0, 1)"), ("2", "0,0,1", "(0, 0, 1)")])
+def test_modulus_with_root_zero_is_named(capsys, m, modulus, coeffs):
+    code, out, err = run_cli(capsys, "field", "-p", "3", "-m", m, "--modulus", modulus)
+    assert (code, out, err) == (1, "", f"error: modulus {coeffs} has constant term 0: "
+                                       "the modulus may not have the root 0\n")
 
 
 @pytest.mark.parametrize("spec, name", [

@@ -4,10 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdu import (ddt, func_spec, make_field, make_quadext, parse_func_spec,
-                 parse_linpoly, predict, univariate_lift)
-from cdu.funcs import (FAMILIES, DomainMismatch, InvalidParams, SpecParseError,
-                       parse_inner, tables_for)
+from cdu import ddt, func_spec, parse_func_spec, parse_linpoly, predict
+from cdu.funcs import (FAMILIES, InvalidParams, SpecParseError, parse_inner,
+                       tables_for)
+from refs import lift
 
 
 # -- parsing ------------------------------------------------------------------
@@ -288,25 +288,14 @@ def test_missing_parameter_is_named(qx16, spec, name):
 # -- univariate lift ----------------------------------------------------------
 
 def test_lift_identity(qx4):
-    lift = univariate_lift(parse_func_spec("identity"), qx4)
-    assert (lift == np.arange(qx4.ext.q)).all()
-
-
-@pytest.mark.parametrize("field", [(2, 2), (3, 2)])
-def test_lift_is_read_only_table_over_ext(field):
-    qctx = make_quadext(make_field(*field))
-    ext = qctx.ext
-    lift = univariate_lift(parse_func_spec("sumprod{i=0;j=1;alpha=1}"), qctx)
-    assert isinstance(lift, np.ndarray) and len(lift) == ext.q
-    assert lift.dtype == np.int32
-    with pytest.raises(ValueError, match="read-only"):
-        lift[0] = 0
+    lifted = lift(qx4, tables_for(parse_func_spec("identity"), qx4))
+    assert (lifted == np.arange(qx4.ext.q)).all()
 
 
 def test_lift_of_linear_function_is_linear(qx4):
     # F(x,y) = (x, y + x): both coordinates F_q-linear, so the lift is too
     spec = parse_func_spec("genlinh{L=x;h=id}")
-    tab = univariate_lift(spec, qx4)
+    tab = lift(qx4, tables_for(spec, qx4))
     ext = qx4.ext
     zs = np.arange(ext.q, dtype=np.int32)
     sums = ext.add_vec(zs[:, None], zs[None, :])
@@ -322,14 +311,9 @@ def test_lift_round_trip_pointwise(qx4):
     gt = tuple(rng.randrange(q) for _ in range(q * q))
     ht = tuple(rng.randrange(q) for _ in range(q * q))
     spec = func_spec("genericbiv", gtable=gt, htable=ht)
-    lift = univariate_lift(spec, qx4)
+    lifted = lift(qx4, tables_for(spec, qx4))
     for x in range(q):
         for y in range(q):
-            image = lift[qx4.phi_table[qx4.pt(x, y)]]
+            image = lifted[qx4.phi_table[qx4.pt(x, y)]]
             back = divmod(int(qx4.phi_inv_table[image]), q)
             assert back == value_at(spec, qx4, qx4.pt(x, y))
-
-
-def test_lift_requires_bivariate(qx16):
-    with pytest.raises(DomainMismatch):
-        univariate_lift(parse_func_spec("traceinv{gamma=W^1}"), qx16)

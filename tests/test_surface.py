@@ -1,12 +1,16 @@
 """The documented public surface runs: README's library sketch, the package
-docstring's example and every name ``cdu.__all__`` exports."""
+docstring's example, every name ``cdu.__all__`` exports and every name the
+benchmark's tracer wraps."""
 
+import importlib
+import importlib.util
 import textwrap
 from pathlib import Path
 
 import cdu
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SPANS = README.parent / "bench" / "spans.py"
 
 
 def _readme_sketch():
@@ -43,3 +47,17 @@ def test_every_exported_name_resolves():
     assert len(set(cdu.__all__)) == len(cdu.__all__)
     for name in cdu.__all__:
         assert getattr(cdu, name) is not None, name
+
+
+def test_every_traced_name_resolves():
+    """bench/spans.py looks these up by name, so a renamed or deleted one
+    would otherwise fail only a traced benchmark run."""
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    names = [f"{layer}.{name}" for layer, names in spans.TARGETS.items()
+             for name in names or ()]
+    for dotted in names + list(spans.PER_C):
+        layer, name = dotted.split(".")
+        module = importlib.import_module(f"cdu.{layer}")
+        assert callable(getattr(module, name, None)), dotted
