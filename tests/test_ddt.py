@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import cdu
 from cdu import func_spec, make_field, make_quadext, parse_func_spec
@@ -974,24 +974,11 @@ def test_c_zero_pcn_iff_bijection(qx4):
         assert (rep.uniformity == 1) == is_bij
 
 
-@settings(max_examples=12, deadline=None)
-@given(field=st.sampled_from(_PROPERTY_FIELDS),
-       seed=st.integers(0, 2 ** 32 - 1))
-@example(field=(2, 2), seed=None)
-@example(field=(2, 2), seed=7)
-def test_bivariate_equals_lifted_univariate(field, seed):
-    """Under G+bH, every c = (c1, c2) of a table gives the lifted univariate
-    function's uniformity and spectrum at c = phi(c1, c2).  The table is
-    random from ``seed``, or the identity for seed None."""
-    qctx = make_quadext(make_field(*field))
+def _lift_rows(spec, qctx):
+    """Assert that under G+bH every c = (c1, c2) gives the lifted univariate
+    function's uniformity and spectrum at c = phi(c1, c2); return how many
+    c were compared."""
     q = qctx.base.q
-    if seed is None:
-        spec = parse_func_spec("identity")
-    else:
-        rng = random.Random(seed)
-        spec = func_spec("genericbiv",
-                         gtable=tuple(rng.randrange(q) for _ in range(q * q)),
-                         htable=tuple(rng.randrange(q) for _ in range(q * q)))
     tabs = tables_for(spec, qctx)
     lifted = lift(qctx, tabs)
     for c1 in range(q):
@@ -1000,6 +987,31 @@ def test_bivariate_equals_lifted_univariate(field, seed):
             u = ddt.uni_report(qctx.ext, lifted,
                                CParam.uni(int(qctx.phi_table[qctx.pt(c1, c2)])))
             assert (b.uniformity, b.spectrum) == (u.uniformity, u.spectrum)
+    return q * q
+
+
+def _random_tables_spec(rng, q):
+    return func_spec("genericbiv",
+                     gtable=tuple(rng.randrange(q) for _ in range(q * q)),
+                     htable=tuple(rng.randrange(q) for _ in range(q * q)))
+
+
+def test_equivalence_identity(qx4):
+    assert _lift_rows(parse_func_spec("identity"), qx4) == 16
+
+
+def test_equivalence_random_table_all_c(qx4):
+    assert _lift_rows(_random_tables_spec(random.Random(7), 4), qx4) == 16
+
+
+@settings(max_examples=12, deadline=None)
+@given(field=st.sampled_from(_PROPERTY_FIELDS),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_bivariate_equals_lifted_univariate(field, seed):
+    """Every c of a random table gives the lifted univariate report."""
+    qctx = make_quadext(make_field(*field))
+    q = qctx.base.q
+    assert _lift_rows(_random_tables_spec(random.Random(seed), q), qctx) == q * q
 
 
 def test_beta_choice_independence():
