@@ -117,6 +117,8 @@ def _parse_cset(args, base):
             raise CduError(f"--c expects pairs c1,c2 separated by ';', got {pair!r}")
         c1s, c2s = pair.split(",")
         out.append(ddt.CParam.biv(base.parse_elem(c1s), base.parse_elem(c2s)))
+    if not out:
+        raise CduError(f"--c names no c: {sel!r} has no pair c1,c2")
     return out
 
 

@@ -9,7 +9,8 @@ for uniform O(1) evaluation inside sweeps.  Both shapes have pair output:
 The univariate lift of a biv function, z -> phi(F(phi^-1(z))), is no family;
 tests build it from a table's ``key`` to check the identification.  Tables
 here are values only; what the c-DDT kernel derives of them is ``ddt``'s
-(see ``PairTables``).
+(see ``PairTables``).  A function known only by its values is measured as
+``ddt.pair_report(qctx, PairTables(BIV, g, h, qctx), c)``, no family needed.
 
 Inverses follow the 0 -> 0 convention: y^-1 is y^(q-2) and gamma/x is
 gamma * x^(q^2-2), so every family is total on its domain.
@@ -33,8 +34,7 @@ except prodlin's gammas (default: none) and tracext's k and gamma, which
 only H=gold reads.  Elements are read by ``FieldCtx.parse_elem``: "w^k" in
 F_q and "W^k" in F_{q^2}, the other letter being an error, and every
 integer (an exponent, an index, a count) by ``gf.parse_count``, in the
-ASCII digits 0-9 with no sign, space or "_".  genericbiv
-takes value tables of F_q indices, which only ``func_spec`` can pass.
+ASCII digits 0-9 with no sign, space or "_".
 
 A linearized polynomial is a sum of terms "x", "x^E" or "<el>*x^E", every
 exponent E a power of p; ``parse_linpoly`` reads it over F_q straight to its
@@ -160,7 +160,6 @@ FAMILIES = {
     "tracext": (EXT, {"H": "variant", "k": "int?", "gamma": "ext?"}),
     "normfirst": (EXT, {"H": "variant"}),
     "identity": (BIV, {}),
-    "genericbiv": (BIV, {"gtable": "table", "htable": "table"}),
 }
 
 
@@ -177,8 +176,7 @@ class FuncSpec:
         return FAMILIES[self.family][0]
 
     def to_string(self):
-        body = ";".join(f"{k}={v}" for k, v in self.params
-                        if k not in ("gtable", "htable"))
+        body = ";".join(f"{k}={v}" for k, v in self.params)
         return f"{self.family}{{{body}}}" if body else self.family
 
     def __repr__(self):
@@ -186,34 +184,23 @@ class FuncSpec:
 
 
 def func_spec(family, **params):
-    """The FuncSpec of ``family`` with ``params``; a value table (any
-    sequence of ints, a numpy array among them) is kept as a tuple of ints,
-    so that specs hash and compare by value."""
+    """The FuncSpec of ``family`` with ``params``."""
     if family not in FAMILIES:
         raise SpecParseError(f"unknown family {family!r}")
     declared = FAMILIES[family][1]
-    for k, v in params.items():
+    for k in params:
         if k not in declared:
             raise SpecParseError(f"unknown key {k!r} for {family}, which takes "
                                  f"{', '.join(declared) or 'no parameters'}")
-        if declared[k] == "table":
-            params[k] = tuple(map(int, v))
     return FuncSpec(family, tuple(sorted(params.items())))
 
 
 def parse_func_spec(s) -> FuncSpec:
-    """Parse one construction string, e.g. ``genlinh{L=x;h=inv}``.
-
-    genericbiv takes its value tables from ``func_spec`` only, so no string
-    names it.
-    """
+    """Parse one construction string, e.g. ``genlinh{L=x;h=inv}``."""
     s = s.strip()
     head = s.split("{", 1)[0]
     if head not in FAMILIES:
         raise SpecParseError(f"unknown family {head!r} (position 0)")
-    if head == "genericbiv":
-        raise SpecParseError(
-            f"{head} takes its tables from the library (func_spec), not a spec string")
     if head == s:
         return FuncSpec(s)
     if not s.endswith("}"):
@@ -249,13 +236,16 @@ def _read_only(a):
 class PairTables:
     """Value tables of a function with pair output (g, h), values in [0, q).
 
-    ``key`` packs each pair into the one codomain index g*q + h, the
-    encoding of reported b values, as a read-only int32 array; both domains
-    have q^2 points.  ``args`` holds the spec's parameters as
-    ``parse_params`` parsed them, which the predictors read.  ``engine`` is
-    for ``ddt`` alone, which keeps there one record, as long as the tables
-    live, of what it derives of them for its kernel, the function's row
-    symmetry among it.
+    ``g`` and ``h`` may be any integer sequences with one entry per point
+    of the domain (both domains have q^2 points).  They are checked and
+    kept as read-only copies, so that what ``ddt`` derives of them stays
+    true: a wrong length or a value outside [0, q) is an InvalidParams
+    naming the table.  ``key`` packs each pair into the one codomain index
+    g*q + h, the encoding of reported b values, as a read-only int32 array.
+    ``args`` holds the spec's parameters as ``parse_params`` parsed them,
+    which the predictors read.  ``engine`` is for ``ddt`` alone, which keeps
+    there one record, as long as the tables live, of what it derives of
+    them for its kernel, the function's row symmetry among it.
     """
 
     domain: str
@@ -265,8 +255,19 @@ class PairTables:
     args: dict = None
 
     def __post_init__(self, qctx):
+        q = qctx.base.q
+        for name in ("g", "h"):
+            v = _read_only(np.array(getattr(self, name)))
+            if v.shape != (q * q,) or v.dtype.kind not in "iu":
+                raise InvalidParams(f"{name} must be {q * q} integers, one per "
+                                    f"point of the domain, not an array of shape "
+                                    f"{v.shape} and dtype {v.dtype}")
+            if v.min() < 0 or v.max() >= q:
+                raise InvalidParams(f"{name} has a value outside F_{q}, "
+                                    f"whose indices are 0..{q - 1}")
+            setattr(self, name, v)
         self.key = _read_only(
-            (self.g.astype(np.intp) * qctx.base.q + self.h).astype(np.int32))
+            (self.g.astype(np.intp) * q + self.h).astype(np.int32))
         self.engine = {}
 
 
@@ -279,7 +280,6 @@ def parse_params(spec: FuncSpec, qctx: QuadExtCtx) -> dict:
       inner         its Inner over F_q: tag, table, permutation
       gammas        prodlin's [(i, gamma_i)] from "4:1,2:w^3"
       variant       the string, which the family's builder checks
-      table         an int32 array of F_q indices, from func_spec only
 
     A missing parameter that is not optional is an InvalidParams error."""
     base, fam = qctx.base, spec.family
@@ -311,11 +311,6 @@ def parse_params(spec: FuncSpec, qctx: QuadExtCtx) -> dict:
                     raise SpecParseError(f"prodlin gamma term {term!r} is not i:gamma")
                 v.append((parse_count(i.strip(), "prodlin exponent index"),
                           base.parse_elem(c)))
-        elif kind == "table":
-            v = np.asarray(v, dtype=np.int32)
-            if ((v < 0) | (v >= base.q)).any():
-                raise InvalidParams(f"{name} has a value outside F_{base.q}, "
-                                    f"whose indices are 0..{base.q - 1}")
         else:
             v = str(v)  # variant
         args[name] = v
@@ -349,11 +344,6 @@ def _values(fam, args, qctx: QuadExtCtx):
 
         if fam == "identity":
             return X, Y
-        if fam == "genericbiv":
-            g, h = args["gtable"], args["htable"]
-            if len(g) != q * q or len(h) != q * q:
-                raise InvalidParams("generic bivariate tables must have q^2 entries")
-            return g, h
         if fam == "genlinh":
             g = args["L"].table[X]
             return g, base.add_vec(args["h"].table[Y], g)

@@ -16,7 +16,7 @@ import numpy as np
 from cdu import make_field, make_quadext, parse_func_spec, func_spec
 from cdu import ddt
 from cdu.ddt import CParam
-from cdu.funcs import tables_for
+from cdu.funcs import BIV, PairTables, tables_for
 from cdu.oracles import (bluher_root_count, bluher_special_b_count,
                          bluher_special_b_formula, inverse_c_uniformity_predict,
                          quadratic_root_count, quartic_factor_type)
@@ -296,12 +296,9 @@ def test_criterion_12_structural_invariants(qx4, qx8, qx16, qx27):
         rng = random.Random(12)
         for qx in (qx4, qx8):
             q = qx.base.q
-            specs = [parse_func_spec("genlinh{L=x;h=inv}"),
-                     func_spec("genericbiv",
-                               gtable=tuple(rng.randrange(q) for _ in range(q * q)),
-                               htable=tuple(rng.randrange(q) for _ in range(q * q)))]
-            for spec in specs:
-                tabs = tables_for(spec, qx)
+            for tabs in (tables_for(parse_func_spec("genlinh{L=x;h=inv}"), qx),
+                         PairTables(BIV, [rng.randrange(q) for _ in range(q * q)],
+                                    [rng.randrange(q) for _ in range(q * q)], qx)):
                 lifted = lift(qx, tabs)
                 for c1 in range(q):
                     for c2 in range(q):

@@ -456,6 +456,12 @@ def _oracle(which, *args):
                  id="w^x,0-genlinh{L=x;h=inv}"),
     pytest.param(_sweep("sample:abc", "genlinh{L=x;h=inv}"),
                  id="sample:abc-genlinh{L=x;h=inv}"),
+    # a list that names no c would pass verify on the empty set
+    pytest.param(_sweep("", "identity"), id="c-empty"),
+    pytest.param(_sweep(";", "identity"), id="c-separator-only"),
+    pytest.param(_sweep(";;", "identity"), id="c-separators-only"),
+    pytest.param(["verify", "-p", "2", "-m", "4", "--spec", "genlinh{L=x;h=inv}",
+                  "--c", ";"], id="verify-c-separator-only"),
     pytest.param(_sweep("0,0", "genlingold{L=x;k=abc;alpha=0}"),
                  id="0,0-genlingold{L=x;k=abc;alpha=0}"),
     pytest.param(_sweep("0,0", "prodlin{gammas=4;L=x}"),
@@ -479,7 +485,8 @@ def _oracle(which, *args):
     pytest.param(["sweep", "-p", "2", "-m", "2", "--spec", "identity",
                   "--c", "0,0", "-o", "/nonexistent/x"],
                  id="output-in-missing-directory"),
-    # the generic families take tables from the library API only
+    # no family takes a value table: one given by its values is measured
+    # through the library's PairTables
     pytest.param(_sweep("0,0", "genericbiv"), id="genericbiv"),
     pytest.param(_sweep("0,0", "genericbiv{gtable=1;htable=1}"),
                  id="genericbiv-with-tables"),

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cdu
-from cdu import func_spec, make_field, make_quadext, parse_func_spec
+from cdu import make_field, make_quadext, parse_func_spec
 from cdu import ddt
 from cdu.ddt import CParam
 from cdu.funcs import BIV, EXT, PairTables, tables_for
@@ -149,8 +149,7 @@ def test_engine_matches_naive_counting_q4(qx4):
     q = 4
     gt = tuple(rng.randrange(q) for _ in range(q * q))
     ht = tuple(rng.randrange(q) for _ in range(q * q))
-    spec = func_spec("genericbiv", gtable=gt, htable=ht)
-    tabs = tables_for(spec, qx4)
+    tabs = PairTables(BIV, gt, ht, qx4)
     for c1 in range(q):
         for c2 in range(q):
             c = CParam.biv(c1, c2)
@@ -182,10 +181,8 @@ def test_row_spectrum_and_derivative_match_naive_odd_p(field):
     q, n = qctx.base.q, qctx.ext.q
     rng = np.random.default_rng(q)
     g, h = rng.integers(0, q, (2, n))
-    spec = func_spec("genericbiv", gtable=tuple(g.tolist()),
-                     htable=tuple(h.tolist()))
     cs = [CParam.biv(1, 0), CParam.biv(0, 0), CParam.biv(*rng.integers(0, q, 2))]
-    tabs = tables_for(spec, qctx)
+    tabs = PairTables(BIV, g, h, qctx)
     for c in cs:
         terms = _pair_terms(qctx, tabs, c)
         for a in (0, n - 1, int(rng.integers(1, n - 1))):
@@ -238,14 +235,8 @@ def _case(qctx, shape, f, c):
     pair output is given packed, f = g*q + h."""
     q = qctx.base.q
     f = np.asarray(f, dtype=np.int32)
-    if shape in ("biv", "ext"):
-        g, h = f // q, f % q
-        if shape == "biv":
-            spec = func_spec("genericbiv", gtable=tuple(g.tolist()),
-                             htable=tuple(h.tolist()))
-            return (lambda: ddt.c_uniformity(spec, qctx, c),
-                    _pair_terms(qctx, tables_for(spec, qctx), c))
-        tabs = PairTables(EXT, g, h, qctx)
+    if shape in (BIV, EXT):
+        tabs = PairTables(shape, f // q, f % q, qctx)
         return (lambda: ddt.pair_report(qctx, tabs, c),
                 _pair_terms(qctx, tabs, c))
     field_ctx = qctx.ext if shape == "uni" else qctx.base
@@ -689,7 +680,8 @@ _SCALING_SPECS = [
     "goldpair{k=1;gamma=w^5;L=x}", "prodlin{gammas=1:1;L=x}",
     "splitgh{g=id;h1=inv;h2=gold:1;L1=x;L2=x;gamma1=w^1;gamma2=1}",
     "traceinv{gamma=W^3}", "tracext{H=gold;k=1;gamma=W^1}",
-    "tracext{H=norm}", "normfirst{H=tr5}", "identity", "genericbiv",
+    "tracext{H=norm}", "normfirst{H=tr5}", "identity",
+    "genericbiv",  # a random pair-plane table, given by its values
 ]
 
 
@@ -717,7 +709,7 @@ def test_scaling_and_weights_equal_brute_force(p, m, spec):
     q, n = base.q, base.q ** 2
     if spec == "genericbiv":
         g, h = np.random.default_rng([p, m]).integers(0, q, (2, n))
-        tabs = tables_for(func_spec(spec, gtable=g, htable=h), qctx)
+        tabs = PairTables(BIV, g, h, qctx)
     else:
         tabs = tables_for(parse_func_spec(spec), qctx)
     perms, order, off_order = {}, 0, 0
@@ -739,6 +731,21 @@ def test_scaling_and_weights_equal_brute_force(p, m, spec):
         want = np.bincount(low, minlength=n)
         want[0] = not c.is_identity
         assert (ddt._weights(qctx, tabs, c)[0] == want).all()
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("spec", [s for s in _SCALING_SPECS if s != "genericbiv"])
+def test_report_depends_on_the_values_alone(p, m, spec):
+    """A family's tables rebuilt from their values alone, with no spec and
+    no parsed parameters, give the family's report at every c, the
+    identity among them: scaling, weights and witness come from the values."""
+    qctx = make_quadext(make_field(p, m))
+    q = qctx.base.q
+    tabs = tables_for(parse_func_spec(spec), qctx)
+    bare = PairTables(tabs.domain, tabs.g, tabs.h, qctx)
+    assert bare.args is None
+    for c in [CParam.biv(c1, c2) for c1 in range(q) for c2 in range(q)]:
+        assert ddt.pair_report(qctx, bare, c) == ddt.pair_report(qctx, tabs, c)
 
 
 def test_scaling_fails_fast_off_the_line(monkeypatch):
@@ -952,13 +959,11 @@ def test_shift_covariance(qx8):
     rng = random.Random(2)
     for _ in range(3):
         k1, k2 = rng.randrange(8), rng.randrange(8)
-        shifted = func_spec(
-            "genericbiv",
-            gtable=tuple(int(v) for v in base.add_vec(tabs.g, np.int32(k1))),
-            htable=tuple(int(v) for v in base.add_vec(tabs.h, np.int32(k2))))
+        shifted = PairTables(BIV, base.add_vec(tabs.g, np.int32(k1)),
+                             base.add_vec(tabs.h, np.int32(k2)), qx8)
         for c in [CParam.biv(0, 0), CParam.biv(3, 5), CParam.biv(7, 2)]:
             assert (ddt.c_uniformity(spec, qx8, c).uniformity
-                    == ddt.c_uniformity(shifted, qx8, c).uniformity)
+                    == ddt.pair_report(qx8, shifted, c).uniformity)
 
 
 def test_c_zero_pcn_iff_bijection(qx4):
@@ -967,19 +972,17 @@ def test_c_zero_pcn_iff_bijection(qx4):
     for _ in range(12):
         gt = tuple(rng.randrange(q) for _ in range(q * q))
         ht = tuple(rng.randrange(q) for _ in range(q * q))
-        spec = func_spec("genericbiv", gtable=gt, htable=ht)
-        rep = ddt.c_uniformity(spec, qx4, CParam.biv(0, 0))
+        rep = ddt.pair_report(qx4, PairTables(BIV, gt, ht, qx4), CParam.biv(0, 0))
         combined = {(g, h) for g, h in zip(gt, ht)}
         is_bij = len(combined) == q * q
         assert (rep.uniformity == 1) == is_bij
 
 
-def _lift_rows(spec, qctx):
+def _lift_rows(tabs, qctx):
     """Assert that under G+bH every c = (c1, c2) gives the lifted univariate
     function's uniformity and spectrum at c = phi(c1, c2); return how many
     c were compared."""
     q = qctx.base.q
-    tabs = tables_for(spec, qctx)
     lifted = lift(qctx, tabs)
     for c1 in range(q):
         for c2 in range(q):
@@ -990,18 +993,18 @@ def _lift_rows(spec, qctx):
     return q * q
 
 
-def _random_tables_spec(rng, q):
-    return func_spec("genericbiv",
-                     gtable=tuple(rng.randrange(q) for _ in range(q * q)),
-                     htable=tuple(rng.randrange(q) for _ in range(q * q)))
+def _random_tables(rng, qctx):
+    q = qctx.base.q
+    return PairTables(BIV, [rng.randrange(q) for _ in range(q * q)],
+                      [rng.randrange(q) for _ in range(q * q)], qctx)
 
 
 def test_equivalence_identity(qx4):
-    assert _lift_rows(parse_func_spec("identity"), qx4) == 16
+    assert _lift_rows(tables_for(parse_func_spec("identity"), qx4), qx4) == 16
 
 
 def test_equivalence_random_table_all_c(qx4):
-    assert _lift_rows(_random_tables_spec(random.Random(7), 4), qx4) == 16
+    assert _lift_rows(_random_tables(random.Random(7), qx4), qx4) == 16
 
 
 @settings(max_examples=12, deadline=None)
@@ -1011,7 +1014,7 @@ def test_bivariate_equals_lifted_univariate(field, seed):
     """Every c of a random table gives the lifted univariate report."""
     qctx = make_quadext(make_field(*field))
     q = qctx.base.q
-    assert _lift_rows(_random_tables_spec(random.Random(seed), q), qctx) == q * q
+    assert _lift_rows(_random_tables(random.Random(seed), qctx), qctx) == q * q
 
 
 def test_beta_choice_independence():

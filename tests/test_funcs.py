@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from cdu import ddt, func_spec, parse_func_spec, parse_linpoly, predict
-from cdu.funcs import (FAMILIES, InvalidParams, SpecParseError, parse_inner,
-                       tables_for)
+from cdu.funcs import (BIV, EXT, FAMILIES, InvalidParams, PairTables,
+                       SpecParseError, parse_inner, tables_for)
 from refs import lift
 
 
@@ -57,10 +57,10 @@ def _readme_specs():
     return out
 
 
-@pytest.mark.parametrize("family", [f for f in FAMILIES if f != "genericbiv"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_readme_example_per_family(qx16, family):
-    """Every family but genericbiv (library only) has a README example that
-    parses, round-trips through to_string and builds."""
+    """Every family has a README example that parses, round-trips through
+    to_string and builds."""
     for s in _readme_specs()[family]:
         spec = parse_func_spec(s)
         assert parse_func_spec(spec.to_string()) == spec
@@ -75,10 +75,9 @@ def test_misspelt_key_is_named(family, key):
     message = f"^unknown key '{key + key[-1]}' for {family}, "
     with pytest.raises(SpecParseError, match=message):
         func_spec(family, **params)
-    if family != "genericbiv":  # no spec string names it
-        body = ";".join(f"{k}={v}" for k, v in params.items())
-        with pytest.raises(SpecParseError, match=message):
-            parse_func_spec(f"{family}{{{body}}}")
+    body = ";".join(f"{k}={v}" for k, v in params.items())
+    with pytest.raises(SpecParseError, match=message):
+        parse_func_spec(f"{family}{{{body}}}")
 
 
 def test_unknown_key_in_library_call():
@@ -171,31 +170,44 @@ def test_gold_exponent_taken_mod_degree(qx16, qx27, spec, step):
 
 
 def test_generic_table_outside_the_field_is_named(qx4):
-    """A genericbiv value outside [0, q) is the caller's fault: an
-    InvalidParams naming the table, not an engine bug in the kernel."""
-    for name, gt, ht in [("gtable", (7,) * 16, (0,) * 16),
-                         ("htable", (0,) * 16, (0,) * 15 + (-1,))]:
-        spec = func_spec("genericbiv", gtable=gt, htable=ht)
-        with pytest.raises(InvalidParams, match=f"^{name} has a value outside"):
-            ddt.c_uniformity(spec, qx4, ddt.CParam.biv(0, 0))
+    """Tables given by their values are checked where they are built, in
+    either domain: a wrong length or a value outside [0, q) is the caller's
+    fault, an InvalidParams naming the table, not a report on other values
+    or an engine bug in the kernel."""
+    zeros = (0,) * 16
+    cases = [
+        # the point value (1, -1) would pack to key 3 and read as (0, 3)
+        ("h", (1,) * 16, zeros[1:] + (-1,), "has a value outside F_4"),
+        # (0, q) would index past the field's tables in the engine
+        ("h", zeros, zeros[1:] + (4,), "has a value outside F_4"),
+        ("g", (7,) * 16, zeros, "has a value outside F_4"),
+        ("g", zeros[1:], zeros, "must be 16 integers"),
+        ("h", zeros, zeros + (0,), "must be 16 integers"),
+        ("g", (0.0,) * 16, zeros, "must be 16 integers"),
+    ]
+    for domain in (BIV, EXT):
+        for name, g, h, message in cases:
+            with pytest.raises(InvalidParams, match=f"^{name} {message}"):
+                PairTables(domain, g, h, qx4)
 
 
 def test_generic_tables_as_arrays_or_tuples(qx4):
-    """genericbiv takes its tables as numpy arrays as well as tuples: the
-    spec keeps them as tuples of ints, so both hash to the same spec and
-    give the same report, and a value outside [0, q) is still named."""
+    """PairTables takes its tables as numpy arrays of any integer dtype or
+    as tuples of ints, keeps read-only copies, and both give the same
+    report, also once the caller has written into its own arrays; a value
+    outside [0, q) in an array is named as in a tuple."""
     g, h = np.random.default_rng(4).integers(0, 4, (2, 16))
-    arrays = func_spec("genericbiv", gtable=g, htable=h.astype(np.int32))
-    tuples = func_spec("genericbiv", gtable=tuple(g.tolist()),
-                       htable=tuple(h.tolist()))
-    assert arrays == tuples and hash(arrays) == hash(tuples)
-    assert dict(arrays.params)["gtable"] == tuple(g.tolist())
-    for c in ddt.c_all_biv(4)[:5]:
-        assert ddt.c_uniformity(arrays, qx4, c) == ddt.c_uniformity(tuples, qx4, c)
+    tuples = PairTables(BIV, tuple(g.tolist()), tuple(h.tolist()), qx4)
+    h = h.astype(np.int32)
+    arrays = PairTables(BIV, g, h, qx4)
+    assert (tuples.g == g).all() and (tuples.key == arrays.key).all()
+    assert not (arrays.g.flags.writeable or arrays.h.flags.writeable)
+    g[:], h[:] = np.divmod(np.arange(16), 4)  # identity's values, which scale
+    for c in ddt.c_all_biv(4):
+        assert ddt.pair_report(qx4, arrays, c) == ddt.pair_report(qx4, tuples, c)
     g[5] = 4
-    spec = func_spec("genericbiv", gtable=g, htable=h)
-    with pytest.raises(InvalidParams, match="^gtable has a value outside"):
-        ddt.c_uniformity(spec, qx4, ddt.CParam.biv(0, 0))
+    with pytest.raises(InvalidParams, match="^g has a value outside"):
+        PairTables(BIV, g, h, qx4)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -258,11 +270,9 @@ def test_family_param_validation(qx16):
     with pytest.raises(InvalidParams):
         # Tr(gamma) = 0 for gamma in F_q
         tables_for(parse_func_spec("tracext{H=gold;k=1;gamma=W^0}"), qx16)
-    # an index and tables that only func_spec can give, as no spec string can
+    # an index that only func_spec can give, as no spec string can
     with pytest.raises(InvalidParams, match="^gamma=99 is not an element index"):
         tables_for(func_spec("goldpair", k=1, gamma=99, L="x"), qx16)
-    with pytest.raises(InvalidParams, match="must have q\\^2 entries"):
-        tables_for(func_spec("genericbiv", gtable=(0,) * 5, htable=(0,) * 5), qx16)
 
 
 @pytest.mark.parametrize("spec, name", [
@@ -310,10 +320,9 @@ def test_lift_round_trip_pointwise(qx4):
     q = qx4.base.q
     gt = tuple(rng.randrange(q) for _ in range(q * q))
     ht = tuple(rng.randrange(q) for _ in range(q * q))
-    spec = func_spec("genericbiv", gtable=gt, htable=ht)
-    lifted = lift(qx4, tables_for(spec, qx4))
+    lifted = lift(qx4, PairTables(BIV, gt, ht, qx4))
     for x in range(q):
         for y in range(q):
             image = lifted[qx4.phi_table[qx4.pt(x, y)]]
             back = divmod(int(qx4.phi_inv_table[image]), q)
-            assert back == value_at(spec, qx4, qx4.pt(x, y))
+            assert back == (gt[qx4.pt(x, y)], ht[qx4.pt(x, y)])

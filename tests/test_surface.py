@@ -32,9 +32,12 @@ def _docstring_example(doc):
 
 
 def test_readme_library_sketch_runs(capsys):
+    """The sketch measures a family's spec and a table given by its values."""
     exec(compile(_readme_sketch(), str(README), "exec"), {})
-    uniformity, classification = capsys.readouterr().out.split()[:2]
+    lines = capsys.readouterr().out.splitlines()
+    uniformity, classification = lines[0].split()[:2]
     assert int(uniformity) >= 1 and classification
+    assert len(lines) == 2 and int(lines[1]) >= 1
 
 
 def test_package_docstring_example_runs():
