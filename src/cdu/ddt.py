@@ -6,11 +6,12 @@ The bivariate c-derivative of F = (G, H) at c = (c1, c2), a = (a1, a2) is
     D2 = H(x+a1, y+a2) - (c1-c2)*H(x,y) - c2*G(x,y)
 
 and the DDT entry at (a, b) counts domain points with (D1, D2) = b.
-Tables of a field to itself (the inner functions ``predict`` measures) use
-Definition-style F(z+a) - c*F(z).  Every domain shape (pair plane, F_{q^2}
-with pair output, a field to itself) goes through one report path,
-``_kernel_report``, which histograms the domain once per row (c, a) it runs
-and reduces the rows of one c to its uniformity, spectrum and witness.
+Tables of a field to itself (used by the tests and traced by the
+benchmark) use Definition-style F(z+a) - c*F(z).  Every domain shape (pair
+plane, F_{q^2} with pair output, a field to itself) goes through one report
+path, ``_kernel_report``, which histograms the domain once per row (c, a)
+it runs and reduces the rows of one c to its uniformity, spectrum and
+witness.
 
 Row weights.  Most constructions are homogeneous: F(lam*z) = N(F(z)) with
 N(g, h) = (mu*g, nu*h) for every lam of a subgroup of F_q^*, lam*z being

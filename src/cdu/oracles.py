@@ -1,9 +1,12 @@
 """Independent root-counting oracles: quadratics, quartics over F_{2^m},
-Gold-type trinomials, and the closed-form inverse-function predictions.
+Gold-type trinomials, and the closed-form inverse-function predictions;
+and ``c_ddt_spectrum``, a direct count of the c-DDT of a function of a
+field to itself that shares no code with the engine in ``ddt``.
 
-Every one is behind ``cdu oracle``, and ``predict`` uses the
-inverse-function classes; the tests hold each closed form against an
-exhaustive count of their own.
+The root counts are behind ``cdu oracle``.  ``predict`` uses the
+inverse-function classes and, for the other inner functions it needs the
+uniformity of, ``c_ddt_spectrum``; the tests hold each closed form against
+an exhaustive count of their own.
 """
 
 from __future__ import annotations
@@ -145,6 +148,26 @@ def bluher_special_b_formula(ctx: FieldCtx, k):
     den = ctx.p ** (2 * d) - 1
     assert num % den == 0
     return num // den
+
+
+# ---------------------------------------------------------------------------
+# the c-DDT of a function of a field to itself
+# ---------------------------------------------------------------------------
+
+def c_ddt_spectrum(ctx: FieldCtx, values, c):
+    """{entry: number of (a, b) with that entry} of the c-DDT of the map
+    x -> values[x] of F_q to itself, entry (a, b) being the number of x with
+    F(x + a) - c*F(x) = b, over every a (a != 0 at c = 1).  One q x q pass,
+    one bincount of the keys row*q + b and one of the entries; the largest
+    entry is the c-differential uniformity."""
+    q, values = ctx.q, np.asarray(values)
+    xs = np.arange(q, dtype=np.int32)
+    a = xs[int(c == 1):, None]
+    b = ctx.sub_vec(values[ctx.add_vec(a, xs)], ctx.mul_row(c)[values])
+    keys = b + np.arange(len(a))[:, None] * q
+    spectrum = np.bincount(np.bincount(keys.ravel(), minlength=keys.size))
+    entries = np.flatnonzero(spectrum)
+    return dict(zip(entries.tolist(), spectrum[entries].tolist()))
 
 
 # ---------------------------------------------------------------------------

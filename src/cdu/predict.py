@@ -18,7 +18,7 @@ import numpy as np
 from .gf import SQ
 from .quadext import QuadExtCtx
 from .funcs import FuncSpec, tables_for
-from .oracles import IdentityC, inverse_c_uniformity_predict
+from .oracles import IdentityC, c_ddt_spectrum, inverse_c_uniformity_predict
 from . import ddt
 
 EXACT = "exact"
@@ -87,10 +87,10 @@ def _predict_genlinh(tabs, qctx, c1, c2):
         return _exact(s, **tr)
     ratio = base.div(a, b)
     assert ratio != 1, "A/B = 1 contradicts the nonvanishing condition"
-    if h.tag == "inv":  # delta of h at A/B: the oracle, else the engine
+    if h.tag == "inv":  # delta of h at A/B: the closed form, else a count
         delta = inverse_c_uniformity_predict(base, ratio)
     else:
-        delta = ddt.uni_report(base, h.table, ddt.CParam.uni(ratio)).uniformity
+        delta = max(c_ddt_spectrum(base, h.table, ratio))
     tr.update({"A/B": base.elem_str(ratio), "delta_h": delta})
     if s == 1:
         return _exact(delta, **tr)
@@ -175,7 +175,7 @@ def _predict_splitgh(tabs, qctx, c1, c2):
     if c2 != 0:
         return _not_covered(reason="covers only c = (c1, 0)")
     args = tabs.args
-    g_uni = ddt.uni_report(base, args["g"].table, ddt.CParam.uni(c1)).uniformity
+    g_uni = max(c_ddt_spectrum(base, args["g"].table, c1))
     if g_uni != 1:
         return _not_covered(reason=f"g is not PcN at c1 (delta={g_uni})")
     gammas = np.arange(base.q, dtype=np.int32)[:, None]  # one q x q scan

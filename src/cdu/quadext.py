@@ -59,18 +59,18 @@ def select_t(base, override=None):
 class QuadExtCtx:
     """The paired model: base F_q, ext F_{q^2}, t, beta, embedding and phi tables.
 
-    Immutable after construction.  ``conjugate_beta=True`` selects the other
-    root of x^2 + x + t; all reported uniformities must be independent of
-    that choice (checked by a dedicated test).
+    Immutable after construction.  beta is the smaller-index root of
+    x^2 + x + t and beta_bar the other; no report depends on that choice,
+    since the pair product reads t alone.
     """
 
-    def __init__(self, base: FieldCtx, t=None, conjugate_beta=False):
+    def __init__(self, base: FieldCtx, t=None):
         self.base = base
         self.t = select_t(base, t)
         self.ext = make_field(base.p, 2 * base.m)
         self._build_embedding()
         self.t_ext = int(self.embed[self.t])
-        self._find_beta(conjugate_beta)
+        self._find_beta()
         self._build_phi_tables()
         self._verify()
 
@@ -96,7 +96,7 @@ class QuadExtCtx:
         unembed[embed] = x
         self.unembed = unembed
 
-    def _find_beta(self, conjugate_beta):
+    def _find_beta(self):
         ext = self.ext
         z = np.arange(ext.q, dtype=np.int32)
         vals = ext.add_vec(ext.add_vec(ext.mul_vec(z, z), z),
@@ -105,10 +105,7 @@ class QuadExtCtx:
         if len(roots) != 2:
             raise NoRootFound(
                 f"x^2+x+t has {len(roots)} roots in the extension, expected 2")
-        lo, hi = int(roots[0]), int(roots[1])
-        self.beta = hi if conjugate_beta else lo
-        self.beta_bar = lo if conjugate_beta else hi
-        self.conjugate_beta = bool(conjugate_beta)
+        self.beta, self.beta_bar = int(roots[0]), int(roots[1])
 
     def _build_phi_tables(self):
         """phi_table[x*q + y] = embed(x) + beta*embed(y), and phi_inv_table
@@ -165,7 +162,8 @@ class QuadExtCtx:
 _quadext = cache(QuadExtCtx)
 
 
-def make_quadext(base, t=None, conjugate_beta=False):
+def make_quadext(base, t=None):
     """The QuadExtCtx over the given base field, built once per process and
-    keyed by the t it selects and by bool(conjugate_beta)."""
-    return _quadext(base, select_t(base, t), bool(conjugate_beta))
+    keyed by the t it selects.  beta is the smaller-index root of x^2+x+t;
+    reports do not depend on that choice, as the pair product reads t alone."""
+    return _quadext(base, select_t(base, t))

@@ -1017,27 +1017,6 @@ def test_bivariate_equals_lifted_univariate(field, seed):
     assert _lift_rows(_random_tables(random.Random(seed), qctx), qctx) == q * q
 
 
-def test_beta_choice_independence():
-    # identical uniformities under both conjugate roots, q in {4, 8, 16}
-    for p, m, t in ((2, 2, None), (2, 3, 1), (2, 4, None)):
-        base = make_field(p, m)
-        lo = make_quadext(base, t)
-        hi = make_quadext(base, t, conjugate_beta=True)
-        spec = parse_func_spec("genlinh{L=x;h=inv}")
-        lift_lo = lift(lo, tables_for(spec, lo))
-        lift_hi = lift(hi, tables_for(spec, hi))
-        for c1 in range(base.q):
-            for c2 in range(base.q):
-                b_lo = ddt.c_uniformity(spec, lo, CParam.biv(c1, c2))
-                b_hi = ddt.c_uniformity(spec, hi, CParam.biv(c1, c2))
-                assert b_lo.uniformity == b_hi.uniformity
-                u_lo = ddt.uni_report(lo.ext, lift_lo,
-                                      CParam.uni(int(lo.phi_table[lo.pt(c1, c2)])))
-                u_hi = ddt.uni_report(hi.ext, lift_hi,
-                                      CParam.uni(int(hi.phi_table[hi.pt(c1, c2)])))
-                assert u_lo.uniformity == u_hi.uniformity == b_lo.uniformity
-
-
 def test_sweep_thread_determinism(qx16):
     spec = parse_func_spec("genlinh{L=x;h=inv}")
     cs = ddt.c_sample_biv(16, 24, seed=4)
@@ -1101,13 +1080,10 @@ def test_sweep_workers_capped_by_c_count_and_cpus(qx4, monkeypatch,
 def test_constructor_caches_keep_their_keys():
     """Fields, contexts and sweep pools are built once per process, under a
     key that does not depend on how the arguments were spelled: a modulus as
-    a list or a tuple, the default t or the same t given, conjugate_beta as
-    1 or True."""
+    a list or a tuple, the default t or the same t given."""
     assert make_field(2, 4, [1, 1, 0, 0, 1]) is make_field(2, 4, (1, 1, 0, 0, 1))
     b = make_field(3, 2)
     assert make_quadext(b) is make_quadext(b, select_t(b))
-    assert make_quadext(b, conjugate_beta=1) is make_quadext(b, conjugate_beta=True)
-    assert make_quadext(b) is not make_quadext(b, conjugate_beta=True)
     assert ddt._pool(2) is ddt._pool(2)
 
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ from cdu import ddt
 from cdu.funcs import parse_inner
 from cdu.oracles import (BluherCount, DegenerateQuartic, IdentityC,
                          bluher_root_count, bluher_special_b_count,
-                         bluher_special_b_formula, inverse_c_uniformity_predict,
-                         quadratic_root_count, quartic_factor_type)
+                         bluher_special_b_formula, c_ddt_spectrum,
+                         inverse_c_uniformity_predict, quadratic_root_count,
+                         quartic_factor_type)
 from refs import quadratic_root_counts, quartic_patterns
 
 
@@ -120,6 +123,46 @@ def test_bluher_m_eq_2k_never_attains_max(f16):
     # r = 2: no b gives p^d + 1 roots of x^(p^k+1) + x + b
     assert bluher_special_b_formula(f16, 2) == 0
     assert bluher_special_b_count(f16, 2) == 0
+
+
+# -- the c-DDT of a function of a field to itself ---------------------------------
+
+_UNI_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2),
+               (3, 3)]
+
+
+def _uni_tables(ctx):
+    """The inverse, a random permutation, a random map and a constant."""
+    rng = np.random.default_rng(ctx.q)
+    return [parse_inner("inv", ctx).table,
+            rng.permutation(ctx.q).astype(np.int32),
+            rng.integers(0, ctx.q, ctx.q, dtype=np.int32),
+            np.full(ctx.q, ctx.q - 1, dtype=np.int32)]
+
+
+def _naive_spectrum(ctx, values, c):
+    """The spectrum in scalar arithmetic: each row a tallies its b values,
+    and each entry (a, b) is one count of that tally."""
+    spectrum = Counter()
+    for a in range(c == 1, ctx.q):
+        row = Counter(ctx.sub(int(values[ctx.add(x, a)]), ctx.mul(c, int(values[x])))
+                      for x in range(ctx.q))
+        spectrum.update(row[b] for b in range(ctx.q))
+    return dict(spectrum)
+
+
+@pytest.mark.parametrize("p,m", _UNI_FIELDS)
+def test_c_ddt_spectrum_equals_the_engine_and_a_naive_count(p, m):
+    """The counter that predict takes a component's uniformity from gives
+    the engine's spectrum at every c, 1 included, on four tables, and at
+    q <= 9 the spectrum of a scalar count."""
+    ctx = make_field(p, m)
+    for values in _uni_tables(ctx):
+        for c in range(ctx.q):
+            got = c_ddt_spectrum(ctx, values, c)
+            assert got == ddt.uni_report(ctx, values, ddt.CParam.uni(c)).spectrum
+            if ctx.q <= 9:
+                assert got == _naive_spectrum(ctx, values, c)
 
 
 # -- inverse function predictions --------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from cdu import make_field, make_quadext, parse_func_spec, parse_linpoly
 from cdu import ddt, predict
 from cdu.funcs import tables_for
-from cdu.oracles import IdentityC, inverse_c_uniformity_predict
+from cdu.oracles import IdentityC, c_ddt_spectrum, inverse_c_uniformity_predict
 from cdu.predict import (EXACT, NOT_COVERED, UPPER, Prediction,
                          compute_AB, judge, verify)
 
@@ -281,6 +281,35 @@ def test_normfirst_equals_engine_on_every_line_c(p, m):
 def test_identity_c_rejected(qx16):
     with pytest.raises(IdentityC):
         predict.predict(parse_func_spec("genlinh{L=x;h=inv}"), qx16, 1, 0)
+
+
+_SPLITGH = "splitgh{g=id;h1=inv;h2=gold:1;L1=x;L2=x;gamma1=w^1;gamma2=1}"
+
+
+@pytest.mark.parametrize("spec, p, m", [
+    ("genlinh{L=x;h=pow:3}", 2, 3), ("genlinh{L=x;h=pow:3}", 3, 3),
+    ("genlinh{L=x;h=gold:1}", 2, 3),
+    ("genlinh{L=x^2+x;h=id}", 2, 3), ("genlinh{L=x^2+x;h=id}", 2, 4),
+    (_SPLITGH, 2, 3), (_SPLITGH, 3, 2)])
+def test_predictions_never_call_the_engine(spec, p, m, monkeypatch):
+    """verify judges the engine's reports, so a prediction must not come
+    from the engine: with every report path made to raise, these specs,
+    whose h or g permutes, are still predicted at every c, the uniformity
+    of h or g counted by ``c_ddt_spectrum``."""
+    qctx = make_quadext(make_field(p, m))
+    spec = parse_func_spec(spec)
+
+    def engine(*args):
+        raise AssertionError("a prediction called the engine")
+
+    counted = []
+    monkeypatch.setattr(ddt, "uni_report", engine)
+    monkeypatch.setattr(ddt, "_kernel_report", engine)
+    monkeypatch.setattr(predict, "c_ddt_spectrum",
+                        lambda *args: counted.append(args) or c_ddt_spectrum(*args))
+    for c in ddt.c_all_biv(qctx.base.q):
+        predict.predict(spec, qctx, c.c1, c.c2)
+    assert counted
 
 
 # -- verify harness ---------------------------------------------------------------

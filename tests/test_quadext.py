@@ -146,13 +146,6 @@ def test_check_nonvanishing_every_valid_t(f8):
         assert bad == [(1, 0)]
 
 
-def test_conjugate_beta_choice(f16):
-    lo = make_quadext(f16, f16.parse_elem("w^3"))
-    hi = make_quadext(f16, f16.parse_elem("w^3"), conjugate_beta=True)
-    assert lo.beta != hi.beta
-    assert lo.beta == hi.beta_bar and hi.beta == lo.beta_bar
-
-
 def test_embedding_is_deterministic(f16):
     a = QuadExtCtx(f16, f16.parse_elem("w^3"))
     b = QuadExtCtx(f16, f16.parse_elem("w^3"))
