@@ -108,6 +108,8 @@ def _parse_cset(args, base):
         return ddt.c_line_biv(q)
     if sel.startswith("sample:"):
         n = parse_count(sel.split(":", 1)[1], "the N of --c sample:N")
+        if not n:
+            raise CduError(f"--c names no c: {sel!r} samples none")
         return ddt.c_sample_biv(q, n, args.seed)
     out = []
     for pair in sel.split(";"):

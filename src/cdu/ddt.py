@@ -27,13 +27,29 @@ phi(a) for a pair point, in which lam*a is the product by embed(lam); so
 the orbit of a nonzero row under the subgroup of order r is its coset of
 F_{q^2}^*, the rows whose logs agree mod (q^2 - 1)/r.  Row a weighs wt[a]
 (``_row_weights``): r at the smallest row of its coset, else 0; row 0
-weighs 1, and 0 at the identity c, as the a-quantifier excludes it.  Both
-kernels run only the rows of nonzero weight and add each row's entry
+weighs 1, and 0 at the identity c, as the a-quantifier excludes it.
+
+Translations.  The linear structures of F, Lambda = {u : F(z + u) - F(z)
+= A(u) at every point z}, form an F_p-subspace of the rows, found once per
+table (``_linear_structures``).  They act at every c: row a + u is row a
+with each b shifted by A(u), as F(x + a + u) - c*F(x) = F(x + a) -
+c*F(x) + A(u).  Where F(lam*z) = N(F(z)) with N additive, lam*Lambda =
+Lambda, so the rows of one c merge under z -> lam*z + u, and the orbit of
+a is the union of the cosets lam*a + Lambda over its scaling coset.  Row a
+then weighs the size of its orbit if it is the orbit's smallest row, and 0
+otherwise; at the identity c the orbit of row 0 is Lambda itself, and its
+|Lambda| - 1 other rows weigh on the smallest nonzero u in Lambda.  Where
+Lambda = {0} the weights are the cosets' alone.  Constructions
+(L(x), h(y) + L(x)) hold F_q x {0} in Lambda.
+
+Both kernels run only the rows of nonzero weight and add each row's entry
 counts wt[a] times to the spectrum.  The maximum is the same on every row
 of an orbit, so the smallest a attaining it is an orbit's smallest point,
 and the report is identical to that of every row: one c of goldpair at
-q = 64 runs 66 rows, not 4096.  Tables with no scaling, and every table of
-a field to itself, run every row at weight 1 (order 1).
+q = 64 runs 66 rows, not 4096, and one c of
+genlingold{L=x;k=2;alpha=w^1} at q = 81 (no scaling, |Lambda| = 81) runs
+81 rows, not 6561.  Tables with no scaling and no linear structure, and
+every table of a field to itself, run every row at weight 1 (order 1).
 
 Native kernel.  ``_rowk.c`` does a whole c in one C call.  One pass over
 the points fills a block of four rows: at p = 2 the rows a, a^1, a^2, a^3,
@@ -87,8 +103,9 @@ logic of its own:
   the checked int32 key, its wide codes at odd p, and their addresses.  A
   pair table keeps one record of it in its ``engine`` dict, with the
   F_{q^2} logs of phi(key) and the row weights, by its scaling
-  subgroups, of a line, the identity and an off-line c, built whole on
-  its first report from any worker thread (``_table_inputs``).  A c then
+  subgroups and its linear structures, of a line, the identity and an
+  off-line c, built whole on its first report from any worker thread
+  (``_table_inputs``).  A c then
   costs its -c*F(x) term (one add and two gathers), that term's check,
   and one kernel call.  A value array of a field to itself has its inputs
   and weights built on every ``uni_report``.
@@ -274,25 +291,92 @@ def _scaling(qctx, tab):
     return 1, 1
 
 
-def _row_weights(field, rows, order, identity):
+def _linear_structures(field, key):
+    """Lambda of the table ``key`` over ``field``, sorted: the u with
+    key[z + u] = key[z] + A(u) at every point z, A(u) = key[u] - key[0].
+    It is an F_p-subspace.  Every u is first tried on 32 points drawn once
+    from the domain; a survivor outside the span found so far is then
+    checked at every point, and its multiples join the span.  So a table
+    pays about one pass over the points per dimension of Lambda, not one
+    per element: the identity map at q = 256 (Lambda the whole plane)
+    makes 16 full checks.  A survivor that fails shows up to 32 points the
+    sample missed, and every other candidate is tried there too: a table
+    linear but at a few points fails every u at those points, so it does
+    not pay one full check per u."""
+    n, add = field.q, field.add_vec
+    pts = np.arange(n, dtype=np.int32)
+    diff = field.sub_vec(key, key[0])  # A(u)
+    cand = pts[1:]
+
+    def sift(cand, sample):
+        for z in sample:
+            cand = cand[key[add(cand, z)] == add(diff[cand], key[z])]
+        return cand
+
+    cand = sift(cand, random.Random(n).sample(range(n), min(n, 32)))
+    span, spanned = pts[:1], pts == 0
+    while len(cand := cand[~spanned[cand]]):
+        u, cand = cand[0], cand[1:]
+        holds = key[add(pts, u)] == add(key, diff[u])
+        if holds.all():
+            multiples = field.mul_vec(pts[:field.p], np.int32(u))  # t*u, t in F_p
+            span = add(span, multiples[:, None]).ravel()
+            spanned[span] = True
+        else:
+            cand = sift(cand, np.flatnonzero(~holds)[:32])
+    return np.sort(span)
+
+
+def _coset_minima(field, span):
+    """low[r] = the smallest row of the coset r + span, for every row r of
+    ``field``.  Rows are base-p digit vectors, compared from the most
+    significant digit, so the smallest row of a coset is its one row that is
+    0 at the leading digit of every element of span (those are dim span
+    places): one element per such place, from the highest, moves each row
+    to 0 there and leaves the higher places as they are."""
+    p = field.p
+    lead = np.searchsorted(p ** np.arange(field.m), span[1:], side="right")
+    _, first = np.unique(lead, return_index=True)
+    low = np.arange(field.q, dtype=np.int32)
+    for u in span[1:][first][::-1]:
+        multiples = field.mul_vec(np.arange(p, dtype=np.int32), np.int32(u))
+        low = field.add_vec(low, multiples[:, None]).min(axis=0)
+    return low
+
+
+def _row_weights(field, rows, order, identity, span=(0,)):
     """Row weights, with their address, for rows of the elements of
     ``field``, ``rows[e]`` being the row of element e (rows[0] = 0), under
-    the subgroup of ``field``'s units of the given order.  The orbit of a
-    nonzero row is its coset: the elements whose logs agree mod
-    k = (|field| - 1)/order, a column of the logs laid out as order x k.
-    wt[a] is the order at the smallest row of each coset, 1 at row 0 (0 at
-    the identity c) and 0 elsewhere: every row weighs 1 at order 1."""
+    the subgroup of ``field``'s units of the given order and the
+    translations by the rows in ``span`` (Lambda, sorted, 0 first).  The
+    orbit of a nonzero row under the subgroup alone is its coset: the
+    elements whose logs agree mod k = (|field| - 1)/order, a column of the
+    logs laid out as order x k.  With Lambda = {0}, wt[a] is the order at
+    the smallest row of each coset, 1 at row 0 (0 at the identity c) and 0
+    elsewhere: every row weighs 1 at order 1.  Otherwise a row's orbit is
+    the union of the cosets lam*a + Lambda over its column, and wt[a] is
+    the orbit's size at its smallest row, 0 elsewhere; at the identity c,
+    the orbit of row 0 is Lambda, and its |Lambda| - 1 other rows weigh on
+    the smallest, span[1]."""
     cosets = rows[field.antilog_table].reshape(order, -1)
     wt = np.zeros(len(rows), dtype=np.int32)
-    wt[cosets.min(axis=0)] = order
-    wt[0] = not identity
+    if len(span) == 1:
+        wt[cosets.min(axis=0)] = order
+        wt[0] = not identity
+    else:
+        low = np.zeros_like(wt)  # each row's orbit minimum; row 0's is 0
+        low[cosets] = _coset_minima(field, span)[cosets].min(axis=0)
+        wt += np.bincount(low, minlength=len(rows)).astype(np.int32)
+        if identity:
+            wt[0], wt[span[1]] = 0, len(span) - 1
     return _read_only(wt), _address(wt)
 
 
 def _weights(qctx, tab, c):
     """Row weights of the pair table ``tab`` at c, with their address, from
-    its record (``_table_inputs``): by the cosets of its scaling subgroup on
-    the line c2 = 0, of the subgroup of order ``off_order`` off it."""
+    its record (``_table_inputs``): by the orbits of its scaling subgroup on
+    the line c2 = 0, of the subgroup of order ``off_order`` off it, each
+    with the translations by its linear structures."""
     line, identity, off = _table_inputs(qctx, tab).weights
     return identity if c.is_identity else line if c.c2 == 0 else off
 
@@ -462,12 +546,14 @@ def _table_inputs(qctx, tab):
     rec = tab.engine.get("record")
     if rec is None:
         order, off_order = _scaling(qctx, tab)
+        inputs = _kernel_inputs(qctx.ext, tab.key)
+        span = _linear_structures(qctx.ext, inputs[0])
         rows = qctx.phi_inv_table if tab.domain == BIV else np.arange(len(tab.key))
         rec = tab.engine.setdefault("record", _Record(
-            _kernel_inputs(qctx.ext, tab.key),
-            _read_only(qctx.ext.log_table[qctx.phi_table[tab.key]]),
-            tuple(_row_weights(qctx.ext, rows, r, identity) for r, identity
-                  in ((order, False), (order, True), (off_order, False)))))
+            inputs, _read_only(qctx.ext.log_table[qctx.phi_table[tab.key]]),
+            tuple(_row_weights(qctx.ext, rows, r, identity, span)
+                  for r, identity in ((order, False), (order, True),
+                                      (off_order, False)))))
     return rec
 
 

@@ -124,7 +124,7 @@ def _run_quiet(argv):
 _ELEMS = st.sampled_from(["0", "1", "w^1", "w^2", "w^5"])
 _C_SELECTORS = st.one_of(
     st.sampled_from(["all", "cq0"]),
-    st.integers(0, 20).map(lambda n: f"sample:{n}"),
+    st.integers(1, 20).map(lambda n: f"sample:{n}"),  # sample:0 exits 1
     # explicit lists, without the identity c that verify rejects
     st.lists(st.tuples(_ELEMS, _ELEMS).filter(lambda c: c != ("1", "0")),
              min_size=1, max_size=3).map(
@@ -456,12 +456,15 @@ def _oracle(which, *args):
                  id="w^x,0-genlinh{L=x;h=inv}"),
     pytest.param(_sweep("sample:abc", "genlinh{L=x;h=inv}"),
                  id="sample:abc-genlinh{L=x;h=inv}"),
-    # a list that names no c would pass verify on the empty set
+    # a list or a sample that names no c would pass verify on the empty set
     pytest.param(_sweep("", "identity"), id="c-empty"),
     pytest.param(_sweep(";", "identity"), id="c-separator-only"),
     pytest.param(_sweep(";;", "identity"), id="c-separators-only"),
     pytest.param(["verify", "-p", "2", "-m", "4", "--spec", "genlinh{L=x;h=inv}",
                   "--c", ";"], id="verify-c-separator-only"),
+    pytest.param(_sweep("sample:0", "identity"), id="sample-of-none"),
+    pytest.param(["verify", "-p", "2", "-m", "4", "--spec", "genlinh{L=x;h=inv}",
+                  "--c", "sample:00"], id="verify-sample-of-none"),
     pytest.param(_sweep("0,0", "genlingold{L=x;k=abc;alpha=0}"),
                  id="0,0-genlingold{L=x;k=abc;alpha=0}"),
     pytest.param(_sweep("0,0", "prodlin{gammas=4;L=x}"),

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -565,9 +566,12 @@ def _planted_tables(qctx, domain, d, e1, e2, rng):
 
 
 def _unreduced(qctx, tabs):
-    """The same tables with no scaling found, so every row runs at weight 1."""
+    """The same tables with no scaling and no linear structure found, so
+    every row runs at weight 1."""
     plain = PairTables(tabs.domain, tabs.g, tabs.h, qctx)
-    with mock.patch.object(ddt, "_scaling", return_value=(1, 1)):
+    with mock.patch.object(ddt, "_scaling", return_value=(1, 1)), \
+            mock.patch.object(ddt, "_linear_structures",
+                              return_value=np.zeros(1, dtype=np.int32)):
         ddt._table_inputs(qctx, plain)
     return plain
 
@@ -629,6 +633,108 @@ def test_planted_scaling_reports_exact(p, m, d, e1, e2, domain):
                 == naive_report(_pair_terms(qctx, tabs, c), c.is_identity)
 
 
+def _linear_map(base, rng):
+    """A random permutation of F_q that is F_p-linear: random images of the
+    digit basis p^i, redrawn until they span, extended digit by digit."""
+    p, m = base.p, base.m
+    while True:
+        images = rng.integers(0, base.q, m)
+        table = np.zeros(1, dtype=np.int32)
+        for v in images:  # table over the digits below i, then digit i
+            table = base.add_vec(table, base.mul_vec(
+                np.arange(p, dtype=np.int32), np.int32(v))[:, None]).ravel()
+        if len(np.unique(table)) == base.q:
+            return table
+
+
+def _planted_linear_tables(qctx, domain, linear, odd, rng):
+    """(L(x), h(y) + L(x)) for a random h, with L = x or a random permuting
+    F_p-linear L: F((x, y) + (u, 0)) - F(x, y) = (L(u), L(u)), so Lambda
+    holds F_q x {0}.  An odd h (h(-y) = -h(y)) adds the scaling by -1 at
+    odd p.  On F_{q^2} the point z is the pair phi^-1(z)."""
+    base = qctx.base
+    q = base.q
+    lin = _linear_map(base, rng) if linear else np.arange(q)
+    h = rng.integers(0, q, q).astype(np.int32)
+    if odd:
+        neg = base.neg_table
+        h = np.where(np.arange(q) <= neg, h, neg[h[neg]])
+        h[0] = 0
+    x, y = np.divmod(np.arange(q * q), q)
+    if domain == EXT:
+        x, y = np.divmod(qctx.phi_inv_table, q)
+    g = lin[x]
+    return PairTables(domain, g, base.add_vec(h[y], g), qctx)
+
+
+@pytest.mark.parametrize("domain", [BIV, EXT])
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2),
+                                  (3, 3), (7, 2), (3, 4)])
+def test_planted_linear_structures_reports_exact(p, m, domain):
+    """Tables with linear structures by construction, L = x or a random
+    permuting linear L, h random or random and odd: at a line c, c = 0,
+    the identity c and an off-line c, the native and numpy kernels on one
+    row per orbit of the scalings and translations give the report of
+    every row, that of the naive counter up to n = 81, and its spectrum
+    meets ``check_spectrum_invariants`` up to n = 729."""
+    qctx = make_quadext(make_field(p, m))
+    base = qctx.base
+    q, n = base.q, base.q ** 2
+    rng = np.random.default_rng([p, m, domain == BIV])
+    plane = np.arange(0, n, q)  # the pairs (u, 0)
+    if domain == EXT:
+        plane = np.sort(qctx.phi_table[plane])
+    for linear, odd in [(False, False), (True, False), (True, True)]:
+        tabs = _planted_linear_tables(qctx, domain, linear, odd, rng)
+        span = ddt._linear_structures(qctx.ext, tabs.key)
+        assert np.isin(plane, span).all() and len(span) % q == 0
+        if odd and p > 2:
+            assert ddt._scaling(qctx, tabs)[0] % 2 == 0
+        c1 = int(rng.integers(2, q)) if q > 2 else 0
+        cs = [CParam.biv(c1, 0), CParam.biv(0, 0), CParam.biv(1, 0),
+              CParam.biv(int(rng.integers(0, q)), int(rng.integers(1, q)))]
+        for c in cs:
+            wt, _ = ddt._weights(qctx, tabs, c)
+            assert wt.sum() == n - c.is_identity
+            assert np.count_nonzero(wt) <= n // len(span) + 1
+            with _kernel("native"):
+                native = ddt.pair_report(qctx, tabs, c)
+                full = ddt.pair_report(qctx, _unreduced(qctx, tabs), c)
+            with _kernel("numpy"):
+                reference = ddt.pair_report(qctx, tabs, c)
+            assert native == reference == full
+            if n <= 81:
+                assert (native.uniformity, native.spectrum, native.witness) \
+                    == naive_report(_pair_terms(qctx, tabs, c), c.is_identity)
+            if n <= 729 and not c.is_identity:
+                check_spectrum_invariants(qctx, None, tabs, native)
+
+
+def test_records_at_q256_build_within_a_second():
+    """A table's record, its scalings, linear structures and row weights
+    among it, costs a few passes over the points, not one per candidate.
+    At q = 256 each builds in under a second, where one full check per
+    element would take minutes: the identity map (Lambda the whole plane,
+    2^16 elements), genlinh{L=x;h=inv} (Lambda = F_256 x {0}) and the
+    identity map with one value changed (Lambda = {0}, though nearly every
+    u passes a sample of the points)."""
+    qctx = make_quadext(make_field(2, 8))
+    ident = tables_for(parse_func_spec("identity"), qctx)
+    g = ident.g.copy()
+    g[12345] ^= 1
+    cases = [(ident, 1 << 16),
+             (tables_for(parse_func_spec("genlinh{L=x;h=inv}"), qctx), 256),
+             (PairTables(ident.domain, g, ident.h, qctx), 1)]
+    for tabs, size in cases:
+        fresh = PairTables(tabs.domain, tabs.g, tabs.h, qctx)
+        start = time.perf_counter()
+        rec = ddt._table_inputs(qctx, fresh)
+        assert time.perf_counter() - start < 1.0, size
+        line = rec.weights[0][0]
+        assert line.sum() == 1 << 16
+        assert len(ddt._linear_structures(qctx.ext, tabs.key)) == size
+
+
 def test_goldpair_line_c_runs_q_plus_2_rows(qx16, monkeypatch):
     """goldpair{L=x} is homogeneous under all of F_q^*: (lam*x, lam*y) maps
     F to (lam^(p^k+1)*G, lam*H).  So a line c runs one row per orbit,
@@ -650,15 +756,17 @@ def test_goldpair_line_c_runs_q_plus_2_rows(qx16, monkeypatch):
 
 
 def test_weights_at_n_2_16_past_16_bits():
-    """The identity map F(z) = z at q = 256 scales with mu = nu = lam, so
-    every c runs 258 of the 2^16 rows, on 32-bit bins.  Its c-DDT is known
-    whole: (1 - c)*z + a is a bijection for c != 1, so every entry is 1 and
-    the first is at (0, 0); at the identity c, row a != 0 puts all 2^16
-    points in bin a."""
+    """The identity map F(z) = z at q = 256 scales with mu = nu = lam, and
+    every u is a linear structure, F(z + u) - F(z) = u: one orbit holds
+    every row, so every c runs one of the 2^16 rows, on 32-bit bins.  Its
+    c-DDT is known whole: (1 - c)*z + a is a bijection for c != 1, so every
+    entry is 1 and the first is at (0, 0); at the identity c, row a != 0
+    puts all 2^16 points in bin a."""
     qctx = make_quadext(make_field(2, 8))
     n = qctx.ext.q
     tabs = tables_for(parse_func_spec("identity"), qctx)
     assert ddt._scaling(qctx, tabs) == (255, 255)
+    assert (ddt._linear_structures(qctx.ext, tabs.key) == np.arange(n)).all()
     cases = [(CParam.biv(0, 0), 1, {1: n * n}, (0, 0)),
              (CParam.biv(7, 0), 1, {1: n * n}, (0, 0)),
              (CParam.biv(3, 9), 1, {1: n * n}, (0, 0)),
@@ -666,8 +774,8 @@ def test_weights_at_n_2_16_past_16_bits():
     for kernel in ("native", "numpy"):
         with _kernel(kernel):
             for c, top, spectrum, witness in cases:
-                assert np.count_nonzero(ddt._weights(qctx, tabs, c)[0]) \
-                    == 258 - c.is_identity
+                wt = ddt._weights(qctx, tabs, c)[0]
+                assert np.flatnonzero(wt).tolist() == [int(c.is_identity)]
                 rep = ddt.pair_report(qctx, tabs, c)
                 assert (rep.uniformity, rep.spectrum, rep.witness) \
                     == (top, spectrum, witness)
@@ -695,15 +803,56 @@ def _brute_scale_perm(qctx, domain, lam):
     return qctx.ext.mul_row(int(qctx.embed[lam]))
 
 
+def _brute_shift_perm(qctx, domain, u):
+    """z -> z + u as point indices: coordinatewise in F_q on a pair point,
+    the F_{q^2} sum on F_{q^2}."""
+    base = qctx.base
+    if domain == BIV:
+        x, y = np.divmod(np.arange(base.q ** 2), base.q)
+        return qctx.pt(base.add_vec(x, u // base.q), base.add_vec(y, u % base.q))
+    return qctx.ext.add_vec(np.arange(base.q ** 2), u)
+
+
+def _brute_linear_structures(qctx, tabs):
+    """Every u with F(z + u) - F(z) the same pair at every point z, each
+    half subtracted in F_q: a scan of all u at all points."""
+    base = qctx.base
+    found = []
+    for u in range(base.q ** 2):
+        shift = _brute_shift_perm(qctx, tabs.domain, u)
+        diffs = {(int(dg), int(dh)) for dg, dh in
+                 zip(base.sub_vec(tabs.g[shift], tabs.g),
+                     base.sub_vec(tabs.h[shift], tabs.h))}
+        if len(diffs) == 1:
+            found.append(u)
+    return found
+
+
+def _brute_orbit_minima(moves, n):
+    """low[z] = the smallest point of z's orbit under the group that the
+    point permutations ``moves`` generate: minima carried along every move
+    until none changes."""
+    low = np.arange(n)
+    while True:
+        new = np.minimum.reduce([low] + [low[m] for m in moves])
+        if (new == low).all():
+            return low
+        low = new
+
+
 @pytest.mark.parametrize("p, m", [(2, 3), (3, 2), (2, 4), (5, 2), (3, 3)])
 @pytest.mark.parametrize("spec", _SCALING_SPECS)
 def test_scaling_and_weights_equal_brute_force(p, m, spec):
     """The (order, off_order) that ``ddt`` finds equals a scan of every lam
     of F_q^* and every mu and nu, checked at every point: order counts the
     lam with F(lam*z) = (mu*G(z), nu*H(z)) for some mu and nu, off_order
-    those where mu = nu can be taken.  The row weights of a line c, an
-    off-line c and the identity c equal a walk of the orbits: row a weighs
-    the number of rows with the orbit minimum min_k lam^k*a equal to a."""
+    those where mu = nu can be taken.  Its linear structures equal a scan
+    of every u at every point.  The row weights of a line c, an off-line c
+    and the identity c equal a walk of the orbits of the group that
+    z -> lam^k*z and z -> z + u generate: row a weighs the number of
+    admissible rows whose orbit has the smallest admissible row a (at the
+    identity c row 0 is not admissible, and its orbit, Lambda, keeps the
+    rest)."""
     qctx = make_quadext(make_field(p, m))
     base = qctx.base
     q, n = base.q, base.q ** 2
@@ -721,16 +870,31 @@ def test_scaling_and_weights_equal_brute_force(p, m, spec):
         order += bool(mus and nus)
         off_order += bool(mus & nus)
     assert ddt._scaling(qctx, tabs) == (order, off_order)
+    span = _brute_linear_structures(qctx, tabs)
+    assert ddt._linear_structures(qctx.ext, tabs.key).tolist() == span
+    shifts = [_brute_shift_perm(qctx, tabs.domain, u) for u in span]
     for c in (CParam.biv(0, 0), CParam.biv(0, 1), CParam.biv(1, 0)):
         r = order if c.c2 == 0 else off_order
         lam = int(base.antilog_table[(q - 1) // r % (q - 1)])
-        low = step = np.arange(n)
-        for _ in range(r - 1):
-            step = perms[lam][step]
-            low = np.minimum(low, step)
-        want = np.bincount(low, minlength=n)
-        want[0] = not c.is_identity
+        low = _brute_orbit_minima([perms[lam]] + shifts, n)
+        zero = np.flatnonzero(low == 0)  # row 0's orbit
+        if c.is_identity and len(zero) > 1:
+            low[zero] = zero[1]
+        want = np.bincount(low[int(c.is_identity):], minlength=n)
         assert (ddt._weights(qctx, tabs, c)[0] == want).all()
+
+
+@pytest.mark.parametrize("p, m", [(2, 3), (3, 2)])
+def test_linear_structures_checked_at_every_point(p, m):
+    """F(z) = z with the value at one point z0 changed to z0 + 1 has no
+    linear structure: F(z0 + u) - F(z0) = u - 1, not u.  Nearly every u
+    meets F(z + u) - F(z) = A(u) on a sample of 32 of the n > 32 points;
+    the check at every point rules each one out, wherever z0 lies."""
+    ext = make_quadext(make_field(p, m)).ext
+    for z0 in range(ext.q):
+        key = np.arange(ext.q, dtype=np.int32)
+        key[z0] = ext.add(z0, 1)
+        assert ddt._linear_structures(ext, key).tolist() == [0]
 
 
 @pytest.mark.parametrize("p, m", [(2, 2), (3, 2)])
@@ -825,8 +989,11 @@ def check_spectrum_invariants(qctx, spec, tabs, rep):
                                 2: n * q * (q - 1) // 2}
 
 
-# weighted rows (a scaling subgroup of order > 1) and, last, rows of
-# weight 1 (genlingold with alpha != 0 has no scaling)
+# rows weighted by a scaling subgroup of order > 1 and, last, by
+# translations alone (genlingold with alpha != 0 has no scaling, and
+# Lambda = F_q x {0}); rows of weight 1 meet the invariants in
+# test_planted_linear_structures_reports_exact, which holds every row's
+# report to the weighted one
 _INVARIANT_SPECS = ["goldpair{k=1;gamma=w^5;L=x}", "traceinv{gamma=W^3}",
                     "tracext{H=norm}", "sumprod{i=1;j=1;alpha=1}",
                     "genlingold{L=x;k=1;alpha=w^1}"]
