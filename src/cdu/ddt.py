@@ -332,43 +332,40 @@ def _coset_minima(field, span):
     ``field``.  Rows are base-p digit vectors, compared from the most
     significant digit, so the smallest row of a coset is its one row that is
     0 at the leading digit of every element of span (those are dim span
-    places): one element per such place, from the highest, moves each row
-    to 0 there and leaves the higher places as they are."""
+    places).  The smallest element of span with each leading digit is 1
+    there and 0 at the other leading digits (else subtracting a multiple of
+    another would make it smaller), so adding its multiple that clears its own
+    place leaves the other leading digits as they are, in any order."""
     p = field.p
     lead = np.searchsorted(p ** np.arange(field.m), span[1:], side="right")
     _, first = np.unique(lead, return_index=True)
     low = np.arange(field.q, dtype=np.int32)
-    for u in span[1:][first][::-1]:
+    for u in span[1:][first]:
         multiples = field.mul_vec(np.arange(p, dtype=np.int32), np.int32(u))
         low = field.add_vec(low, multiples[:, None]).min(axis=0)
     return low
 
 
-def _row_weights(field, rows, order, identity, span=(0,)):
+def _row_weights(field, rows, order, identity, span=np.zeros(1, np.int32)):
     """Row weights, with their address, for rows of the elements of
     ``field``, ``rows[e]`` being the row of element e (rows[0] = 0), under
     the subgroup of ``field``'s units of the given order and the
-    translations by the rows in ``span`` (Lambda, sorted, 0 first).  The
-    orbit of a nonzero row under the subgroup alone is its coset: the
-    elements whose logs agree mod k = (|field| - 1)/order, a column of the
-    logs laid out as order x k.  With Lambda = {0}, wt[a] is the order at
-    the smallest row of each coset, 1 at row 0 (0 at the identity c) and 0
-    elsewhere: every row weighs 1 at order 1.  Otherwise a row's orbit is
-    the union of the cosets lam*a + Lambda over its column, and wt[a] is
-    the orbit's size at its smallest row, 0 elsewhere; at the identity c,
-    the orbit of row 0 is Lambda, and its |Lambda| - 1 other rows weigh on
-    the smallest, span[1]."""
+    translations by the rows in ``span`` (Lambda, a sorted int32 array, 0
+    first).  The orbit of a nonzero row under the subgroup alone is its
+    coset: the elements whose logs agree mod k = (|field| - 1)/order, a
+    column of the logs laid out as order x k.  A row's orbit is the union
+    of the cosets lam*a + Lambda over its column, and wt[a] is the orbit's
+    size at its smallest row, 0 elsewhere: with Lambda = {0}, the order at
+    the smallest row of each column and 1 at row 0.  At the identity c, row
+    0 is left out, and the |Lambda| - 1 other rows of its orbit, Lambda,
+    weigh on the smallest, span[1]."""
     cosets = rows[field.antilog_table].reshape(order, -1)
-    wt = np.zeros(len(rows), dtype=np.int32)
-    if len(span) == 1:
-        wt[cosets.min(axis=0)] = order
-        wt[0] = not identity
-    else:
-        low = np.zeros_like(wt)  # each row's orbit minimum; row 0's is 0
-        low[cosets] = _coset_minima(field, span)[cosets].min(axis=0)
-        wt += np.bincount(low, minlength=len(rows)).astype(np.int32)
-        if identity:
-            wt[0], wt[span[1]] = 0, len(span) - 1
+    low = np.zeros(len(rows), dtype=np.int32)  # orbit minima; row 0's is 0
+    low[cosets] = _coset_minima(field, span)[cosets].min(axis=0)
+    wt = np.bincount(low, minlength=len(rows)).astype(np.int32)
+    if identity:
+        wt[0] = 0
+        wt[span[1:2]] = len(span) - 1
     return _read_only(wt), _address(wt)
 
 
