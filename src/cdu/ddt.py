@@ -109,10 +109,14 @@ logic of its own:
   costs its -c*F(x) term (one add and two gathers), that term's check,
   and one kernel call.  A value array of a field to itself has its inputs
   and weights built on every ``uni_report``.
-* Threads.  A sweep with threads > 1 maps its c values over a pool of
-  min(threads, number of c, CPUs) workers (``_pool``); a larger pool would
-  only add idle OS threads.  Workers run per-c reports only, never
-  ``sweep``, so no sweep can wait on itself.
+* Threads.  A sweep with threads > 1 deals its c values out to a pool of
+  k = min(threads, number of c, CPUs) workers (``_pool``); a larger pool
+  would only add idle OS threads.  Worker i gets one share, every k-th c
+  from the i-th, so a sweep hands each worker work once, not once per c:
+  where a c takes a fraction of a millisecond, a hand-off per c woke the
+  threads about three times as often, and the time of a sweep varied
+  with how promptly the OS woke them.  Workers run per-c reports only,
+  never ``sweep``, so no sweep can wait on itself.
 * Lifetimes.  Per process: fields, contexts, the CLI parser and the sweep
   pools (``functools.cache``), the value tables of the 16 most recently
   used (spec, context) pairs (``funcs.tables_for``, an ``lru_cache``), and
@@ -580,7 +584,7 @@ def c_uniformity(spec: FuncSpec, qctx: QuadExtCtx, c: CParam) -> CDdtReport:
 
 def sweep(spec: FuncSpec, qctx: QuadExtCtx, c_list, threads=1):
     """One report per c, in the order given; parallel over c when threads > 1,
-    on at most one worker per c and per CPU."""
+    on at most one worker per c and per CPU, each with one share of the c."""
     tabs = tables_for(spec, qctx)  # shared read-only by workers
 
     def one(c):
@@ -589,7 +593,12 @@ def sweep(spec: FuncSpec, qctx: QuadExtCtx, c_list, threads=1):
     workers = min(threads, len(c_list), os.cpu_count() or 1)
     if workers <= 1:
         return [one(c) for c in c_list]
-    return list(_pool(workers).map(one, c_list))
+    shares = _pool(workers).map(lambda i: [one(c) for c in c_list[i::workers]],
+                                range(workers))
+    reports = [None] * len(c_list)
+    for i, share in enumerate(shares):
+        reports[i::workers] = share
+    return reports
 
 
 @cache
