@@ -13,21 +13,21 @@ path, ``_kernel_report``, which histograms the domain once per row (c, a)
 it runs and reduces the rows of one c to its uniformity, spectrum and
 witness.
 
-Row weights.  Most constructions are homogeneous: F(lam*z) = N(F(z)) with
-N(g, h) = (mu*g, nu*h) for every lam of a subgroup of F_q^*, lam*z being
-(lam*x, lam*y) on a pair point and embed(lam)*z on a point of F_{q^2}.
-Where N commutes with the product by c, N_c(lam*a, N(b)) = N_c(a, b):
-substitute x = lam*x' in F(x + lam*a) - c*F(x) = N(b).  So row lam*a holds
-the entries of row a, relabelled, and one row per orbit of a under the
-subgroup stands for all of them.  N commutes with every c on the line
-c2 = 0, where c is the scalar c1; off it, only on the subgroup <lam^j>
-with mu^j = nu^j, which may be trivial.  A table's first report finds the
-order of both subgroups (``_scaling``).  Row a is an element of F_{q^2},
-phi(a) for a pair point, in which lam*a is the product by embed(lam); so
-the orbit of a nonzero row under the subgroup of order r is its coset of
-F_{q^2}^*, the rows whose logs agree mod (q^2 - 1)/r.  Row a weighs wt[a]
-(``_row_weights``): r at the smallest row of its coset, else 0; row 0
-weighs 1, and 0 at the identity c, as the a-quantifier excludes it.
+Row weights.  Most constructions are homogeneous: v(lam*z) = N(v(z)) at
+every point z, v = phi(F), for every lam of a subgroup of F_{q^2}^*
+(lam*z is the product, through phi on a pair point) and an F_q-linear N,
+v -> A*v + B*v^q.  Where N commutes with the product by c, N_c(lam*a,
+N(b)) = N_c(a, b): substitute x = lam*x' in F(x + lam*a) - c*F(x) = N(b).
+So row lam*a holds the entries of row a, relabelled, and one row per
+orbit of a under the subgroup stands for all of them.  On the line c2 = 0
+c is an F_q scalar, which commutes with every such N; off it, only the
+products (B = 0) do, on a subgroup that may be trivial.  A table's first
+report finds the order of both subgroups (``_scaling``).  Row a is an
+element of F_{q^2}, phi(a) for a pair point, so the orbit of a nonzero row
+under the subgroup of order r is its coset of F_{q^2}^*, the rows whose
+logs agree mod (q^2 - 1)/r.  Row a weighs wt[a] (``_row_weights``): r at
+the smallest row of its coset, else 0; row 0 weighs 1, and 0 at the
+identity c, as the a-quantifier excludes it.
 
 Translations.  The linear structures of F, Lambda = {u : F(z + u) - F(z)
 = A(u) at every point z}, form an F_p-subspace of the rows, found once per
@@ -141,7 +141,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
-from math import gcd
 from pathlib import Path
 from typing import NamedTuple
 
@@ -170,10 +169,6 @@ class CParam(NamedTuple):
     @staticmethod
     def biv(c1, c2):
         return CParam(int(c1), int(c2))
-
-    @staticmethod
-    def uni(c):
-        return CParam(int(c))
 
     @property
     def is_identity(self):
@@ -255,44 +250,48 @@ def _report(blocks, n, c, wt):
 # row symmetry
 # ---------------------------------------------------------------------------
 
-def _ratio(base, v, w):
-    """mu with w = mu*v at every point, None when v = w = 0 everywhere (any
-    mu then holds), and 0 when there is no such mu."""
-    nz = np.flatnonzero(v)
-    if not len(nz):
-        return None if not w.any() else 0
-    mu = base.div(int(w[nz[0]]), int(v[nz[0]]))
-    return mu if (base.mul_row(mu)[v] == w).all() else 0
-
-
 def _scaling(qctx, tab):
     """(order, off_order) of the pair table ``tab`` (see "Row weights"
-    above): the order of the largest subgroup <lam> = <w^d> of F_q^* with
-    F(lam*z) = (mu*G(z), nu*H(z)) at every point z, and that of its
-    subgroup <lam^j> on which mu^j = nu^j; (1, 1) when only lam = 1 holds.
-    Every divisor d of q - 1 is tried, smallest first: the set of such lam
-    is a subgroup, so the first d that holds gives the largest."""
-    base, ext = qctx.base, qctx.ext
-    qm1 = base.q - 1
-    elems = rows = np.arange(ext.q)  # the F_{q^2} element of each point, and back
-    if tab.domain == BIV:
-        elems, rows = qctx.phi_table, qctx.phi_inv_table
-    for d in (d for d in range(1, qm1) if qm1 % d == 0):
-        lam = np.int32(qctx.embed[base.antilog_table[d]])
-        # fail fast on about 64 points spread over the domain (from q = 64
-        # a pair table's first 64 lie on x = 0), then check every point
-        for part in (slice(0, None, ext.q // 64 + 1), slice(None)):
-            perm = rows[ext.mul_vec(lam, elems[part])]  # lam*z
-            mu, nu = (_ratio(base, v[part], v[perm]) for v in (tab.g, tab.h))
-            if mu == 0 or nu == 0:
-                break
-        else:
-            mu, nu = mu or nu or 1, nu or mu or 1  # a zero half takes any mu
-            order = qm1 // d
-            # mu^j = nu^j for the multiples j of the order of mu/nu
-            j = qm1 // gcd(int(base.log_table[base.div(mu, nu)]), qm1)
-            return order, order // j
-    return 1, 1
+    above): the orders of the largest subgroup <W^d> of F_{q^2}^* whose lam
+    have v(lam*z) = A*v(z) + B*v(z)^q at every point z, v = phi(F), and of
+    its subgroup with B = 0.  Divisors d of q^2 - 1 are tried smallest
+    first, on about 64 spread points, then on every point: the first that
+    holds gives the first subgroup, the first of its multiples with B = 0
+    (lam = 1 at the last) the second.  A and B are solved at two points with
+    F_q-independent values; where there are none, N is the product by A."""
+    ext, q, n1 = qctx.ext, qctx.base.q, qctx.ext.q - 1
+    # from q = 64 a pair table's first 64 points lie on the line x = 0
+    sample = np.arange(0, ext.q, ext.q // 64 + 1)
+    v = qctx.phi_table[tab.key]
+    if tab.domain == BIV:  # v and the sample by F_{q^2} element
+        v, sample = v[qctx.phi_inv_table], qctx.phi_table[sample]
+    nz = np.flatnonzero(v)
+    if not len(nz):  # v = 0: every lam holds
+        return n1, n1
+    vq = ext.frobenius_vec(v, qctx.base.m)  # v^q
+    # v(e)/v(e1) is in F_q where q + 1 divides the gap of their logs
+    logs = ext.log_table[v[nz]]
+    e1, e2 = nz[0], next(iter(nz[(logs - logs[0]) % (q + 1) != 0]), nz[0])
+    (v1, v2), (c1, c2) = v[[e1, e2]].tolist(), vq[[e1, e2]].tolist()
+    det = ext.sub(ext.mul(v1, c2), ext.mul(v2, c1))  # 0 where e2 = e1
+    low = [d for d in range(1, q + 1) if n1 % d == 0]  # q^2 > n1
+    points, line = (sample, np.arange(ext.q)), 0  # line: the first d that holds
+    for d in sorted({*low, *(n1 // d for d in low)}):
+        if line and d % line:
+            continue
+        lam = int(ext.antilog_table[d % n1])
+        w1, w2 = (int(v[ext.mul(lam, e)]) for e in (e1, e2))  # N(v1), N(v2)
+        a, b = ((ext.div(ext.sub(ext.mul(w1, c2), ext.mul(w2, c1)), det),
+                 ext.div(ext.sub(ext.mul(v1, w2), ext.mul(v2, w1)), det))
+                if det else (ext.div(w1, v1), 0))
+        if not line:
+            if d < n1 and not all((v[ext.mul_vec(lam, e)] == ext.add_vec(
+                    ext.mul_vec(a, v[e]), ext.mul_vec(b, vq[e]))).all()
+                                  for e in points):
+                continue
+            line = d
+        if b == 0:
+            return n1 // line, n1 // d
 
 
 def _linear_structures(field, key):
@@ -350,24 +349,24 @@ def _coset_minima(field, span):
     return low
 
 
-def _row_weights(field, rows, order, identity, span=np.zeros(1, np.int32)):
+def _row_weights(field, rows, order, identity, low):
     """Row weights, with their address, for rows of the elements of
     ``field``, ``rows[e]`` being the row of element e (rows[0] = 0), under
     the subgroup of ``field``'s units of the given order and the
-    translations by the rows in ``span`` (Lambda, a sorted int32 array, 0
-    first).  The orbit of a nonzero row under the subgroup alone is its
-    coset: the elements whose logs agree mod k = (|field| - 1)/order, a
-    column of the logs laid out as order x k.  A row's orbit is the union
-    of the cosets lam*a + Lambda over its column, and wt[a] is the orbit's
-    size at its smallest row, 0 elsewhere: with Lambda = {0}, the order at
-    the smallest row of each column and 1 at row 0.  At the identity c, row
-    0 is left out, and the |Lambda| - 1 other rows of its orbit, Lambda,
-    weigh on the smallest, span[1]."""
+    translations by Lambda, ``low`` being the smallest row of each row's
+    coset of Lambda (``_coset_minima``).  The orbit of a nonzero row under
+    the subgroup alone is its coset: the elements whose logs agree mod k =
+    (|field| - 1)/order, a column of the logs laid out as order x k.  A
+    row's orbit is the union of the cosets lam*a + Lambda over its column,
+    and wt[a] is the orbit's size at its smallest row, 0 elsewhere.  At the
+    identity c, row 0 is left out, and the |Lambda| - 1 other rows of its
+    orbit, Lambda (where low = 0), weigh on the smallest."""
     cosets = rows[field.antilog_table].reshape(order, -1)
-    low = np.zeros(len(rows), dtype=np.int32)  # orbit minima; row 0's is 0
-    low[cosets] = _coset_minima(field, span)[cosets].min(axis=0)
-    wt = np.bincount(low, minlength=len(rows)).astype(np.int32)
+    orbit = np.zeros(len(rows), dtype=np.int32)  # orbit minima; row 0's is 0
+    orbit[cosets] = low[cosets].min(axis=0)
+    wt = np.bincount(orbit, minlength=len(rows)).astype(np.int32)
     if identity:
+        span = np.flatnonzero(low == 0)
         wt[0] = 0
         wt[span[1:2]] = len(span) - 1
     return _read_only(wt), _address(wt)
@@ -548,11 +547,11 @@ def _table_inputs(qctx, tab):
     if rec is None:
         order, off_order = _scaling(qctx, tab)
         inputs = _kernel_inputs(qctx.ext, tab.key)
-        span = _linear_structures(qctx.ext, inputs[0])
+        low = _coset_minima(qctx.ext, _linear_structures(qctx.ext, inputs[0]))
         rows = qctx.phi_inv_table if tab.domain == BIV else np.arange(len(tab.key))
         rec = tab.engine.setdefault("record", _Record(
             inputs, _read_only(qctx.ext.log_table[qctx.phi_table[tab.key]]),
-            tuple(_row_weights(qctx.ext, rows, r, identity, span)
+            tuple(_row_weights(qctx.ext, rows, r, identity, low)
                   for r, identity in ((order, False), (order, True),
                                       (off_order, False)))))
     return rec
@@ -570,7 +569,8 @@ def uni_report(field, values, c: CParam) -> CDdtReport:
     array; its kernel inputs and its weights, 1 per row, are built for this
     call, and the array is left as it was."""
     inputs = _kernel_inputs(field, values)
-    wt = _row_weights(field, np.arange(field.q), 1, c.is_identity)
+    rows = np.arange(field.q)
+    wt = _row_weights(field, rows, 1, c.is_identity, rows)
     return _kernel_report(field, inputs, wt, _uni_trans(field, inputs[0], c), c)
 
 

@@ -246,7 +246,7 @@ def test_criterion_11_oracle_suite():
                 if c == 1:
                     continue
                 assert (inverse_c_uniformity_predict(ctx, c)
-                        == ddt.uni_report(ctx, tab, CParam.uni(c)).uniformity)
+                        == ddt.uni_report(ctx, tab, CParam(c)).uniformity)
 
 
 def test_criterion_12_structural_invariants(qx4, qx8, qx16, qx27):
@@ -303,6 +303,6 @@ def test_criterion_12_structural_invariants(qx4, qx8, qx16, qx27):
                 for c1 in range(q):
                     for c2 in range(q):
                         b = ddt.pair_report(qx, tabs, CParam.biv(c1, c2))
-                        u = ddt.uni_report(qx.ext, lifted, CParam.uni(
+                        u = ddt.uni_report(qx.ext, lifted, CParam(
                             int(qx.phi_table[qx.pt(c1, c2)])))
                         assert (b.uniformity, b.spectrum) == (u.uniformity, u.spectrum)

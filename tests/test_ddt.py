@@ -256,7 +256,7 @@ def _random_case(field, shape, seed, identity):
         return (*_case(qctx, shape, g * q + h, c), c)
     n = qctx.ext.q if shape == "uni" else q
     f = rng.integers(0, n, n)
-    c = CParam.uni(1 if identity else int(rng.integers(0, n)))
+    c = CParam(1 if identity else int(rng.integers(0, n)))
     return (*_case(qctx, shape, f, c), c)
 
 
@@ -317,7 +317,7 @@ def test_high_entries_native_numpy_naive(field, shape):
         cs = [CParam.biv(0, 0), CParam.biv(1, 0),
               CParam.biv(*rng.integers(1, q, 2))]
     else:
-        cs = [CParam.uni(0), CParam.uni(1), CParam.uni(rng.integers(2, n))]
+        cs = [CParam(0), CParam(1), CParam(int(rng.integers(2, n)))]
     for f, top in _high_entry_tables(n, rng):
         for c in cs:
             report, terms = _case(qctx, shape, f, c)
@@ -388,7 +388,7 @@ def test_uni_report_leaves_values_as_they_were(qx4):
         values = rng.integers(0, 16, 16).astype(dtype)
         before = values.copy()
         for c in (0, 1, 7):
-            ddt.uni_report(qx4.ext, values, CParam.uni(c))
+            ddt.uni_report(qx4.ext, values, CParam(c))
         assert values.flags.writeable and values.dtype == dtype
         assert (values == before).all()
 
@@ -420,7 +420,7 @@ def test_row_mass_check_rejects_broken_row():
     bins[:, 0] = 9
     bins[1, 5] = 1
     with pytest.raises(cdu.CduError, match="row mass"):
-        ddt._report(iter([(np.arange(2), bins)]), 9, CParam.uni(0),
+        ddt._report(iter([(np.arange(2), bins)]), 9, CParam(0),
                     np.ones(9, dtype=np.int32))
     lib = ddt._native()
     if lib is None:
@@ -499,13 +499,13 @@ def test_native_kernel_weighs_rows(field):
         wt = wt.astype(np.int32)
         rows = np.flatnonzero(wt)
         ref = ddt._report(ddt._row_blocks(f, key, trans, rows), n,
-                          CParam.uni(0), wt)
+                          CParam(0), wt)
         bins = np.zeros((lib.block_rows, n), dtype=np.uint16)
         spec = np.zeros(n + 1, dtype=np.int64)
         best = np.full(3, -1, dtype=np.int64)
         assert _native_rows(lib, f, key, trans, wt, bins, spec, best) == 0
         assert not bins.any()
-        assert ddt._make_report(CParam.uni(0), best, spec) == ref
+        assert ddt._make_report(CParam(0), best, spec) == ref
         full = ddt._rows(f, key, trans, rows)
         assert spec.tolist() == [int(wt[rows] @ (full == v).sum(axis=1))
                                  for v in range(n + 1)]
@@ -576,6 +576,31 @@ def _unreduced(qctx, tabs):
     return plain
 
 
+def _planted_cs(q, rng):
+    """A line c, c = 0, the identity c and an off-line c."""
+    c1 = int(rng.integers(2, q)) if q > 2 else 0
+    return [CParam.biv(c1, 0), CParam.biv(0, 0), CParam.biv(1, 0),
+            CParam.biv(int(rng.integers(0, q)), int(rng.integers(1, q)))]
+
+
+def _check_planted_report(qctx, tabs, c):
+    """The native and numpy kernels, on the weighted rows of ``tabs``, give
+    the report of every row at c, that of the naive counter up to n = 81,
+    and a spectrum that meets ``check_spectrum_invariants`` up to n = 729."""
+    n = len(tabs.key)
+    with _kernel("native"):
+        native = ddt.pair_report(qctx, tabs, c)
+        full = ddt.pair_report(qctx, _unreduced(qctx, tabs), c)
+    with _kernel("numpy"):
+        reference = ddt.pair_report(qctx, tabs, c)
+    assert native == reference == full
+    if n <= 81:
+        assert (native.uniformity, native.spectrum, native.witness) \
+            == naive_report(_pair_terms(qctx, tabs, c), c.is_identity)
+    if n <= 729 and not c.is_identity:
+        check_spectrum_invariants(qctx, None, tabs, native)
+
+
 # (p, m, d, e1, e2): F(lam*z) = (lam^e1*G(z), lam^e2*H(z)) for lam = w^d
 _PLANTED = [
     (2, 2, 1, 1, 2),    # F_4: mu/nu of order 3, the line c only
@@ -614,23 +639,12 @@ def test_planted_scaling_reports_exact(p, m, d, e1, e2, domain):
         tabs = PairTables(domain, g, h, qctx)
         found, off = ddt._scaling(qctx, tabs)
         assert (found, off) == (1, 1)
-    c1 = int(rng.integers(2, q)) if q > 2 else 0
-    cs = [CParam.biv(c1, 0), CParam.biv(0, 0), CParam.biv(1, 0),
-          CParam.biv(int(rng.integers(0, q)), int(rng.integers(1, q)))]
-    for c in cs:
+    for c in _planted_cs(q, rng):
         wt, _ = ddt._weights(qctx, tabs, c)
         assert wt.sum() == n - c.is_identity
         if c.c2 == 0:
             assert np.count_nonzero(wt) == 1 + (n - 1) // found - c.is_identity
-        with _kernel("native"):
-            native = ddt.pair_report(qctx, tabs, c)
-            full = ddt.pair_report(qctx, _unreduced(qctx, tabs), c)
-        with _kernel("numpy"):
-            reference = ddt.pair_report(qctx, tabs, c)
-        assert native == reference == full
-        if n <= 81:
-            assert (native.uniformity, native.spectrum, native.witness) \
-                == naive_report(_pair_terms(qctx, tabs, c), c.is_identity)
+        _check_planted_report(qctx, tabs, c)
 
 
 def _linear_map(base, rng):
@@ -690,24 +704,75 @@ def test_planted_linear_structures_reports_exact(p, m, domain):
         assert np.isin(plane, span).all() and len(span) % q == 0
         if odd and p > 2:
             assert ddt._scaling(qctx, tabs)[0] % 2 == 0
-        c1 = int(rng.integers(2, q)) if q > 2 else 0
-        cs = [CParam.biv(c1, 0), CParam.biv(0, 0), CParam.biv(1, 0),
-              CParam.biv(int(rng.integers(0, q)), int(rng.integers(1, q)))]
-        for c in cs:
+        for c in _planted_cs(q, rng):
             wt, _ = ddt._weights(qctx, tabs, c)
             assert wt.sum() == n - c.is_identity
             assert np.count_nonzero(wt) <= n // len(span) + 1
-            with _kernel("native"):
-                native = ddt.pair_report(qctx, tabs, c)
-                full = ddt.pair_report(qctx, _unreduced(qctx, tabs), c)
-            with _kernel("numpy"):
-                reference = ddt.pair_report(qctx, tabs, c)
-            assert native == reference == full
-            if n <= 81:
-                assert (native.uniformity, native.spectrum, native.witness) \
-                    == naive_report(_pair_terms(qctx, tabs, c), c.is_identity)
-            if n <= 729 and not c.is_identity:
-                check_spectrum_invariants(qctx, None, tabs, native)
+            _check_planted_report(qctx, tabs, c)
+
+
+def _planted_linear_scaling(qctx, domain, product, rng):
+    """(tables, r): random pair tables with phi(F(lam*z)) = N(phi(F(z)))
+    at every point, for a random lam = W^d outside F_q, of order r.  N is
+    the product by mu = lam^e, with mu outside F_q, or, where not
+    ``product``, M*mu*M^-1 for a random invertible F_q-linear map M(x) =
+    a*x + b*x^q with a, b != 0, redrawn while it is diagonal on pairs.  No
+    nu gives that N as a product: M*mu = nu*M would need mu = nu = mu^q.
+    As N^r = 1, random nonzero values at the first point of each orbit of
+    <lam> (the elements W^i, i < d), carried along it by N, close up;
+    F(0) = 0."""
+    base, ext = qctx.base, qctx.ext
+    q, n1 = base.q, ext.q - 1
+    d = int(rng.choice([d for d in range(1, n1) if n1 % d == 0 and d % (q + 1)]))
+    r = n1 // d
+    e = int(rng.choice([e for e in range(1, r) if d * e % (q + 1)]))
+    N = ext.mul_row(int(ext.antilog_table[d * e % n1]))
+    elems = np.arange(ext.q, dtype=np.int32)
+    while not product:
+        a, b = rng.integers(1, ext.q, 2).astype(np.int32)
+        M = ext.add_vec(ext.mul_vec(a, elems),
+                        ext.mul_vec(b, ext.frobenius_vec(elems, base.m)))
+        if len(np.unique(M)) < ext.q:
+            continue
+        conj = M[N[np.argsort(M)]]  # x -> M(mu*M^-1(x))
+        gs, hs = np.divmod(qctx.phi_inv_table[conj[[1, qctx.beta]]], q)
+        if hs[0] or gs[1]:  # N(1, 0) or N(0, 1) off its axis
+            N = conj
+            break
+    v = np.zeros(ext.q, dtype=np.int32)  # by F_{q^2} element
+    w, logs = rng.integers(1, ext.q, d).astype(np.int32), np.arange(d)
+    for _ in range(r):
+        v[ext.antilog_table[logs]] = w
+        w, logs = N[w], logs + d
+    points = qctx.phi_table if domain == BIV else elems
+    g, h = np.divmod(qctx.phi_inv_table[v[points]], q)
+    return PairTables(domain, g, h, qctx), r
+
+
+@pytest.mark.parametrize("domain", [BIV, EXT])
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 2), (5, 1), (2, 4),
+                                  (5, 2), (3, 3)])
+def test_planted_linear_scalings_reports_exact(p, m, domain):
+    """Tables that scale by construction under a lam outside F_q, with an
+    F_q-linear N that is not diagonal on pairs and not a product, or with
+    N a product: ``_scaling`` finds lam's group on the line, and off it
+    exactly when N is a product.  At a line c, c = 0, the identity c and
+    an off-line c, the native and numpy kernels on one row per orbit give
+    the report of every row, that of the naive counter up to n = 81, and
+    its spectrum meets ``check_spectrum_invariants`` up to n = 729."""
+    qctx = make_quadext(make_field(p, m))
+    q, n = qctx.base.q, qctx.ext.q
+    rng = np.random.default_rng([p, m, domain == BIV])
+    for product in (False, True):
+        tabs, r = _planted_linear_scaling(qctx, domain, product, rng)
+        line, off = ddt._scaling(qctx, tabs)
+        assert line % r == 0 and (off % r == 0) == product
+        for c in _planted_cs(q, rng):
+            wt, _ = ddt._weights(qctx, tabs, c)
+            assert wt.sum() == n - c.is_identity
+            if c.c2 == 0 or product:
+                assert np.count_nonzero(wt) <= 1 + (n - 1) // r
+            _check_planted_report(qctx, tabs, c)
 
 
 def test_records_at_q256_build_within_a_second():
@@ -715,21 +780,26 @@ def test_records_at_q256_build_within_a_second():
     among it, costs a few passes over the points, not one per candidate.
     At q = 256 each builds in under a second, where one full check per
     element would take minutes: the identity map (Lambda the whole plane,
-    2^16 elements), genlinh{L=x;h=inv} (Lambda = F_256 x {0}) and the
+    2^16 elements), genlinh{L=x;h=inv} (Lambda = F_256 x {0}), the
     identity map with one value changed (Lambda = {0}, though nearly every
-    u passes a sample of the points)."""
+    u passes a sample of the points), and normfirst{H=tr5} and
+    tracext{H=norm} (Lambda = {0}), whose scalings are searched over the
+    16 divisors of q^2 - 1 = 65535."""
     qctx = make_quadext(make_field(2, 8))
     ident = tables_for(parse_func_spec("identity"), qctx)
     g = ident.g.copy()
     g[12345] ^= 1
-    cases = [(ident, 1 << 16),
-             (tables_for(parse_func_spec("genlinh{L=x;h=inv}"), qctx), 256),
-             (PairTables(ident.domain, g, ident.h, qctx), 1)]
-    for tabs, size in cases:
+    cases = [("identity", ident, 1 << 16),
+             ("identity, one value changed",
+              PairTables(ident.domain, g, ident.h, qctx), 1)]
+    cases += [(spec, tables_for(parse_func_spec(spec), qctx), size)
+              for spec, size in [("genlinh{L=x;h=inv}", 256),
+                                 ("normfirst{H=tr5}", 1), ("tracext{H=norm}", 1)]]
+    for name, tabs, size in cases:
         fresh = PairTables(tabs.domain, tabs.g, tabs.h, qctx)
         start = time.perf_counter()
         rec = ddt._table_inputs(qctx, fresh)
-        assert time.perf_counter() - start < 1.0, size
+        assert time.perf_counter() - start < 1.0, name
         line = rec.weights[0][0]
         assert line.sum() == 1 << 16
         assert len(ddt._linear_structures(qctx.ext, tabs.key)) == size
@@ -756,16 +826,16 @@ def test_goldpair_line_c_runs_q_plus_2_rows(qx16, monkeypatch):
 
 
 def test_weights_at_n_2_16_past_16_bits():
-    """The identity map F(z) = z at q = 256 scales with mu = nu = lam, and
-    every u is a linear structure, F(z + u) - F(z) = u: one orbit holds
-    every row, so every c runs one of the 2^16 rows, on 32-bit bins.  Its
-    c-DDT is known whole: (1 - c)*z + a is a bijection for c != 1, so every
-    entry is 1 and the first is at (0, 0); at the identity c, row a != 0
-    puts all 2^16 points in bin a."""
+    """The identity map F(z) = z at q = 256 scales under every lam of
+    F_{q^2}^*, N the product by lam, and every u is a linear structure,
+    F(z + u) - F(z) = u: one orbit holds every row, so every c runs one of
+    the 2^16 rows, on 32-bit bins.  Its c-DDT is known whole: (1 - c)*z + a
+    is a bijection for c != 1, so every entry is 1 and the first is at
+    (0, 0); at the identity c, row a != 0 puts all 2^16 points in bin a."""
     qctx = make_quadext(make_field(2, 8))
     n = qctx.ext.q
     tabs = tables_for(parse_func_spec("identity"), qctx)
-    assert ddt._scaling(qctx, tabs) == (255, 255)
+    assert ddt._scaling(qctx, tabs) == (n - 1, n - 1)
     assert (ddt._linear_structures(qctx.ext, tabs.key) == np.arange(n)).all()
     cases = [(CParam.biv(0, 0), 1, {1: n * n}, (0, 0)),
              (CParam.biv(7, 0), 1, {1: n * n}, (0, 0)),
@@ -793,14 +863,70 @@ _SCALING_SPECS = [
 ]
 
 
-def _brute_scale_perm(qctx, domain, lam):
-    """z -> lam*z as point indices: (lam*x, lam*y) coordinatewise on a pair
-    point, the F_{q^2} product by embed(lam) on F_{q^2}; not through phi."""
+def _brute_pair_mul(qctx, a, b):
+    """The pair product of a = (x1, y1) and b = (x2, y2), coordinates
+    scalars or arrays of F_q: (x1*x2 - t*y1*y2, x1*y2 + x2*y1 - y1*y2), by
+    F_q operations, not through phi."""
     base = qctx.base
+    (x1, y1), (x2, y2) = a, b
+    mul, sub = base.mul_vec, base.sub_vec
+    yy = mul(y1, y2)
+    return (sub(mul(x1, x2), mul(np.int32(qctx.t), yy)),
+            sub(base.add_vec(mul(x1, y2), mul(x2, y1)), yy))
+
+
+def _brute_scale_perm(qctx, domain, lam):
+    """z -> lam*z as point indices, lam a nonzero point: the pair product
+    by lam = (lam // q, lam % q) on a pair point, the F_{q^2} product on
+    F_{q^2}; not through phi."""
+    q = qctx.base.q
     if domain == BIV:
-        x, y = np.divmod(np.arange(base.q ** 2), base.q)
-        return qctx.pt(base.mul_vec(np.int32(lam), x), base.mul_vec(np.int32(lam), y))
-    return qctx.ext.mul_row(int(qctx.embed[lam]))
+        z = np.divmod(np.arange(q * q, dtype=np.int32), q)
+        return qctx.pt(*_brute_pair_mul(qctx, divmod(np.int32(lam), q), z))
+    return qctx.ext.mul_row(lam)
+
+
+def _brute_scalings(qctx, tabs):
+    """(line, off): the permutations z -> lam*z of the lam of F_{q^2}^*
+    for which the map F(z) -> F(lam*z) of pair values is a function that
+    extends to an F_q-linear map N of the span of the values, and of those
+    for which N is the pair product by one pair.  A basis of the span is
+    taken among the values, and each value is written as a sum of
+    multiples of it; per lam, the same sums of the basis' images must give
+    each value's image."""
+    base, q = qctx.base, qctx.base.q
+    n, key, a = q * q, tabs.key, np.arange(q, dtype=np.int32)
+
+    def sums(keys):  # the keys of sum_i a_i*keys[i], for every (a_i) in order
+        out = np.zeros(1, dtype=np.int32)
+        for g, h in zip(*np.divmod(keys, q)):
+            out = qctx.pt(base.add_vec(out[:, None] // q, base.mul_vec(a, g)),
+                          base.add_vec(out[:, None] % q, base.mul_vec(a, h))).ravel()
+        return out
+
+    basis, spanned = [], np.arange(n) == 0
+    for z in np.flatnonzero(key):
+        if not spanned[key[z]]:
+            basis.append(z)
+            spanned[sums(key[basis])] = True
+    where = np.full(n, -1)
+    where[sums(key[basis])] = np.arange(q ** len(basis))
+    coords = where[key]  # value z as a sum of multiples of the basis
+    pairs = np.divmod(np.arange(n, dtype=np.int32), q)
+    times_basis = [qctx.pt(*_brute_pair_mul(qctx, pairs, divmod(key[z], q)))
+                   for z in basis]  # P*s over every pair P, at each s
+    line, off = [], []
+    for lam in range(1, n):
+        perm = _brute_scale_perm(qctx, tabs.domain, lam)
+        image = key[perm]
+        if not (sums(image[basis])[coords] == image).all():
+            continue
+        line.append(perm)
+        # N is a product where one P has P*s = N(s) at every basis value s
+        if np.logical_and.reduce([times == image[z] for times, z
+                                  in zip(times_basis, basis)]).any():
+            off.append(perm)
+    return line, off
 
 
 def _brute_shift_perm(qctx, domain, u):
@@ -844,15 +970,15 @@ def _brute_orbit_minima(moves, n):
 @pytest.mark.parametrize("spec", _SCALING_SPECS)
 def test_scaling_and_weights_equal_brute_force(p, m, spec):
     """The (order, off_order) that ``ddt`` finds equals a scan of every lam
-    of F_q^* and every mu and nu, checked at every point: order counts the
-    lam with F(lam*z) = (mu*G(z), nu*H(z)) for some mu and nu, off_order
-    those where mu = nu can be taken.  Its linear structures equal a scan
-    of every u at every point.  The row weights of a line c, an off-line c
-    and the identity c equal a walk of the orbits of the group that
-    z -> lam^k*z and z -> z + u generate: row a weighs the number of
-    admissible rows whose orbit has the smallest admissible row a (at the
-    identity c row 0 is not admissible, and its orbit, Lambda, keeps the
-    rest)."""
+    of F_{q^2}^*, checked at every point: order counts the lam for which
+    F(z) -> F(lam*z) is an F_q-linear map N of the span of the values,
+    off_order those where N is the product by an element of F_{q^2}.  Its
+    linear structures equal a scan of every u at every point.  The row
+    weights of a line c, an off-line c and the identity c equal a walk of
+    the orbits of the group that these z -> lam*z and z -> z + u generate:
+    row a weighs the number of admissible rows whose orbit has the
+    smallest admissible row a (at the identity c row 0 is not admissible,
+    and its orbit, Lambda, keeps the rest)."""
     qctx = make_quadext(make_field(p, m))
     base = qctx.base
     q, n = base.q, base.q ** 2
@@ -861,22 +987,13 @@ def test_scaling_and_weights_equal_brute_force(p, m, spec):
         tabs = PairTables(BIV, g, h, qctx)
     else:
         tabs = tables_for(parse_func_spec(spec), qctx)
-    perms, order, off_order = {}, 0, 0
-    for lam in range(1, q):
-        perms[lam] = perm = _brute_scale_perm(qctx, tabs.domain, lam)
-        mus, nus = ({mu for mu in range(1, q)
-                     if (base.mul_vec(np.int32(mu), v) == v[perm]).all()}
-                    for v in (tabs.g, tabs.h))
-        order += bool(mus and nus)
-        off_order += bool(mus & nus)
-    assert ddt._scaling(qctx, tabs) == (order, off_order)
+    line, off = _brute_scalings(qctx, tabs)
+    assert ddt._scaling(qctx, tabs) == (len(line), len(off))
     span = _brute_linear_structures(qctx, tabs)
     assert ddt._linear_structures(qctx.ext, tabs.key).tolist() == span
     shifts = [_brute_shift_perm(qctx, tabs.domain, u) for u in span]
     for c in (CParam.biv(0, 0), CParam.biv(0, 1), CParam.biv(1, 0)):
-        r = order if c.c2 == 0 else off_order
-        lam = int(base.antilog_table[(q - 1) // r % (q - 1)])
-        low = _brute_orbit_minima([perms[lam]] + shifts, n)
+        low = _brute_orbit_minima((line if c.c2 == 0 else off) + shifts, n)
         zero = np.flatnonzero(low == 0)  # row 0's orbit
         if c.is_identity and len(zero) > 1:
             low[zero] = zero[1]
@@ -913,18 +1030,24 @@ def test_report_depends_on_the_values_alone(p, m, spec):
 
 
 def test_scaling_fails_fast_off_the_line(monkeypatch):
-    """``_scaling`` tries each divisor of q - 1 on a sample of points spread
-    over the domain before it checks them all.  genlinh with h = inv,
-    (x, 1/y + x), scales on the line x = 0 alone, so a sample taken there
-    would pass and every point would be checked at each divisor d < 63 of
-    63; the spread sample rules each one out."""
+    """``_scaling`` tries each divisor of q^2 - 1 on a sample of points
+    spread over the domain before it checks them all.  The identity map
+    with random values on the line x = q - 1 scales under lam = 1 alone,
+    but each of the 5 lam of F_q^* other than 1 keeps the line x = 0, from
+    q = 64 a pair table's first 64 points, and scales it as it does every
+    value off x = q - 1: a sample taken there would pass, and every point
+    would be checked at each of them.  The spread sample meets x = q - 1
+    and rules each one out, with no check of every point."""
     qctx = make_quadext(make_field(2, 6))
-    tabs = tables_for(parse_func_spec("genlinh{L=x;h=inv}"), qctx)
-    sizes, ratio = [], ddt._ratio
-    monkeypatch.setattr(ddt, "_ratio", lambda base, v, w:
-                        sizes.append(len(v)) or ratio(base, v, w))
+    q, n = qctx.base.q, qctx.ext.q
+    g, h = np.divmod(np.arange(n), q)
+    g[-q:], h[-q:] = np.random.default_rng(6).integers(0, q, (2, q))
+    tabs = PairTables(BIV, g, h, qctx)
+    sizes, mul = [], qctx.ext.mul_log_vec
+    monkeypatch.setattr(qctx.ext, "mul_log_vec", lambda log_u, v:
+                        sizes.append(np.size(log_u)) or mul(log_u, v))
     assert ddt._scaling(qctx, tabs) == (1, 1)
-    assert sizes and sizes.count(qctx.ext.q) == 0
+    assert sizes and sizes.count(n) == 0
 
 
 def test_native_kernel_compiles_without_warnings(tmp_path):
@@ -1063,7 +1186,8 @@ def test_native_kernel_unbuildable_gives_none(tmp_path, monkeypatch):
 def test_kernel_rejects_values_outside_codomain(qx4):
     key = np.arange(16, dtype=np.int32)
     inputs = ddt._kernel_inputs(qx4.ext, key)
-    wt = ddt._row_weights(qx4.ext, np.arange(16), 1, False)
+    rows = np.arange(16)
+    wt = ddt._row_weights(qx4.ext, rows, 1, False, rows)
     for bad in (16, -1):
         trans = key.copy()
         trans[3] = bad
@@ -1072,7 +1196,7 @@ def test_kernel_rejects_values_outside_codomain(qx4):
         with pytest.raises(cdu.CduError, match="outside the codomain"):
             ddt._kernel_inputs(qx4.ext, trans)  # a key is checked once
         with pytest.raises(cdu.CduError, match="outside the codomain"):
-            ddt.uni_report(qx4.ext, trans, CParam.uni(0))
+            ddt.uni_report(qx4.ext, trans, CParam(0))
     # 16 pair points span F_16, not the base field F_4
     with pytest.raises(cdu.CduError, match="do not span the field"):
         ddt._kernel_report(qx4.base, inputs, wt, key, CParam.biv(0, 0))
@@ -1155,7 +1279,7 @@ def _lift_rows(tabs, qctx):
         for c2 in range(q):
             b = ddt.pair_report(qctx, tabs, CParam.biv(c1, c2))
             u = ddt.uni_report(qctx.ext, lifted,
-                               CParam.uni(int(qctx.phi_table[qctx.pt(c1, c2)])))
+                               CParam(int(qctx.phi_table[qctx.pt(c1, c2)])))
             assert (b.uniformity, b.spectrum) == (u.uniformity, u.spectrum)
     return q * q
 
@@ -1219,8 +1343,9 @@ def test_row_weights_built_from_many_threads(qx16, monkeypatch):
     [rec] = tabs.engine.values()
     assert ddt._scaling(qx16, tabs) == (15, 3)
     slots = [(15, False), (15, True), (3, False)]  # line, identity, off-line
+    rows = np.arange(256)  # Lambda = {0}: each row is its coset's minimum
     for (wt, _), slot in zip(rec.weights, slots, strict=True):
-        assert (wt == ddt._row_weights(qx16.ext, np.arange(256), *slot)[0]).all()
+        assert (wt == ddt._row_weights(qx16.ext, rows, *slot, rows)[0]).all()
     for c in cs:
         assert ddt._weights(qx16, tabs, c) \
             is rec.weights[slots.index((15 if c.c2 == 0 else 3, c.is_identity))]
@@ -1261,7 +1386,7 @@ def test_c_set_helpers():
     assert ddt.c_sample_biv(16, 0, seed=1) == []
     assert ddt.c_sample_biv(16, 10, seed=1) == ddt.c_sample_biv(16, 10, seed=1)
     assert len(ddt.c_sample_biv(16, 10_000, seed=1)) == 255
-    assert CParam.biv(1, 0).is_identity and CParam.uni(1).is_identity
+    assert CParam.biv(1, 0).is_identity and CParam(1).is_identity
     assert not CParam.biv(0, 1).is_identity
 
 

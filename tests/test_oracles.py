@@ -160,7 +160,7 @@ def test_c_ddt_spectrum_equals_the_engine_and_a_naive_count(p, m):
     for values in _uni_tables(ctx):
         for c in range(ctx.q):
             got = c_ddt_spectrum(ctx, values, c)
-            assert got == ddt.uni_report(ctx, values, ddt.CParam.uni(c)).spectrum
+            assert got == ddt.uni_report(ctx, values, ddt.CParam(c)).spectrum
             if ctx.q <= 9:
                 assert got == _naive_spectrum(ctx, values, c)
 
@@ -187,7 +187,7 @@ def test_inverse_predict_matches_brute_force(p, m):
         if c == 1:
             continue
         want = inverse_c_uniformity_predict(ctx, c)
-        got = ddt.uni_report(ctx, tab, ddt.CParam.uni(c)).uniformity
+        got = ddt.uni_report(ctx, tab, ddt.CParam(c)).uniformity
         assert want == got, c
 
 

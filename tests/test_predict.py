@@ -99,8 +99,8 @@ def _pair_product(qx, c1, c2):
     cg = base.sub(c1, base.mul(qx.t, c2))
     ch = base.sub(c1, base.mul(base.sub(1, qx.t), c2))
     x = np.arange(base.q, dtype=np.int32)
-    d1 = ddt.uni_report(base, x, ddt.CParam.uni(cg)).uniformity
-    d2 = ddt.uni_report(base, base.inv_table[x], ddt.CParam.uni(ch)).uniformity
+    d1 = ddt.uni_report(base, x, ddt.CParam(cg)).uniformity
+    d2 = ddt.uni_report(base, base.inv_table[x], ddt.CParam(ch)).uniformity
     return d1 * d2
 
 

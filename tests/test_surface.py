@@ -1,7 +1,9 @@
 """The documented public surface runs: README's library sketch, the package
 docstring's example, every name ``cdu.__all__`` exports and every name the
-benchmark's tracer wraps."""
+benchmark's tracer wraps; and ``src/cdu`` holds no code that only the tests
+call."""
 
+import ast
 import importlib
 import importlib.util
 import textwrap
@@ -11,6 +13,15 @@ import cdu
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SPANS = README.parent / "bench" / "spans.py"
+SRC = Path(cdu.__file__).parent
+
+# functions with no reference in src/cdu, each with the reason it stays
+UNREFERENCED = {
+    "cli._Parser.error": "overrides ArgumentParser.error, which argparse calls",
+    "cli.argv_from_header": "the tests rebuild argvs from report headers with "
+                            "it; --resume (ROADMAP item 10) is its planned caller",
+    "ddt.uni_report": "bench/spans.py traces it by name",
+}
 
 
 def _readme_sketch():
@@ -64,3 +75,37 @@ def test_every_traced_name_resolves():
         layer, name = dotted.split(".")
         module = importlib.import_module(f"cdu.{layer}")
         assert callable(getattr(module, name, None)), dotted
+
+
+def _unreferenced_functions():
+    """module.name, or module.Class.name for a method, of every function in
+    src/cdu, dunder methods aside, whose name occurs nowhere in src/cdu
+    outside its own definition, as a name, an attribute or an import."""
+    defs, used = [], set()
+
+    def walk(node, where, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append(f"{where}.{child.name}")
+                walk(child, where, inside | {child.name})
+            elif isinstance(child, ast.ClassDef):
+                walk(child, f"{where}.{child.name}", inside)
+            else:
+                name = (child.id if isinstance(child, ast.Name) else
+                        child.attr if isinstance(child, ast.Attribute) else
+                        child.name if isinstance(child, ast.alias) else None)
+                if name not in inside:
+                    used.add(name)
+                walk(child, where, inside)
+
+    for path in sorted(SRC.glob("*.py")):
+        walk(ast.parse(path.read_text()), path.stem, frozenset())
+    return {name for name in defs if not name.rsplit(".", 1)[1].startswith("__")
+            and name.rsplit(".", 1)[1] not in used}
+
+
+def test_src_has_no_test_only_functions():
+    """A function whose only callers are tests belongs in the tests: every
+    function of src/cdu is referenced there outside its own definition, or
+    is in UNREFERENCED with its reason, and UNREFERENCED names no other."""
+    assert _unreferenced_functions() == set(UNREFERENCED)
