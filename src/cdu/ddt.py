@@ -257,11 +257,11 @@ def _scaling(qctx, tab):
     its subgroup with B = 0.  Divisors d of q^2 - 1 are tried smallest
     first, on about 64 spread points, then on every point: the first that
     holds gives the first subgroup, the first of its multiples with B = 0
-    (lam = 1 at the last) the second.  A and B are solved at two points with
-    F_q-independent values; where there are none, N is the product by A."""
+    (lam = 1 at the last) the second."""
     ext, q, n1 = qctx.ext, qctx.base.q, qctx.ext.q - 1
     # from q = 64 a pair table's first 64 points lie on the line x = 0
     sample = np.arange(0, ext.q, ext.q // 64 + 1)
+    every = np.arange(ext.q)
     v = qctx.phi_table[tab.key]
     if tab.domain == BIV:  # v and the sample by F_{q^2} element
         v, sample = v[qctx.phi_inv_table], qctx.phi_table[sample]
@@ -271,27 +271,44 @@ def _scaling(qctx, tab):
     vq = ext.frobenius_vec(v, qctx.base.m)  # v^q
     # v(e)/v(e1) is in F_q where q + 1 divides the gap of their logs
     logs = ext.log_table[v[nz]]
-    e1, e2 = nz[0], next(iter(nz[(logs - logs[0]) % (q + 1) != 0]), nz[0])
-    (v1, v2), (c1, c2) = v[[e1, e2]].tolist(), vq[[e1, e2]].tolist()
-    det = ext.sub(ext.mul(v1, c2), ext.mul(v2, c1))  # 0 where e2 = e1
-    low = [d for d in range(1, q + 1) if n1 % d == 0]  # q^2 > n1
-    points, line = (sample, np.arange(ext.q)), 0  # line: the first d that holds
-    for d in sorted({*low, *(n1 // d for d in low)}):
+    independent = nz[(logs - logs[0]) % (q + 1) != 0]
+    e1 = int(nz[0])
+    e2 = int(independent[0]) if len(independent) else e1
+    small_divisors = [d for d in range(1, q + 1) if n1 % d == 0]  # q^2 > n1
+    line = 0  # the first d that holds
+    for d in sorted({*small_divisors, *(n1 // d for d in small_divisors)}):
         if line and d % line:
             continue
         lam = int(ext.antilog_table[d % n1])
-        w1, w2 = (int(v[ext.mul(lam, e)]) for e in (e1, e2))  # N(v1), N(v2)
-        a, b = ((ext.div(ext.sub(ext.mul(w1, c2), ext.mul(w2, c1)), det),
-                 ext.div(ext.sub(ext.mul(v1, w2), ext.mul(v2, w1)), det))
-                if det else (ext.div(w1, v1), 0))
-        if not line:
-            if d < n1 and not all((v[ext.mul_vec(lam, e)] == ext.add_vec(
-                    ext.mul_vec(a, v[e]), ext.mul_vec(b, vq[e]))).all()
-                                  for e in points):
+        a, b = _solve_scaling(ext, v, vq, lam, e1, e2)
+        if not line and d < n1:
+            if not _scales(ext, v, vq, lam, a, b, sample):
                 continue
-            line = d
+            if not _scales(ext, v, vq, lam, a, b, every):
+                continue
+        line = line or d
         if b == 0:
             return n1 // line, n1 // d
+
+
+def _solve_scaling(ext, v, vq, lam, e1, e2):
+    """(A, B) with v(lam*e) = A*v(e) + B*v(e)^q at e = e1 and e = e2, by
+    Cramer's rule.  Where e2 = e1, every value is an F_q-multiple of v(e1),
+    and N is taken as the product by A = v(lam*e1)/v(e1)."""
+    v1, c1, w1 = int(v[e1]), int(vq[e1]), int(v[ext.mul(lam, e1)])
+    if e2 == e1:
+        return ext.div(w1, v1), 0
+    v2, c2, w2 = int(v[e2]), int(vq[e2]), int(v[ext.mul(lam, e2)])
+    det = ext.sub(ext.mul(v1, c2), ext.mul(v2, c1))  # nonzero: v1, v2 independent
+    a = ext.div(ext.sub(ext.mul(w1, c2), ext.mul(w2, c1)), det)
+    b = ext.div(ext.sub(ext.mul(v1, w2), ext.mul(v2, w1)), det)
+    return a, b
+
+
+def _scales(ext, v, vq, lam, a, b, points):
+    """Whether v(lam*z) = a*v(z) + b*v(z)^q at every z in ``points``."""
+    image = ext.add_vec(ext.mul_vec(a, v[points]), ext.mul_vec(b, vq[points]))
+    return bool((v[ext.mul_vec(lam, points)] == image).all())
 
 
 def _linear_structures(field, key):

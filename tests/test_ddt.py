@@ -1045,7 +1045,7 @@ def test_scaling_fails_fast_off_the_line(monkeypatch):
     tabs = PairTables(BIV, g, h, qctx)
     sizes, mul = [], qctx.ext.mul_log_vec
     monkeypatch.setattr(qctx.ext, "mul_log_vec", lambda log_u, v:
-                        sizes.append(np.size(log_u)) or mul(log_u, v))
+                        sizes.append(np.size(v)) or mul(log_u, v))
     assert ddt._scaling(qctx, tabs) == (1, 1)
     assert sizes and sizes.count(n) == 0
 
