@@ -22,18 +22,20 @@ So row lam*a holds the entries of row a, relabelled, and one row per
 orbit of a under the subgroup stands for all of them.  On the line c2 = 0
 c is an F_q scalar, which commutes with every such N; off it, only the
 products (B = 0) do, on a subgroup that may be trivial.  A table's first
-report finds the order of both subgroups (``_scaling``).  Row a is an
-element of F_{q^2}, phi(a) for a pair point, so the orbit of a nonzero row
-under the subgroup of order r is its coset of F_{q^2}^*, the rows whose
-logs agree mod (q^2 - 1)/r.  Row a weighs wt[a] (``_row_weights``): r at
-the smallest row of its coset, else 0; row 0 weighs 1, and 0 at the
-identity c, as the a-quantifier excludes it.
+report finds the order of both subgroups (``_scaling``), each by a
+descent from lam = 1 over the primes of q^2 - 1, as F_{q^2}^* is cyclic.
+Row a is an element of F_{q^2}, phi(a) for a pair point, so the orbit of
+a nonzero row under the subgroup of order r is its coset of F_{q^2}^*,
+the rows whose logs agree mod (q^2 - 1)/r.  Row a weighs wt[a]
+(``_row_weights``): r at the smallest row of its coset, else 0; row 0
+weighs 1, and 0 at the identity c, as the a-quantifier excludes it.
 
 Translations.  The linear structures of F, Lambda = {u : F(z + u) - F(z)
 = A(u) at every point z}, form an F_p-subspace of the rows, found once per
-table (``_linear_structures``).  They act at every c: row a + u is row a
-with each b shifted by A(u), as F(x + a + u) - c*F(x) = F(x + a) -
-c*F(x) + A(u).  Where F(lam*z) = N(F(z)) with N additive, lam*Lambda =
+table and kept as the smallest row of each coset r + Lambda
+(``_linear_structures``).  They act at every c: row a + u is row a with
+each b shifted by A(u), as F(x + a + u) - c*F(x) = F(x + a) - c*F(x) +
+A(u).  Where F(lam*z) = N(F(z)) with N additive, lam*Lambda =
 Lambda, so the rows of one c merge under z -> lam*z + u, and the orbit of
 a is the union of the cosets lam*a + Lambda over its scaling coset.  Row a
 then weighs the size of its orbit if it is the orbit's smallest row, and 0
@@ -154,7 +156,7 @@ except ImportError:  # Python < 3.12
     except ImportError:
         from hashlib import sha256
 
-from .gf import CduError
+from .gf import CduError, _prime_factors
 from .quadext import QuadExtCtx
 from .funcs import BIV, FuncSpec, PairTables, _read_only, tables_for
 
@@ -254,10 +256,13 @@ def _scaling(qctx, tab):
     """(order, off_order) of the pair table ``tab`` (see "Row weights"
     above): the orders of the largest subgroup <W^d> of F_{q^2}^* whose lam
     have v(lam*z) = A*v(z) + B*v(z)^q at every point z, v = phi(F), and of
-    its subgroup with B = 0.  Divisors d of q^2 - 1 are tried smallest
-    first, on about 64 spread points, then on every point: the first that
-    holds gives the first subgroup, the first of its multiples with B = 0
-    (lam = 1 at the last) the second."""
+    its subgroup with B = 0.  Each is found by ``_descend``.  The first
+    descent tries each lam on about 64 spread points, and its generator is
+    then checked on every point; only if that check fails is the descent
+    redone on every point.  A lam that fails on the sample is no member, so
+    a generator that holds at every point generates the subgroup.  The
+    second descent, over the multiples of the first d, needs only the
+    scalar test B = 0."""
     ext, q, n1 = qctx.ext, qctx.base.q, qctx.ext.q - 1
     # from q = 64 a pair table's first 64 points lie on the line x = 0
     sample = np.arange(0, ext.q, ext.q // 64 + 1)
@@ -274,21 +279,32 @@ def _scaling(qctx, tab):
     independent = nz[(logs - logs[0]) % (q + 1) != 0]
     e1 = int(nz[0])
     e2 = int(independent[0]) if len(independent) else e1
-    small_divisors = [d for d in range(1, q + 1) if n1 % d == 0]  # q^2 > n1
-    line = 0  # the first d that holds
-    for d in sorted({*small_divisors, *(n1 // d for d in small_divisors)}):
-        if line and d % line:
-            continue
-        lam = int(ext.antilog_table[d % n1])
-        a, b = _solve_scaling(ext, v, vq, lam, e1, e2)
-        if not line and d < n1:
-            if not _scales(ext, v, vq, lam, a, b, sample):
-                continue
-            if not _scales(ext, v, vq, lam, a, b, every):
-                continue
-        line = line or d
-        if b == 0:
-            return n1 // line, n1 // d
+
+    def solve(d):
+        lam = int(ext.antilog_table[d])
+        return (lam, *_solve_scaling(ext, v, vq, lam, e1, e2))
+
+    def holds(d, points):
+        return _scales(ext, v, vq, *solve(d), points)
+
+    line = _descend(n1, lambda d: holds(d, sample))
+    if line < n1 and not holds(line, every):
+        line = _descend(n1, lambda d: holds(d, every))
+    off = _descend(n1, lambda d: d % line == 0 and solve(d)[2] == 0)
+    return n1 // line, n1 // off
+
+
+def _descend(n, member):
+    """The d with <W^d> the subgroup of the cyclic group <W> of order n
+    whose elements W^e are those with ``member(e)``: from d = n (W^n = 1),
+    d is divided by each prime r of n while member(d // r).  The subgroup
+    is <W^D> for one D dividing n, and W^e lies in it exactly where D
+    divides e, so the descent by each prime stops at D's power of it."""
+    d = n
+    for r in _prime_factors(n):
+        while d % r == 0 and member(d // r):
+            d //= r
+    return d
 
 
 def _solve_scaling(ext, v, vq, lam, e1, e2):
@@ -312,17 +328,23 @@ def _scales(ext, v, vq, lam, a, b, points):
 
 
 def _linear_structures(field, key):
-    """Lambda of the table ``key`` over ``field``, sorted: the u with
-    key[z + u] = key[z] + A(u) at every point z, A(u) = key[u] - key[0].
-    It is an F_p-subspace.  Every u is first tried on 32 points drawn once
-    from the domain; a survivor outside the span found so far is then
-    checked at every point, and its multiples join the span.  So a table
-    pays about one pass over the points per dimension of Lambda, not one
-    per element: the identity map at q = 256 (Lambda the whole plane)
-    makes 16 full checks.  A survivor that fails shows up to 32 points the
-    sample missed, and every other candidate is tried there too: a table
-    linear but at a few points fails every u at those points, so it does
-    not pay one full check per u."""
+    """low[r] = the smallest row of the coset r + Lambda, for every row r,
+    Lambda being the linear structures of the table ``key`` over ``field``:
+    the u with key[z + u] = key[z] + A(u) at every point z, A(u) = key[u] -
+    key[0].  It is an F_p-subspace, and u lies in it where low[u] = 0.
+    Every u is first tried on 32 points drawn once from the domain; a
+    survivor outside Lambda as found so far is then checked at every point,
+    and joins it: low[r] becomes the least low[r] + t*low[u], t in F_p.
+    Rows compare as base-p digit vectors from the most significant digit,
+    so a coset's least row is its one row that is 0 at every digit where
+    an element of Lambda leads; low[u] leads where none does, and of the p
+    sums exactly one is 0 there too.  So a table pays about one pass over
+    the points per dimension of Lambda, not one per element: the identity
+    map at q = 256 (Lambda the whole plane) makes 16 full checks.  A
+    survivor that fails shows up to 32 points the sample missed, and every
+    other candidate is tried there too: a table linear but at a few points
+    fails every u at those points, so it does not pay one full check per
+    u."""
     n, add = field.q, field.add_vec
     pts = np.arange(n, dtype=np.int32)
     diff = field.sub_vec(key, key[0])  # A(u)
@@ -334,35 +356,15 @@ def _linear_structures(field, key):
         return cand
 
     cand = sift(cand, random.Random(n).sample(range(n), min(n, 32)))
-    span, spanned = pts[:1], pts == 0
-    while len(cand := cand[~spanned[cand]]):
+    low = pts
+    while len(cand := cand[low[cand] != 0]):
         u, cand = cand[0], cand[1:]
         holds = key[add(pts, u)] == add(key, diff[u])
         if holds.all():
-            multiples = field.mul_vec(pts[:field.p], np.int32(u))  # t*u, t in F_p
-            span = add(span, multiples[:, None]).ravel()
-            spanned[span] = True
+            multiples = field.mul_vec(pts[:field.p], low[u])  # t*low[u]
+            low = add(low, multiples[:, None]).min(axis=0)
         else:
             cand = sift(cand, np.flatnonzero(~holds)[:32])
-    return np.sort(span)
-
-
-def _coset_minima(field, span):
-    """low[r] = the smallest row of the coset r + span, for every row r of
-    ``field``.  Rows are base-p digit vectors, compared from the most
-    significant digit, so the smallest row of a coset is its one row that is
-    0 at the leading digit of every element of span (those are dim span
-    places).  The smallest element of span with each leading digit is 1
-    there and 0 at the other leading digits (else subtracting a multiple of
-    another would make it smaller), so adding its multiple that clears its own
-    place leaves the other leading digits as they are, in any order."""
-    p = field.p
-    lead = np.searchsorted(p ** np.arange(field.m), span[1:], side="right")
-    _, first = np.unique(lead, return_index=True)
-    low = np.arange(field.q, dtype=np.int32)
-    for u in span[1:][first]:
-        multiples = field.mul_vec(np.arange(p, dtype=np.int32), np.int32(u))
-        low = field.add_vec(low, multiples[:, None]).min(axis=0)
     return low
 
 
@@ -371,9 +373,10 @@ def _row_weights(field, rows, order, identity, low):
     ``field``, ``rows[e]`` being the row of element e (rows[0] = 0), under
     the subgroup of ``field``'s units of the given order and the
     translations by Lambda, ``low`` being the smallest row of each row's
-    coset of Lambda (``_coset_minima``).  The orbit of a nonzero row under
-    the subgroup alone is its coset: the elements whose logs agree mod k =
-    (|field| - 1)/order, a column of the logs laid out as order x k.  A
+    coset of Lambda (``_linear_structures``).  The orbit of a nonzero row
+    under the subgroup alone is its coset: the elements whose logs agree
+    mod k = (|field| - 1)/order, a column of the logs laid out as order x
+    k.  A
     row's orbit is the union of the cosets lam*a + Lambda over its column,
     and wt[a] is the orbit's size at its smallest row, 0 elsewhere.  At the
     identity c, row 0 is left out, and the |Lambda| - 1 other rows of its
@@ -564,7 +567,7 @@ def _table_inputs(qctx, tab):
     if rec is None:
         order, off_order = _scaling(qctx, tab)
         inputs = _kernel_inputs(qctx.ext, tab.key)
-        low = _coset_minima(qctx.ext, _linear_structures(qctx.ext, inputs[0]))
+        low = _linear_structures(qctx.ext, inputs[0])
         rows = qctx.phi_inv_table if tab.domain == BIV else np.arange(len(tab.key))
         rec = tab.engine.setdefault("record", _Record(
             inputs, _read_only(qctx.ext.log_table[qctx.phi_table[tab.key]]),

@@ -57,14 +57,7 @@ class NonDivisorSubfield(CduError):
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return _prime_factors(n) == [n]
 
 
 def _prime_factors(n):

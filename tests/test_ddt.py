@@ -18,6 +18,7 @@ from cdu import make_field, make_quadext, parse_func_spec
 from cdu import ddt
 from cdu.ddt import CParam
 from cdu.funcs import BIV, EXT, PairTables, tables_for
+from cdu.gf import _prime_factors
 from cdu.quadext import select_t
 from refs import lift
 
@@ -569,9 +570,9 @@ def _unreduced(qctx, tabs):
     """The same tables with no scaling and no linear structure found, so
     every row runs at weight 1."""
     plain = PairTables(tabs.domain, tabs.g, tabs.h, qctx)
+    low = np.arange(len(tabs.key), dtype=np.int32)  # every coset of {0} alone
     with mock.patch.object(ddt, "_scaling", return_value=(1, 1)), \
-            mock.patch.object(ddt, "_linear_structures",
-                              return_value=np.zeros(1, dtype=np.int32)):
+            mock.patch.object(ddt, "_linear_structures", return_value=low):
         ddt._table_inputs(qctx, plain)
     return plain
 
@@ -700,7 +701,7 @@ def test_planted_linear_structures_reports_exact(p, m, domain):
         plane = np.sort(qctx.phi_table[plane])
     for linear, odd in [(False, False), (True, False), (True, True)]:
         tabs = _planted_linear_tables(qctx, domain, linear, odd, rng)
-        span = ddt._linear_structures(qctx.ext, tabs.key)
+        span = np.flatnonzero(ddt._linear_structures(qctx.ext, tabs.key) == 0)
         assert np.isin(plane, span).all() and len(span) % q == 0
         if odd and p > 2:
             assert ddt._scaling(qctx, tabs)[0] % 2 == 0
@@ -783,8 +784,8 @@ def test_records_at_q256_build_within_a_second():
     2^16 elements), genlinh{L=x;h=inv} (Lambda = F_256 x {0}), the
     identity map with one value changed (Lambda = {0}, though nearly every
     u passes a sample of the points), and normfirst{H=tr5} and
-    tracext{H=norm} (Lambda = {0}), whose scalings are searched over the
-    16 divisors of q^2 - 1 = 65535."""
+    tracext{H=norm} (Lambda = {0}), whose scalings are searched by descent
+    over the 4 primes of q^2 - 1 = 65535."""
     qctx = make_quadext(make_field(2, 8))
     ident = tables_for(parse_func_spec("identity"), qctx)
     g = ident.g.copy()
@@ -802,7 +803,8 @@ def test_records_at_q256_build_within_a_second():
         assert time.perf_counter() - start < 1.0, name
         line = rec.weights[0][0]
         assert line.sum() == 1 << 16
-        assert len(ddt._linear_structures(qctx.ext, tabs.key)) == size
+        low = ddt._linear_structures(qctx.ext, tabs.key)
+        assert len(np.flatnonzero(low == 0)) == size
 
 
 def test_goldpair_line_c_runs_q_plus_2_rows(qx16, monkeypatch):
@@ -836,7 +838,8 @@ def test_weights_at_n_2_16_past_16_bits():
     n = qctx.ext.q
     tabs = tables_for(parse_func_spec("identity"), qctx)
     assert ddt._scaling(qctx, tabs) == (n - 1, n - 1)
-    assert (ddt._linear_structures(qctx.ext, tabs.key) == np.arange(n)).all()
+    low = ddt._linear_structures(qctx.ext, tabs.key)
+    assert (np.flatnonzero(low == 0) == np.arange(n)).all()
     cases = [(CParam.biv(0, 0), 1, {1: n * n}, (0, 0)),
              (CParam.biv(7, 0), 1, {1: n * n}, (0, 0)),
              (CParam.biv(3, 9), 1, {1: n * n}, (0, 0)),
@@ -973,7 +976,8 @@ def test_scaling_and_weights_equal_brute_force(p, m, spec):
     of F_{q^2}^*, checked at every point: order counts the lam for which
     F(z) -> F(lam*z) is an F_q-linear map N of the span of the values,
     off_order those where N is the product by an element of F_{q^2}.  Its
-    linear structures equal a scan of every u at every point.  The row
+    coset minima of the linear structures equal the orbit minima of the
+    u that a scan of every u at every point finds.  The row
     weights of a line c, an off-line c and the identity c equal a walk of
     the orbits of the group that these z -> lam*z and z -> z + u generate:
     row a weighs the number of admissible rows whose orbit has the
@@ -990,8 +994,9 @@ def test_scaling_and_weights_equal_brute_force(p, m, spec):
     line, off = _brute_scalings(qctx, tabs)
     assert ddt._scaling(qctx, tabs) == (len(line), len(off))
     span = _brute_linear_structures(qctx, tabs)
-    assert ddt._linear_structures(qctx.ext, tabs.key).tolist() == span
     shifts = [_brute_shift_perm(qctx, tabs.domain, u) for u in span]
+    assert (ddt._linear_structures(qctx.ext, tabs.key)
+            == _brute_orbit_minima(shifts, n)).all()
     for c in (CParam.biv(0, 0), CParam.biv(0, 1), CParam.biv(1, 0)):
         low = _brute_orbit_minima((line if c.c2 == 0 else off) + shifts, n)
         zero = np.flatnonzero(low == 0)  # row 0's orbit
@@ -1006,12 +1011,13 @@ def test_linear_structures_checked_at_every_point(p, m):
     """F(z) = z with the value at one point z0 changed to z0 + 1 has no
     linear structure: F(z0 + u) - F(z0) = u - 1, not u.  Nearly every u
     meets F(z + u) - F(z) = A(u) on a sample of 32 of the n > 32 points;
-    the check at every point rules each one out, wherever z0 lies."""
+    the check at every point rules each one out, wherever z0 lies, so
+    every row is its own coset's smallest."""
     ext = make_quadext(make_field(p, m)).ext
     for z0 in range(ext.q):
         key = np.arange(ext.q, dtype=np.int32)
         key[z0] = ext.add(z0, 1)
-        assert ddt._linear_structures(ext, key).tolist() == [0]
+        assert (ddt._linear_structures(ext, key) == np.arange(ext.q)).all()
 
 
 @pytest.mark.parametrize("p, m", [(2, 2), (3, 2)])
@@ -1030,14 +1036,15 @@ def test_report_depends_on_the_values_alone(p, m, spec):
 
 
 def test_scaling_fails_fast_off_the_line(monkeypatch):
-    """``_scaling`` tries each divisor of q^2 - 1 on a sample of points
-    spread over the domain before it checks them all.  The identity map
+    """``_scaling`` descends over the primes of q^2 - 1 on a sample of
+    points spread over the domain, and checks every point only for the
+    generator it finds there, where that is not 1.  The identity map
     with random values on the line x = q - 1 scales under lam = 1 alone,
     but each of the 5 lam of F_q^* other than 1 keeps the line x = 0, from
     q = 64 a pair table's first 64 points, and scales it as it does every
     value off x = q - 1: a sample taken there would pass, and every point
-    would be checked at each of them.  The spread sample meets x = q - 1
-    and rules each one out, with no check of every point."""
+    would be checked.  The spread sample meets x = q - 1 and rules out
+    each lam the descent tries, with no check of every point."""
     qctx = make_quadext(make_field(2, 6))
     q, n = qctx.base.q, qctx.ext.q
     g, h = np.divmod(np.arange(n), q)
@@ -1048,6 +1055,42 @@ def test_scaling_fails_fast_off_the_line(monkeypatch):
                         sizes.append(np.size(v)) or mul(log_u, v))
     assert ddt._scaling(qctx, tabs) == (1, 1)
     assert sizes and sizes.count(n) == 0
+
+
+@pytest.mark.parametrize("p, m", [(2, 4), (3, 3), (5, 2), (2, 6)])
+def test_scaling_sample_passing_a_non_member(p, m, monkeypatch):
+    """The identity map with h changed at one point z0 scales under lam = 1
+    alone.  With z0 the largest point that the spread sample, A and B's
+    points e1 and e2, and their images under each lam the descent tries
+    never touch, every lam passes the sample, and the descent on it ends
+    at lam = W.  The check of W at every point fails, and the descent
+    redone on every point finds what a scan of every lam finds.  It costs
+    at most 1 + Omega + omega checks of every point (Omega the prime
+    factors of q^2 - 1 with multiplicity, omega without), each three
+    products of a full-size vector; one check per divisor of q^2 - 1 costs
+    more from q = 25."""
+    qctx = make_quadext(make_field(p, m))
+    q, ext = qctx.base.q, qctx.ext
+    n, n1 = ext.q, ext.q - 1
+    primes, lams, d = _prime_factors(n1), [], n1
+    for r in primes:  # every W^(d/r) the descent tries, all passing
+        while d % r == 0:
+            d //= r
+            lams.append(np.int32(ext.antilog_table[d]))
+    e2 = 1 + int(np.argmax(ext.log_table[1:] % (q + 1) != 0))  # e1 = 1
+    seen = np.append(qctx.phi_table[np.arange(0, n, n // 64 + 1)], [1, e2])
+    seen = np.concatenate([seen] + [ext.mul_vec(lam, seen) for lam in lams])
+    z0 = int(np.flatnonzero(~np.isin(np.arange(n), seen))[-1])
+    ident = tables_for(parse_func_spec("identity"), qctx)
+    h = ident.h.copy()
+    h[qctx.phi_inv_table[z0]] = qctx.base.add(int(h[qctx.phi_inv_table[z0]]), 1)
+    tabs = PairTables(BIV, ident.g, h, qctx)
+    line, off = _brute_scalings(qctx, tabs)
+    sizes, mul = [], ext.mul_log_vec
+    monkeypatch.setattr(ext, "mul_log_vec", lambda log_u, v:
+                        sizes.append(np.size(v)) or mul(log_u, v))
+    assert ddt._scaling(qctx, tabs) == (len(line), len(off)) == (1, 1)
+    assert 0 < sizes.count(n) <= 3 * (1 + len(lams) + len(primes))
 
 
 def test_native_kernel_compiles_without_warnings(tmp_path):
