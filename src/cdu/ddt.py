@@ -376,11 +376,10 @@ def _row_weights(field, rows, order, identity, low):
     coset of Lambda (``_linear_structures``).  The orbit of a nonzero row
     under the subgroup alone is its coset: the elements whose logs agree
     mod k = (|field| - 1)/order, a column of the logs laid out as order x
-    k.  A
-    row's orbit is the union of the cosets lam*a + Lambda over its column,
-    and wt[a] is the orbit's size at its smallest row, 0 elsewhere.  At the
-    identity c, row 0 is left out, and the |Lambda| - 1 other rows of its
-    orbit, Lambda (where low = 0), weigh on the smallest."""
+    k.  A row's orbit is the union of the cosets lam*a + Lambda over its
+    column, and wt[a] is the orbit's size at its smallest row, 0 elsewhere.
+    At the identity c, row 0 is left out, and the |Lambda| - 1 other rows
+    of its orbit, Lambda (where low = 0), weigh on the smallest."""
     cosets = rows[field.antilog_table].reshape(order, -1)
     orbit = np.zeros(len(rows), dtype=np.int32)  # orbit minima; row 0's is 0
     orbit[cosets] = low[cosets].min(axis=0)
