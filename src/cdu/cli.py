@@ -18,7 +18,7 @@ import sys
 
 from .gf import CduError, make_field, parse_count, parse_modulus
 from .quadext import make_quadext, select_t, t_condition_holds
-from .funcs import parse_func_spec
+from .funcs import EXT, parse_func_spec
 from . import ddt, predict
 from .oracles import (bluher_root_count, bluher_special_b_count,
                       bluher_special_b_formula, inverse_c_uniformity_predict,
@@ -155,7 +155,7 @@ def _fmt_witness(qctx, spec, rep):
     base = qctx.base
     q = base.q
     b_str = f"({base.elem_str(b_idx // q)},{base.elem_str(b_idx % q)})"
-    if spec.domain == "ext":
+    if spec.domain == EXT:
         return qctx.ext.elem_str(a_idx, "W"), b_str
     a_str = f"({base.elem_str(a_idx // q)},{base.elem_str(a_idx % q)})"
     return a_str, b_str

@@ -5,8 +5,9 @@ field to itself that shares no code with the engine in ``ddt``.
 
 The root counts are behind ``cdu oracle``.  ``predict`` uses the
 inverse-function classes and, for the other inner functions it needs the
-uniformity of, ``c_ddt_spectrum``; the tests hold each closed form against
-an exhaustive count of their own.
+uniformity of and for normfirst's lift to F_{q^2} on a set of rows,
+``c_ddt_spectrum``; the tests hold each closed form against an exhaustive
+count of their own.
 """
 
 from __future__ import annotations
@@ -154,18 +155,25 @@ def bluher_special_b_formula(ctx: FieldCtx, k):
 # the c-DDT of a function of a field to itself
 # ---------------------------------------------------------------------------
 
-def c_ddt_spectrum(ctx: FieldCtx, values, c):
+def c_ddt_spectrum(ctx: FieldCtx, values, c, rows=None):
     """{entry: number of (a, b) with that entry} of the c-DDT of the map
     x -> values[x] of F_q to itself, entry (a, b) being the number of x with
-    F(x + a) - c*F(x) = b, over every a (a != 0 at c = 1).  One q x q pass,
-    one bincount of the keys row*q + b and one of the entries; the largest
-    entry is the c-differential uniformity."""
+    F(x + a) - c*F(x) = b, over the given rows a (by default every a, a != 0
+    at c = 1).  Rows go max(1, 2^16 // q) at a time, row i of a block keyed
+    i*q + b, so one bincount of the keys and one of the entries serve a
+    block; the largest entry is the c-differential uniformity."""
     q, values = ctx.q, np.asarray(values)
     xs = np.arange(q, dtype=np.int32)
-    a = xs[int(c == 1):, None]
-    b = ctx.sub_vec(values[ctx.add_vec(a, xs)], ctx.mul_row(c)[values])
-    keys = b + np.arange(len(a))[:, None] * q
-    spectrum = np.bincount(np.bincount(keys.ravel(), minlength=keys.size))
+    rows = xs[int(c == 1):] if rows is None else np.asarray(rows)
+    minus_cf = ctx.mul_row(ctx.neg(c))[values]
+    step = max(1, (1 << 16) // q)
+    spectrum = np.zeros(q + 1, dtype=np.int64)
+    for i in range(0, len(rows), step):
+        a = rows[i:i + step, None]
+        keys = (ctx.add_vec(values[ctx.add_vec(a, xs)], minus_cf)
+                + np.arange(len(a))[:, None] * q)
+        spectrum += np.bincount(np.bincount(keys.ravel(), minlength=keys.size),
+                                minlength=q + 1)
     entries = np.flatnonzero(spectrum)
     return dict(zip(entries.tolist(), spectrum[entries].tolist()))
 

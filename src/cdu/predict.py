@@ -3,9 +3,11 @@
 For each family and admissible c the predictor evaluates the governing
 condition and emits an exact value (described as PcN or APcN at 1 and 2)
 or an upper bound, together with a trace of the intermediate quantities.
-``verify`` runs the brute-force engine next to it: exact predictions must
-match, bounds must dominate, and any violation is reported with the
-offending witness rather than silently downgraded.
+Where a prediction needs a count (an inner function's uniformity, or
+normfirst's lift on the line) it takes it from ``oracles.c_ddt_spectrum``,
+never from the engine.  ``verify`` runs the brute-force engine next to it:
+exact predictions must match, bounds must dominate, and any violation is
+reported with the offending witness rather than silently downgraded.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def _predict_genlingold(tabs, qctx, c1, c2):
     if not tabs.args["L"].permutes:
         return _not_covered(reason="L is not a permutation")
     d = gcd(m, k)
-    b = base.add(base.sub(1, c1), base.mul(qctx.t, c2))
+    _, b = compute_AB(qctx, c1, c2)
     ratio = base.div(b, qctx.norm_one_minus_c(c1, c2))
     tr = {"ratio": base.elem_str(ratio), "d": d}
     if m != 2 * k:
@@ -240,38 +242,23 @@ def _predict_tracext(tabs, qctx, c1, c2):
 
 
 def _predict_normfirst(tabs, qctx, c1, c2):
-    """Exact delta by scanning H(x+a) - c1*H(x) over every norm coset.
+    """Exact delta: the c-DDT of the lift L(z) = phi(F(z)) of F_{q^2} to
+    itself at embed(c1), over row 0 and one row per coset of F_q^*.
 
-    The first coordinate pins the solutions of the system to one coset
-    beta*U + a/(c1-1) per b1, so the maximum over (a, coset, b2) is exactly
-    the c-differential uniformity.  The coset of z is N(z - a/(c1-1)), so
-    one bincount of N(z - shift) * q + hd(z) counts every (coset, b2) of a
-    row a.  Rows a and lam*a, for lam in F_q^*, have the same maximum:
-    z = lam*z' multiplies N(z - lam*a/(c1-1)) by lam^2 and H(z + lam*a) -
-    c1*H(z) = Tr((z + lam*a)^e) - c1*Tr(z^e) by lam^e, so row lam*a is row a
-    with its (coset, b2) bins relabelled.  Row 0 and the rows W^i, 0 <= i
-    <= q, one per coset of F_q^* = <W^(q+1)> in F_{q^2}^*, thus stand for
-    all q^2 rows.  Rows go max(1, 2^16 // q^2) at a time, row i of a block
-    offset by i*q^2, so one bincount serves the block.
+    phi is F_q-linear and turns the pair product into the field product, so
+    F(z + a) - (c1, 0)*F(z) = b exactly when L(z + a) - embed(c1)*L(z) =
+    phi(b): at a line c the c-DDT of F is that of L.  Rows a and lam*a, for
+    lam in F_q^*, have the same maximum: F(lam*z) = (lam^2*N(z),
+    lam^e*Tr(z^e)), so z = lam*z' makes row lam*a row a with its b
+    relabelled.  Row 0 and the rows W^i, 0 <= i <= q, one per coset of
+    F_q^* = <W^(q+1)> in F_{q^2}^*, thus stand for all q^2 rows.
     """
-    base, ext = qctx.base, qctx.ext
     if c2 != 0:
         return _not_covered(reason="covers only c = (c1, 0)")
-    n, htab = ext.q, tabs.h
-    zs = np.arange(n, dtype=np.int32)
-    norm_q = tabs.g.astype(np.intp) * base.q  # g is the norm z^(q+1)
-    shift_unit = np.int32(qctx.embed[base.inv(base.sub(c1, 1))])
-    c1h = base.mul_row(c1)[htab]
-    rows = np.append(0, ext.antilog_table[:base.q + 1]).astype(np.int32)
-    step = max(1, (1 << 16) // n)
-    delta = 0
-    for i in range(0, len(rows), step):
-        a = rows[i:i + step, None]
-        hd = base.sub_vec(htab[ext.add_vec(zs, a)], c1h)
-        minus_shift = ext.neg_table[ext.mul_vec(a, shift_unit)]
-        key = (norm_q[ext.add_vec(zs, minus_shift)] + hd
-               + np.arange(len(a))[:, None] * n)
-        delta = max(delta, int(np.bincount(key.ravel()).max()))
+    ext = qctx.ext
+    rows = np.append(0, ext.antilog_table[:qctx.base.q + 1])
+    lift = qctx.phi_table[tabs.key]
+    delta = max(c_ddt_spectrum(ext, lift, qctx.embed[c1], rows))
     return _exact(delta, coset_scan=True)
 
 

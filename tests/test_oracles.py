@@ -165,6 +165,24 @@ def test_c_ddt_spectrum_equals_the_engine_and_a_naive_count(p, m):
                 assert got == _naive_spectrum(ctx, values, c)
 
 
+@pytest.mark.parametrize("p,m", [(2, 10), (3, 6)])
+def test_c_ddt_spectrum_adds_up_over_a_split_of_the_rows(p, m):
+    """Over several blocks of rows (64 rows a block at q = 1024, 89 at
+    q = 729) the spectra of the first 100 rows of a random order and of the
+    rest add up to the spectrum of every row, which is the engine's, at
+    c = 0, 1 and w."""
+    ctx = make_field(p, m)
+    rng = np.random.default_rng(ctx.q)
+    values = rng.integers(0, ctx.q, ctx.q, dtype=np.int32)
+    for c in (0, 1, ctx.primitive):
+        full = c_ddt_spectrum(ctx, values, c)
+        assert full == ddt.uni_report(ctx, values, ddt.CParam(c)).spectrum
+        rows = rng.permutation(np.arange(int(c == 1), ctx.q))
+        parts = Counter(c_ddt_spectrum(ctx, values, c, rows[:100]))
+        parts.update(c_ddt_spectrum(ctx, values, c, rows[100:]))
+        assert dict(parts) == full, c
+
+
 # -- inverse function predictions --------------------------------------------------
 
 def test_inverse_predict_pcn_at_zero():

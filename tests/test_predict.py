@@ -264,11 +264,13 @@ def test_tracext_gold_off_line_bound_only_for_k_plus_minus_1(k, off_line):
                    for r in res.rows[31:])
 
 
-@pytest.mark.parametrize("p, m", [(2, 3), (3, 2), (5, 2), (7, 2)])
+@pytest.mark.parametrize("p, m", [(2, 3), (3, 2), (5, 2), (7, 2), (2, 6)])
 def test_normfirst_equals_engine_on_every_line_c(p, m):
-    """The normfirst predictor scans row 0 and one row per coset of F_q^*
-    in F_{q^2}^*; its exact value is the engine's uniformity on every line
-    c, at q = 8, 9, 25 and 49, for two exponents e of H = Tr(z^e)."""
+    """The normfirst predictor counts the c-DDT of its lift to F_{q^2} on
+    row 0 and one row per coset of F_q^* in F_{q^2}^*; its exact value is
+    the engine's uniformity on every line c, at q = 8, 9, 25, 49 and 64,
+    for two exponents e of H = Tr(z^e).  At q = 64 the 66 rows go in blocks
+    of 16, the last one of 2."""
     qctx = make_quadext(make_field(p, m))
     cs = ddt.c_line_biv(qctx.base.q)
     for e in (3, 5):
@@ -290,12 +292,14 @@ _SPLITGH = "splitgh{g=id;h1=inv;h2=gold:1;L1=x;L2=x;gamma1=w^1;gamma2=1}"
     ("genlinh{L=x;h=pow:3}", 2, 3), ("genlinh{L=x;h=pow:3}", 3, 3),
     ("genlinh{L=x;h=gold:1}", 2, 3),
     ("genlinh{L=x^2+x;h=id}", 2, 3), ("genlinh{L=x^2+x;h=id}", 2, 4),
-    (_SPLITGH, 2, 3), (_SPLITGH, 3, 2)])
+    (_SPLITGH, 2, 3), (_SPLITGH, 3, 2),
+    ("normfirst{H=tr5}", 2, 3), ("normfirst{H=tr5}", 3, 2)])
 def test_predictions_never_call_the_engine(spec, p, m, monkeypatch):
     """verify judges the engine's reports, so a prediction must not come
-    from the engine: with every report path made to raise, these specs,
-    whose h or g permutes, are still predicted at every c, the uniformity
-    of h or g counted by ``c_ddt_spectrum``."""
+    from the engine: with every report path made to raise, predict still
+    answers every c of these specs, whose h or g permutes, counting the
+    uniformity of h or g, or normfirst's lift, by ``c_ddt_spectrum``;
+    normfirst is predicted at every line c."""
     qctx = make_quadext(make_field(p, m))
     spec = parse_func_spec(spec)
 
@@ -307,8 +311,10 @@ def test_predictions_never_call_the_engine(spec, p, m, monkeypatch):
     monkeypatch.setattr(ddt, "_kernel_report", engine)
     monkeypatch.setattr(predict, "c_ddt_spectrum",
                         lambda *args: counted.append(args) or c_ddt_spectrum(*args))
-    for c in ddt.c_all_biv(qctx.base.q):
-        predict.predict(spec, qctx, c.c1, c.c2)
+    covered = [c for c in ddt.c_all_biv(qctx.base.q)
+               if predict.predict(spec, qctx, c.c1, c.c2).kind != NOT_COVERED]
+    if spec.family == "normfirst":
+        assert covered == ddt.c_line_biv(qctx.base.q)
     assert counted
 
 
